@@ -10,16 +10,18 @@ Rings come from a fixed constructor catalog:
 
 Every ring is stored as a free presentation: a monomial basis, integer
 structure constants for basis products, and a full-rank integer lattice of
-additive relations kept in row Hermite normal form.  Elements are canonical
-coordinate vectors over that basis; the canonical representative of a coset
-has 0 <= c[j] < hnf[j][j] for every coordinate.
+additive relations kept in row Hermite normal form.  Every constructor yields
+a diagonal HNF (``Ring`` refuses any other), so elements are canonical
+coordinate vectors over that basis with 0 <= c[j] < hnf[j][j], reduced
+componentwise.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import add, mod, sub
 from typing import Iterator
 
 ENUMERATION_BOUND = 1 << 24
@@ -100,6 +102,13 @@ class Ring:
         self.mul_basis = mul_basis  # dim x dim table of canonical vectors
         self.hnf = hnf
         self.diag = tuple(hnf[i][i] for i in range(self.dim))
+        if any(hnf[i][j] for i in range(self.dim)
+               for j in range(self.dim) if i != j):
+            raise RingError(f"{descriptor}: relation lattice HNF is not diagonal")
+        # sparse structure constants: the nonzero (k, v) of each basis product
+        self._mul_rows = tuple(
+            tuple(tuple((k, v) for k, v in enumerate(vec) if v) for vec in row)
+            for row in mul_basis)
         # residue_ring is None for fields (they are their own residue field)
         self._residue_ring = residue_ring
         self._residue_vecs = residue_vecs
@@ -119,11 +128,13 @@ class Ring:
     # -- construction helpers -------------------------------------------------
 
     def _additive_order_of_one(self):
+        """The characteristic.  The additive group has order |A| = 5^k, so the
+        order of 1 is the least power 5^a with 5^a * 1 = 0: O(k) steps."""
         x = self.one
         n = 1
         while x.coords != self.zero.coords:
-            x = x + self.one
-            n += 1
+            x = x * 5
+            n *= 5
             if n > self.cardinality:
                 raise RingError("additive order overflow")
         return n
@@ -163,14 +174,7 @@ class Ring:
     # -- canonical form --------------------------------------------------------
 
     def reduce(self, vec):
-        v = list(vec)
-        for j in range(self.dim):
-            q = v[j] // self.hnf[j][j]
-            if q:
-                row = self.hnf[j]
-                for k in range(j, self.dim):
-                    v[k] -= q * row[k]
-        return tuple(v)
+        return tuple(map(mod, vec, self.diag))
 
     # -- element construction --------------------------------------------------
 
@@ -237,22 +241,31 @@ class Ring:
 
     # -- residue-field data ----------------------------------------------------
 
-    @property
+    @cached_property
     def residue_square_roots(self):
         """Map residue-field element -> tuple of its square roots there."""
-        if not hasattr(self, "_res_sqrt"):
-            k = self.residue_ring
-            table = {}
-            for x in k.enumerate():
-                table.setdefault((x * x).coords, []).append(x)
-            self._res_sqrt = {c: tuple(v) for c, v in table.items()}
-        return self._res_sqrt
+        table = {}
+        for x in self.residue_ring.enumerate():
+            table.setdefault((x * x).coords, []).append(x)
+        return {c: tuple(v) for c, v in table.items()}
+
+    @cached_property
+    def _field_inverses(self):
+        """Map coords -> inverse over the nonzero elements of a field:
+        x^-1 = x^(q-2)."""
+        return {x.coords: x ** (self.cardinality - 2)
+                for x in self.enumerate() if x != self.zero}
+
+    @cached_property
+    def _half(self):
+        return self.from_int(2).inv()
 
     def __repr__(self):
         return f"Ring({self.descriptor!r})"
 
     def __eq__(self, other):
-        return isinstance(other, Ring) and self.descriptor == other.descriptor
+        return self is other or (isinstance(other, Ring)
+                                 and self.descriptor == other.descriptor)
 
     def __hash__(self):
         return hash(self.descriptor)
@@ -268,30 +281,32 @@ class Element:
         self.coords = tuple(coords)
 
     def _check(self, other):
-        if isinstance(other, int):
-            return self.ring.from_int(other)
-        if not isinstance(other, Element):
-            return NotImplemented
-        if other.ring != self.ring:
+        if isinstance(other, Element):
+            if other.ring is self.ring or other.ring == self.ring:
+                return other
             raise MismatchError(
                 f"elements of {self.ring.descriptor!r} and {other.ring.descriptor!r}")
-        return other
+        if isinstance(other, int):
+            return self.ring.from_int(other)
+        return NotImplemented
 
     def __add__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Element(self.ring, self.ring.reduce(
-            [a + b for a, b in zip(self.coords, other.coords)]))
+        ring = self.ring
+        if other.__class__ is not Element or other.ring is not ring:
+            other = self._check(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return Element(ring, ring.reduce(map(add, self.coords, other.coords)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Element(self.ring, self.ring.reduce(
-            [a - b for a, b in zip(self.coords, other.coords)]))
+        ring = self.ring
+        if other.__class__ is not Element or other.ring is not ring:
+            other = self._check(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return Element(ring, ring.reduce(map(sub, self.coords, other.coords)))
 
     def __rsub__(self, other):
         return self._check(other) - self
@@ -300,26 +315,24 @@ class Element:
         return Element(self.ring, self.ring.reduce([-a for a in self.coords]))
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return Element(self.ring, self.ring.reduce(
-                [a * other for a in self.coords]))
-        other = self._check(other)
-        if other is NotImplemented:
-            return NotImplemented
         ring = self.ring
+        if other.__class__ is not Element or other.ring is not ring:
+            if isinstance(other, int):
+                return Element(ring, ring.reduce([a * other for a in self.coords]))
+            other = self._check(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = self.coords, other.coords
+        if ring.dim == 1:  # basis {1}: 1 * 1 = 1
+            return Element(ring, ((a[0] * b[0]) % ring.diag[0],))
         acc = [0] * ring.dim
-        for i, ai in enumerate(self.coords):
-            if not ai:
-                continue
-            row = ring.mul_basis[i]
-            for j, bj in enumerate(other.coords):
-                if not bj:
-                    continue
-                c = ai * bj
-                vec = row[j]
-                for k, vk in enumerate(vec):
-                    if vk:
-                        acc[k] += c * vk
+        for ai, row in zip(a, ring._mul_rows):
+            if ai:
+                for bj, terms in zip(b, row):
+                    if bj:
+                        c = ai * bj
+                        for k, v in terms:
+                            acc[k] += c * v
         return Element(ring, ring.reduce(acc))
 
     __rmul__ = __mul__
@@ -337,11 +350,12 @@ class Element:
         return out
 
     def __eq__(self, other):
+        if isinstance(other, Element):
+            return self.coords == other.coords and (
+                self.ring is other.ring or self.ring == other.ring)
         if isinstance(other, int):
-            other = self.ring.from_int(other)
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self.ring == other.ring and self.coords == other.coords
+            return self.coords == self.ring.from_int(other).coords
+        return NotImplemented
 
     def __hash__(self):
         return hash((self.ring.descriptor, self.coords))
@@ -379,15 +393,11 @@ class Element:
 
     def inv(self):
         """Exact inverse of a unit (Newton lift of the residue inverse)."""
-        if not self.is_unit():
+        rinv = self.ring.residue_ring._field_inverses.get(self.residue().coords)
+        if rinv is None:
             raise NotAUnitError(f"{self} is not a unit")
-        k = self.ring.residue_ring
-        res = self.residue()
-        rinv = None
-        for cand in k.enumerate():
-            if res * cand == k.one:
-                rinv = cand
-                break
+        if self.ring.is_field:
+            return rinv
         r = self.ring.section(rinv)
         two = self.ring.from_int(2)
         for _ in range(64):
@@ -425,7 +435,7 @@ class Element:
                     f"{branch} is not a square root of residue {res}")
             pick = branch
         r = self.ring.section(pick)
-        half = self.ring.from_int(2).inv()
+        half = self.ring._half
         for _ in range(64):
             if r * r == self:
                 return r
@@ -608,26 +618,17 @@ def _make_cyclo(m, f5):
         for j in range(d):
             rel_rows.append(_cyclo_reduce_poly([0] * j + phi, m))
     hnf = _hnf_rows(rel_rows, d)
-
-    def reduce_vec(vec):
-        v = list(vec)
-        for j in range(d):
-            q = v[j] // hnf[j][j]
-            if q:
-                for k in range(j, d):
-                    v[k] -= q * hnf[j][k]
-        return tuple(v)
-
+    diag = [hnf[i][i] for i in range(d)]  # diagonal; checked by Ring
     mul = []
     for i in range(d):
         row = []
         for j in range(d):
-            row.append(reduce_vec(_cyclo_reduce_poly([0] * (i + j) + [1], m)))
+            row.append(tuple(map(mod, _cyclo_reduce_poly([0] * (i + j) + [1], m), diag)))
         mul.append(tuple(row))
     if m == 1:
         gens = {}
     else:
-        gens = {"u": reduce_vec([0, 1] + [0] * (d - 2)) if d >= 2 else (0,)}
+        gens = {"u": tuple(map(mod, [0, 1] + [0] * (d - 2), diag)) if d >= 2 else (0,)}
     res_vecs = [(1,)] + [(0,)] * (d - 1)
     return Ring(
         descriptor=f"cyclo({m})",
@@ -655,6 +656,9 @@ def build_ring(descriptor: str) -> Ring:
 
     Grammar: ``F5``, ``F25``, ``Z/5^<n>`` (also ``Z/<5^n>`` literals),
     ``cyclo(<m>)``, and nilpotent extensions ``<base>[e]/(e^<m>)``.
+    Every spelling of a ring (spaces, ``Z/25`` for ``Z/5^2``, leading zeros)
+    returns the one object interned under its canonical descriptor, so rings
+    from here are equal exactly when they are identical.
     """
     text = descriptor.replace(" ", "")
     f5 = _F5
@@ -689,8 +693,9 @@ def build_ring(descriptor: str) -> Ring:
                 f"generator names disagree in {descriptor!r}: {name} vs {name2}")
         ring = _make_nilpotent_extension(ring, name, power)
         rest = rest[sm.end():]
-    return ring
+    return _RINGS.setdefault(ring.descriptor, ring)
 
 
 _F5 = _make_f5()
 _F25 = _make_f25()
+_RINGS = {"F5": _F5, "F25": _F25}  # canonical descriptor -> the ring

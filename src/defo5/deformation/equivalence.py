@@ -51,15 +51,12 @@ def _conv_batch(T, A, B, upto):
     return out
 
 
-def conjugator_search(lift1: Automorphism, lift2: Automorphism, prec: int,
-                      find_all: bool = False):
-    """All (or the first) truncated conjugators xi with
-    xi o lift1 = lift2 o xi through t^(prec-1).
+def conjugator_search(lift1: Automorphism, lift2: Automorphism, prec: int):
+    """Truncated conjugators xi with xi o lift1 = lift2 o xi through
+    t^(prec-1), by a complete search.
 
-    Returns (xi_or_None, count) where count is the number of surviving
-    candidates (only exact when ``find_all``; otherwise a lower bound 0/1
-    is reported as the count of the full search, which this implementation
-    always completes, so the count is exact either way).
+    Returns (xi, count): xi is the first conjugator in enumeration order, or
+    None when there is none, and count is the exact number of conjugators.
     """
     ring = lift1.ring
     if lift2.ring != ring:

@@ -151,16 +151,8 @@ class TruncatedSeries:
     def div(self, other):
         """self / other, requiring a unit constant term in ``other``."""
         other, p = self._join(other)
-        g0 = other.coeffs[0]
-        inv_g0 = g0.inv()
-        q = []
-        for n in range(p):
-            acc = self.coeffs[n]
-            for i in range(1, n + 1):
-                if i < other.prec:
-                    acc = acc - other.coeffs[i] * q[n - i]
-            q.append(acc * inv_g0)
-        result = TruncatedSeries(self.ring, q)
+        result = TruncatedSeries(
+            self.ring, _div_raw(self.ring, self.coeffs, other.coeffs, p))
         if __debug__:
             assert (result * other).agrees_with(self, p)
         return result
@@ -441,11 +433,7 @@ def _poly_neg(a):
 
 
 def _poly_mul(ring, a, b):
-    out = [ring.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return out
+    return _mul_raw(ring, a, b, len(a) + len(b) - 1)
 
 
 def _parse_series(ring, text):

@@ -178,11 +178,15 @@ _SAMPLE_RINGS = ("F5", "F25", "Z/25", "F5[e]/(e^2)", "F5[e]/(e^3)",
                  "cyclo(2)", "cyclo(3)")
 
 
-def _sample_witness(ring, rng):
+def _witness_pools(ring):
+    """(maximal ideal, units, all elements) of a sample ring, in order."""
+    return (list(ring.enumerate("maximal-ideal")),
+            list(ring.enumerate("units")), list(ring.enumerate()))
+
+
+def _sample_witness(ring, rng, pools):
     one = ring.one
-    mideal = list(ring.enumerate("maximal-ideal"))
-    units = list(ring.enumerate("units"))
-    elements = list(ring.enumerate())
+    mideal, units, elements = pools
     while True:
         a0 = rng.choice(mideal)
         a1 = rng.choice(units)
@@ -226,12 +230,14 @@ def consistency_sample(n: int = 1000, seed: int = 20260823, prec: int = 4):
     mismatches = []
     for desc in _SAMPLE_RINGS:
         ring = build_ring(desc)
+        pools = _witness_pools(ring)
         for _ in range(per_ring):
-            w = _sample_witness(ring, rng)
+            w = _sample_witness(ring, rng, pools)
             lhs_eng, rhs_eng = _engine_coefficients(ring, w, prec)
+            powers = {}
             for i in range(prec):
-                if (lhs_sym[i].evaluate(ring, w) != lhs_eng[i]
-                        or rhs_sym[i].evaluate(ring, w) != rhs_eng[i]):
+                if (lhs_sym[i].evaluate(ring, w, powers) != lhs_eng[i]
+                        or rhs_sym[i].evaluate(ring, w, powers) != rhs_eng[i]):
                     mismatches.append({"ring": desc, "t_power": i,
                                        "witness": {k: str(v)
                                                    for k, v in w.items()}})

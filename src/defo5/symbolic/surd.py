@@ -17,6 +17,7 @@ that actually occur (powers of a0^2 + y1, y2 and 2) are units.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from numbers import Rational as _PyRational
 
 import sympy as sp
@@ -177,18 +178,23 @@ class SurdExpression:
 
     # -- specialization -----------------------------------------------------------
 
-    def evaluate(self, ring, witness):
+    def evaluate(self, ring, witness, powers=None):
         """Exact value in a catalog ring.  ``witness`` maps the symbol names
         a0, a1, a2, a3, y1, y2 to ring elements and s1, s2 to the chosen
         square roots of a0^2 + y1 and y2 (both must square correctly).
-        Denominators must evaluate to units."""
+        Denominators must evaluate to units.  ``powers`` is the witness's
+        power table (name -> [1, x, x^2, ...], filled on demand); pass one
+        dict per witness to share it across evaluations."""
+        if powers is None:
+            powers = {}
         s1v, s2v = witness["s1"], witness["s2"]
         a0v, y1v, y2v = witness["a0"], witness["y1"], witness["y2"]
         if s1v * s1v != a0v * a0v + y1v:
             raise SurdError("witness s1 is not a square root of a0^2 + y1")
         if s2v * s2v != y2v:
             raise SurdError("witness s2 is not a square root of y2")
-        vals = [_eval_rational(c, ring, witness) for c in self._components()]
+        vals = [_eval_rational(c, ring, witness, powers)
+                for c in self._components()]
         return (vals[0] + vals[1] * s1v + vals[2] * s2v
                 + vals[3] * s1v * s2v)
 
@@ -216,16 +222,23 @@ def _poly_terms(poly_expr):
     return terms
 
 
-def _eval_poly(poly_expr, ring, witness):
+@lru_cache(maxsize=256)
+def _den_inverse(ring, den):
+    return ring.from_int(den).inv()
+
+
+def _eval_poly(poly_expr, ring, witness, powers):
     total = ring.zero
     for num, den, monom in _poly_terms(poly_expr):
         term = ring.from_int(num)
         if den != 1:
-            term = term * ring.from_int(den).inv()
+            term = term * _den_inverse(ring, den)
         for name, exp in zip(_NAMES, monom):
-            base = witness[name]
-            for _ in range(exp):
-                term = term * base
+            if exp:
+                seq = powers.setdefault(name, [ring.one, witness[name]])
+                while len(seq) <= exp:
+                    seq.append(seq[-1] * seq[1])
+                term = term * seq[exp]
         total = total + term
     return total
 
@@ -233,10 +246,10 @@ def _eval_poly(poly_expr, ring, witness):
 _fraction_cache: dict = {}
 
 
-def _eval_rational(expr, ring, witness):
+def _eval_rational(expr, ring, witness, powers):
     pair = _fraction_cache.get(expr)
     if pair is None:
         pair = _fraction_cache[expr] = sp.fraction(sp.cancel(sp.together(expr)))
-    num_v = _eval_poly(pair[0], ring, witness)
-    den_v = _eval_poly(pair[1], ring, witness)
+    num_v = _eval_poly(pair[0], ring, witness, powers)
+    den_v = _eval_poly(pair[1], ring, witness, powers)
     return num_v * den_v.inv()

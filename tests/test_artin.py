@@ -4,9 +4,10 @@ import pytest
 
 from defo5.artin.literals import format_element, parse_element
 from defo5.artin.rings import (DescriptorError, MismatchError,
-                               NoSquareRootError, NotAUnitError, RingError,
-                               build_ring)
+                               NoSquareRootError, NotAUnitError, Ring,
+                               RingError, build_ring)
 from defo5.artin.tables import RingTable
+from defo5.deformation.proofchain import CATALOG
 
 
 # -- construction ---------------------------------------------------------------
@@ -174,3 +175,90 @@ def test_literal_expressions():
     assert parse_element(R, "3e") == 3 * e
     with pytest.raises(RingError):
         parse_element(R, "1 + q")
+
+
+# -- interning, characteristic, and the scalar kernel against references -------
+
+def test_rings_are_interned():
+    assert build_ring("F5 [e]/(e^2)") is build_ring("F5[e]/(e^2)")
+    assert build_ring("Z/25") is build_ring("Z/5^2")
+    assert build_ring("Z/5^1") is build_ring("F5")
+    assert build_ring("F5[e]/(e^02)") is build_ring("F5[e]/(e^2)")
+    R = build_ring("F25[e]/(e^2)")
+    assert R.residue_ring is build_ring("F25")
+
+
+def _additive_order_by_counting(ring):
+    """Reference: add 1 until 0, one step per unit of the characteristic."""
+    x, n = ring.one, 1
+    while x != ring.zero:
+        x, n = x + ring.one, n + 1
+    return n
+
+
+@pytest.mark.parametrize("desc", CATALOG + tuple(f"Z/5^{n}" for n in range(1, 7)))
+def test_characteristic_against_counting(desc):
+    R = build_ring(desc)
+    assert R.char == _additive_order_by_counting(R)
+
+
+def _reference_reduce(ring, vec):
+    """Generic HNF reduction, row by row."""
+    v = list(vec)
+    for j in range(ring.dim):
+        q = v[j] // ring.hnf[j][j]
+        for k in range(j, ring.dim):
+            v[k] -= q * ring.hnf[j][k]
+    return tuple(v)
+
+
+def _reference_mul(ring, a, b):
+    """Generic product through the dense structure-constant table."""
+    acc = [0] * ring.dim
+    for i, ai in enumerate(a.coords):
+        for j, bj in enumerate(b.coords):
+            for k, vk in enumerate(ring.mul_basis[i][j]):
+                acc[k] += ai * bj * vk
+    return _reference_reduce(ring, acc)
+
+
+_SMALL_CATALOG = [d for d in CATALOG if build_ring(d).cardinality <= 125]
+
+
+@pytest.mark.parametrize("desc", _SMALL_CATALOG)
+def test_scalar_kernel_against_reference(desc):
+    R = build_ring(desc)
+    els = list(R.enumerate())
+    for a in els:
+        for b in els:
+            assert (a * b).coords == _reference_mul(R, a, b)
+            assert (a + b).coords == _reference_reduce(
+                R, [x + y for x, y in zip(a.coords, b.coords)])
+    for u in R.enumerate("units"):
+        assert u * u.inv() == R.one
+        roots = R.residue_square_roots.get(u.residue().coords, ())
+        if not roots:
+            with pytest.raises(NoSquareRootError):
+                u.sqrt()
+            continue
+        for b in roots + (None,):
+            r = u.sqrt(b)
+            assert r * r == u
+            assert b is None or r.residue() == b
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_cyclo_reduction_matches_generic_hnf(m):
+    # cyclo(m >= 5) has relation lattice 5*pi^(m-4), e.g. diag(25, 5, 5, 5)
+    R = build_ring(f"cyclo({m})")
+    for vec in ([7, -3, 26, 124][:R.dim], [-1] * R.dim, [125] * R.dim):
+        assert R.reduce(vec) == _reference_reduce(R, vec)
+
+
+def test_non_diagonal_hnf_refused():
+    with pytest.raises(RingError, match="not diagonal"):
+        Ring(descriptor="X", basis=("1", "x"),
+             mul_basis=(((1, 0), (0, 1)), ((0, 1), (0, 0))),
+             hnf=((5, 1), (0, 5)), residue_ring=None,
+             residue_vecs=((1, 0), (0, 1)), section_vecs=((1, 0), (0, 1)),
+             generators={})

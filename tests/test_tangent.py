@@ -7,6 +7,7 @@ import pytest
 
 from defo5 import gf5
 from defo5.artin.rings import build_ring
+from defo5.deformation import tangent
 from defo5.deformation.tangent import (COCYCLE_SHIFT, coboundary_apply,
                                        coboundary_matrix, cocycle_defect,
                                        cocycle_matrix, hom_point_directions,
@@ -31,6 +32,28 @@ def test_cocycle_linearity_against_brute_force():
     for _ in range(6):
         d = [rng.randrange(5) for _ in range(P)]
         assert gf5.matvec(Z, d) == cocycle_defect(d, P)
+
+
+@pytest.mark.parametrize("P", [8, 12])
+def test_cocycle_columns_against_dual_number_composition(P):
+    """The chain-rule matrix against the 5-fold composition over
+    F5[e]/(e^2), one basis direction t^j at a time."""
+    Z = cocycle_matrix(P)
+    for j in range(P):
+        e_j = [0] * P
+        e_j[j] = 1
+        assert [row[j] for row in Z] == cocycle_defect(e_j, P)
+
+
+def test_tangent_report_builds_each_matrix_once(monkeypatch):
+    calls = {"Z": [], "B": []}
+    real_z, real_b = tangent.cocycle_matrix, tangent.coboundary_matrix
+    monkeypatch.setattr(tangent, "cocycle_matrix",
+                        lambda p: calls["Z"].append(p) or real_z(p))
+    monkeypatch.setattr(tangent, "coboundary_matrix",
+                        lambda p: calls["B"].append(p) or real_b(p))
+    tangent_report((8, 12))
+    assert calls == {"Z": [8, 12], "B": [8, 12]}
 
 
 def test_coboundary_matrix_against_direct_application():
