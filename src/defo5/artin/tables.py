@@ -4,6 +4,11 @@ Elements are identified with their rank in the deterministic enumeration
 order (mixed radix over the canonical coordinate box, first coordinate most
 significant).  Addition and multiplication become int32 table lookups, which
 lets the brute-force oracles run vectorized over numpy index arrays.
+
+Every table comes from the ring's own presentation: the relation lattice is
+diagonal, so each output coordinate is reduced on its own by ``% diag[k]``,
+and coordinate k of a product is the bilinear form ``S[:, :, k]`` of the
+structure constants.  ``ring_table`` keeps one table per ring and process.
 """
 
 from __future__ import annotations
@@ -24,65 +29,31 @@ class RingTable:
         self.ring = ring
         n = self.n = ring.cardinality
         d = ring.dim
-        diag = np.array(ring.diag, dtype=np.int64)
-        H = np.array(ring.hnf, dtype=np.int64)
-        weights = np.ones(d, dtype=np.int64)
+        weights = [1] * d
         for j in range(d - 2, -1, -1):
-            weights[j] = weights[j + 1] * diag[j + 1]
-        self._weights = weights
-        coords = np.indices(ring.diag).reshape(d, -1).T.astype(np.int64)
-        self.coords = coords
+            weights[j] = weights[j + 1] * ring.diag[j + 1]
+        self._weights = tuple(weights)
+        coords = self.coords = np.indices(ring.diag).reshape(d, -1).T.astype(np.int64)
 
-        def reduce(v):
-            v = v.copy()
-            for j in range(d):
-                q = v[..., j] // H[j, j]
-                v -= q[..., None] * H[j]
-            return v
-
-        def rank(v):
-            return (v @ weights).astype(np.int32)
-
-        self._reduce = reduce
-        self._rank = rank
-
-        S = np.array([[ring.mul_basis[i][j] for j in range(d)]
-                      for i in range(d)], dtype=np.int64)
-        add = np.empty((n, n), dtype=np.int32)
-        mul = np.empty((n, n), dtype=np.int32)
-        chunk = max(1, (1 << 22) // max(1, n))
-        for lo in range(0, n, chunk):
-            hi = min(n, lo + chunk)
-            block = coords[lo:hi, None, :] + coords[None, :, :]
-            add[lo:hi] = rank(reduce(block))
-            prod = np.einsum("xi,yj,ijk->xyk", coords[lo:hi], coords, S)
-            mul[lo:hi] = rank(reduce(prod))
-        self.ADD = add
-        self.MUL = mul
-        self.NEG = rank(reduce(-coords))
+        S = np.array(ring.mul_basis, dtype=np.int64)  # S[i, j, k]
+        add = self.ADD = np.zeros((n, n), dtype=np.int32)
+        mul = self.MUL = np.zeros((n, n), dtype=np.int32)
+        for k, (m, w) in enumerate(zip(ring.diag, weights)):
+            add += np.add.outer(coords[:, k], coords[:, k]) % m * w
+            mul += (coords @ S[:, :, k]) @ coords.T % m * w
+        self.NEG = ((-coords % ring.diag) @ weights).astype(np.int32)
+        self.SQ = mul.diagonal().copy()
         self.zero = 0
-        one = np.zeros(d, dtype=np.int64)
-        one[0] = 1
-        self.one = int(rank(reduce(one[None, :]))[0])
+        self.one = self.index(ring.one)
 
-        # residue-zero mask via the residue map (residue field has all-5 box)
-        res = ring.residue_ring
-        R = np.array(ring._residue_vecs, dtype=np.int64)  # (d, res.dim)
-        rescoords = (coords @ R) % 5
-        self.mideal_mask = (rescoords == 0).all(axis=1)
-        self.unit_mask = ~self.mideal_mask
-        self.mideal = np.nonzero(self.mideal_mask)[0].astype(np.int32)
-        self.units = np.nonzero(self.unit_mask)[0].astype(np.int32)
-        # residue as an index into the residue field's own table ordering
-        rw = np.ones(res.dim, dtype=np.int64)
-        for j in range(res.dim - 2, -1, -1):
-            rw[j] = rw[j + 1] * 5
-        self.residue_idx = (rescoords @ rw).astype(np.int32)
+        # residue coordinates; both residue fields, F5 and F25, have the all-5 box
+        R = np.array(ring._residue_vecs, dtype=np.int64)  # (d, residue dim)
+        in_m = ((coords @ R) % 5 == 0).all(axis=1)
+        self.mideal = np.flatnonzero(in_m).astype(np.int32)
+        self.units = np.flatnonzero(~in_m).astype(np.int32)
 
-        idx = np.arange(n)
-        self.SQ = self.MUL[idx, idx]
         inv = np.full(n, -1, dtype=np.int32)
-        rows, cols = np.nonzero(self.MUL == self.one)
+        rows, cols = np.nonzero(mul == self.one)
         inv[rows] = cols
         self.INV = inv
         roots = [[] for _ in range(n)]
@@ -93,16 +64,21 @@ class RingTable:
     # -- conversions ------------------------------------------------------------
 
     def index(self, el: Element) -> int:
-        return int(np.dot(np.array(el.coords, dtype=np.int64), self._weights))
+        return sum(c * w for c, w in zip(el.coords, self._weights))
 
     def element(self, idx: int) -> Element:
         return Element(self.ring, tuple(int(c) for c in self.coords[idx]))
 
     def from_int(self, k: int) -> int:
-        v = np.zeros(self.ring.dim, dtype=np.int64)
-        v[0] = k
-        return int(self._rank(self._reduce(v[None, :]))[0])
+        return self.index(self.ring.from_int(k))
 
-    def unit_roots(self, idx: int):
-        """Square roots of a unit, one per residue branch (possibly empty)."""
-        return self.roots[idx]
+
+_table_cache: dict[str, RingTable] = {}
+
+
+def ring_table(ring: Ring) -> RingTable:
+    """The table of ``ring``, built once per process."""
+    tab = _table_cache.get(ring.descriptor)
+    if tab is None:
+        tab = _table_cache[ring.descriptor] = RingTable(ring)
+    return tab

@@ -21,19 +21,19 @@ from __future__ import annotations
 import numpy as np
 
 from ..artin.rings import ENUMERATION_BOUND, EnumerationBoundError, Ring, RingError
-from ..artin.tables import RingTable
+from ..artin.tables import ring_table
 from ..nottingham import Automorphism
 from ..series import TruncatedSeries
 from .versal import hom_points, versal_family
 
-_table_cache: dict[str, RingTable] = {}
 
-
-def ring_table(ring: Ring) -> RingTable:
-    tab = _table_cache.get(ring.descriptor)
-    if tab is None:
-        tab = _table_cache[ring.descriptor] = RingTable(ring)
-    return tab
+def _refuse_search_space(ring: Ring, prec: int):
+    """Refuse a conjugator search whose a-priori space |m|^(prec+1) exceeds
+    the enumeration bound, from cardinalities alone."""
+    n_m = ring.cardinality // ring.residue_ring.cardinality
+    if n_m ** (prec + 1) > ENUMERATION_BOUND:
+        raise EnumerationBoundError(
+            f"conjugator search space |m|^{prec + 1} exceeds the bound")
 
 
 def _conv_batch(T, A, B, upto):
@@ -67,11 +67,8 @@ def conjugator_search(lift1: Automorphism, lift2: Automorphism, prec: int):
         raise RingError(
             f"conjugator search at precision {prec} needs lift1 precision >= "
             f"{prec} and lift2 precision >= {jmax + 1}")
+    _refuse_search_space(ring, prec)
     T = ring_table(ring)
-    n_m = len(T.mideal)
-    if n_m ** (prec + 1) > ENUMERATION_BOUND:
-        raise EnumerationBoundError(
-            f"conjugator search space |m|^{prec + 1} exceeds the bound")
 
     # Powers of lift1 (as series) through t^(prec-1); index form.
     s1 = lift1.series.truncate(prec)
@@ -139,6 +136,7 @@ def universality_scan(ring: Ring, prec: int):
 
     Returns a report dict with one entry per pair.
     """
+    _refuse_search_space(ring, prec)
     e = ring.nilpotency_index
     pts = hom_points(ring)
     fams = [versal_family(p, prec + e - 1) for p in pts]

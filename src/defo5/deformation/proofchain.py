@@ -54,7 +54,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from ..artin.rings import Ring, build_ring
-from .equivalence import ring_table
+from ..artin.tables import ring_table
 from .versal import hom_points
 
 CATALOG = (

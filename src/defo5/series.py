@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import re
 import struct
+from itertools import zip_longest
 
-from .artin.literals import LiteralError, _Parser, _tokenize
+from .artin.literals import LiteralError, _Parser
 from .artin.rings import (Element, MismatchError, NotAUnitError, Ring,
                           RingError, build_ring)
 
@@ -291,12 +292,17 @@ class TruncatedSeries:
     def from_bytes(cls, data):
         if data[:4] != cls.MAGIC:
             raise RingError("bad series magic")
-        dlen, prec, dim = struct.unpack_from("<HIH", data, 4)
-        off = 4 + 8
-        ring = build_ring(data[off:off + dlen].decode())
+        try:
+            dlen, prec, dim = struct.unpack_from("<HIH", data, 4)
+            off = 4 + 8
+            ring = build_ring(data[off:off + dlen].decode())
+        except (struct.error, UnicodeDecodeError) as exc:
+            raise RingError(f"malformed series header: {exc}") from None
         if ring.dim != dim:
             raise RingError("series dimension does not match ring")
         off += dlen
+        if len(data) != off + 8 * dim * prec:
+            raise RingError("series data length does not match its header")
         coeffs = []
         for _ in range(prec):
             coords = struct.unpack_from("<%dQ" % dim, data, off)
@@ -354,86 +360,44 @@ def _div_raw(ring, f, g, p):
 
 # -- series literal parsing -------------------------------------------------------
 
-_PREC_RE = re.compile(r"@\s*prec\s*=\s*(\d+)\s*$")
+_PREC_RE = re.compile(r"@\s*prec\s*=\s*(\d{1,18})\s*$")
+
+# A series literal never has more than MAX_DEGREE + 1 coefficients: a larger
+# @prec, or (without @prec) a product of larger formal degree, is refused
+# before any work is done.
+MAX_DEGREE = 1024
 
 
 class _SeriesParser(_Parser):
-    """Element-literal parser extended with the indeterminate ``t``; values
-    are coefficient lists (polynomials in t) over the ring."""
+    """The element-literal parser over A[t]: values are coefficient lists,
+    cut at the declared precision ``prec`` (None: kept whole)."""
 
-    def atom(self):
-        tok = self.peek()
+    what = "series literal"
+
+    def __init__(self, ring, prec):
+        super().__init__(ring)
+        self.prec = prec
+
+    def leaf(self, tok):
         if tok == "t":
-            self.take()
             return [self.ring.zero, self.ring.one]
-        if tok == "-":
-            self.take()
-            return _poly_neg(self.factor())
-        if tok == "+":
-            self.take()
-            return self.factor()
-        if tok == "(":
-            self.take()
-            inner = self.expr()
-            if self.take() != ")":
-                raise LiteralError("unbalanced parentheses in series literal")
-            return inner
-        tok = self.take()
-        if tok is None:
-            raise LiteralError("unexpected end of series literal")
-        if tok.isdigit():
-            return [self.ring.from_int(int(tok))]
-        if tok[0].isalpha():
-            return [self.ring.generator(tok)]
-        raise LiteralError(f"unexpected token {tok!r} in series literal")
+        return [super().leaf(tok)]
 
-    def expr(self):
-        acc = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            acc = _poly_add(self.ring, acc, rhs if op == "+" else _poly_neg(rhs))
-        return acc
+    def add(self, a, b):
+        zero = self.ring.zero
+        return [x + y for x, y in zip_longest(a, b, fillvalue=zero)]
 
-    def term(self):
-        acc = self.factor()
-        while True:
-            nxt = self.peek()
-            if nxt == "*":
-                self.take()
-                acc = _poly_mul(self.ring, acc, self.factor())
-            elif nxt is not None and (nxt.isdigit() or nxt[0].isalpha() or nxt == "("):
-                acc = _poly_mul(self.ring, acc, self.factor())
-            else:
-                return acc
+    def neg(self, a):
+        return [-x for x in a]
 
-    def factor(self):
-        base = self.atom()
-        if self.peek() == "^":
-            self.take()
-            tok = self.take()
-            if tok is None or not tok.isdigit():
-                raise LiteralError("exponent must be a nonnegative integer")
-            out = [self.ring.one]
-            for _ in range(int(tok)):
-                out = _poly_mul(self.ring, out, base)
-            return out
-        return base
-
-
-def _poly_add(ring, a, b):
-    n = max(len(a), len(b))
-    a = a + [ring.zero] * (n - len(a))
-    b = b + [ring.zero] * (n - len(b))
-    return [x + y for x, y in zip(a, b)]
-
-
-def _poly_neg(a):
-    return [-x for x in a]
-
-
-def _poly_mul(ring, a, b):
-    return _mul_raw(ring, a, b, len(a) + len(b) - 1)
+    def mul(self, a, b):
+        n = len(a) + len(b) - 1
+        if self.prec is not None:
+            n = min(n, self.prec)
+        elif n > MAX_DEGREE + 1:
+            raise LiteralError(
+                f"series literal without @prec has degree > {MAX_DEGREE}")
+        return _mul_raw(self.ring, a, b, n)
 
 
 def _parse_series(ring, text):
@@ -441,14 +405,8 @@ def _parse_series(ring, text):
     m = _PREC_RE.search(text)
     if m:
         prec = int(m.group(1))
+        if not 1 <= prec <= MAX_DEGREE + 1:
+            raise LiteralError(f"@prec must lie in 1..{MAX_DEGREE + 1}")
         text = text[:m.start()]
-    tokens = _tokenize(text)
-    if not tokens:
-        raise LiteralError("empty series literal")
-    parser = _SeriesParser(ring, tokens)
-    poly = parser.expr()
-    if parser.pos != len(tokens):
-        raise LiteralError(f"trailing junk in series literal {text!r}")
-    if prec is None:
-        prec = max(1, len(poly))
-    return TruncatedSeries(ring, poly, prec=prec)
+    poly = _SeriesParser(ring, prec).parse(text)
+    return TruncatedSeries(ring, poly, prec=prec or len(poly))

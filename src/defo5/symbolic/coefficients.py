@@ -18,6 +18,7 @@ third-order display (whose exact bookkeeping the source leaves implicit).
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
 import sympy as sp
 
@@ -53,8 +54,10 @@ def _g_coeffs():
     return [SurdExpression.of(s) for s in (A0, A1, A2, A3)]
 
 
+@lru_cache(maxsize=None)
 def expand_lhs(prec: int = 4):
-    """t^0..t^(prec-1) coefficients of g(t)/sqrt(g(t)^2 + y1)."""
+    """t^0..t^(prec-1) coefficients of g(t)/sqrt(g(t)^2 + y1), expanded
+    once per process."""
     g = _g_coeffs()
     g_sq = _poly_mul(g, g, prec)
     r = SurdExpression.of(A0 ** 2 + Y1)
@@ -69,7 +72,7 @@ def expand_lhs(prec: int = 4):
         for i in range(prec):
             inv_sqrt[i] = inv_sqrt[i] + c * upow[i]
     inv_s1 = SurdExpression.s1() / r  # 1/s1 = s1/(a0^2+y1)
-    return [c * inv_s1 for c in _poly_mul(g, inv_sqrt, prec)]
+    return tuple(c * inv_s1 for c in _poly_mul(g, inv_sqrt, prec))
 
 
 def inner_series(prec: int = 4):
@@ -86,8 +89,10 @@ def inner_series(prec: int = 4):
     return out
 
 
+@lru_cache(maxsize=None)
 def expand_rhs(prec: int = 4):
-    """t^0..t^(prec-1) coefficients of g(t/sqrt(t^2 + y2))."""
+    """t^0..t^(prec-1) coefficients of g(t/sqrt(t^2 + y2)), expanded once
+    per process."""
     inner = inner_series(prec)
     out = [SurdExpression.of(0) for _ in range(prec)]
     power = [SurdExpression.of(1)] + [SurdExpression.of(0)] * (prec - 1)
@@ -96,7 +101,7 @@ def expand_rhs(prec: int = 4):
             power = _poly_mul(power, inner, prec)
         for i in range(prec):
             out[i] = out[i] + gk * power[i]
-    return out
+    return tuple(out)
 
 
 # -- the displayed equations ------------------------------------------------------

@@ -1,13 +1,16 @@
 """Ring catalog construction, canonical arithmetic, Hensel roots, literals."""
 
+import numpy as np
 import pytest
 
-from defo5.artin.literals import format_element, parse_element
+from defo5.artin.literals import LiteralError, format_element, parse_element
 from defo5.artin.rings import (DescriptorError, MismatchError,
                                NoSquareRootError, NotAUnitError, Ring,
                                RingError, build_ring)
 from defo5.artin.tables import RingTable
 from defo5.deformation.proofchain import CATALOG
+
+from table_oracle import reference_tables
 
 
 # -- construction ---------------------------------------------------------------
@@ -158,6 +161,42 @@ def test_ring_table_consistency():
     assert len(T.units) == 100
 
 
+@pytest.mark.parametrize("desc", CATALOG)
+def test_ring_table_matches_generic_build(desc):
+    T = RingTable(build_ring(desc))
+    for name, want in reference_tables(T.ring).items():
+        got = getattr(T, name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+        else:
+            assert got == want, name
+
+
+@pytest.mark.parametrize(
+    "desc", [d for d in CATALOG if build_ring(d).cardinality <= 125])
+def test_ring_table_against_scalar_arithmetic(desc):
+    R = build_ring(desc)
+    T = RingTable(R)
+    els = list(R.enumerate())
+    assert [T.index(x) for x in els] == list(range(T.n))
+    assert [T.element(i) for i in range(T.n)] == els
+    idx = T.index
+    for i, x in enumerate(els):
+        assert list(T.ADD[i]) == [idx(x + y) for y in els]
+        assert list(T.MUL[i]) == [idx(x * y) for y in els]
+        assert T.NEG[i] == idx(-x)
+        assert T.SQ[i] == idx(x * x)
+        assert T.INV[i] == (idx(x.inv()) if x.is_unit() else -1)
+        assert T.roots[i] == tuple(j for j, y in enumerate(els) if y * y == x)
+    assert list(T.mideal) == [i for i, x in enumerate(els)
+                              if x.in_maximal_ideal()]
+    assert list(T.units) == [i for i, x in enumerate(els) if x.is_unit()]
+    assert (T.one, T.zero) == (idx(R.one), idx(R.zero))
+    assert [T.from_int(k) for k in (-7, 0, 2, 30)] == \
+        [idx(R.from_int(k)) for k in (-7, 0, 2, 30)]
+
+
 # -- literals ---------------------------------------------------------------------
 
 def test_element_literal_round_trip():
@@ -175,6 +214,18 @@ def test_literal_expressions():
     assert parse_element(R, "3e") == 3 * e
     with pytest.raises(RingError):
         parse_element(R, "1 + q")
+
+
+def test_element_literal_powers_and_signs():
+    R = build_ring("cyclo(3)")
+    u = R.generator("u")
+    assert parse_element(R, "(1+u)^7") == (R.one + u) ** 7
+    assert parse_element(R, "u^0") == R.one
+    assert parse_element(R, "-u^2 + +2") == 2 - u * u
+    assert parse_element(R, "2**3") == R.from_int(8)
+    for bad in ("", "1 +", "(1+u", "1 )", "u^-1", "u^u", "1 # 2"):
+        with pytest.raises(LiteralError):
+            parse_element(R, bad)
 
 
 # -- interning, characteristic, and the scalar kernel against references -------

@@ -2,10 +2,13 @@
 report for the obstruction subcommand."""
 
 import json
+import time
 
 import pytest
 
 from defo5 import __version__
+from defo5.artin.tables import RingTable
+from defo5.deformation import equivalence
 from defo5.cli import main
 from defo5.reports import Report
 
@@ -58,6 +61,27 @@ def test_exit_two_on_enumeration_bound(capsys):
                        "--prec", "4")
     assert code == 2
     assert "error" in err
+
+
+def test_refusal_before_any_table_or_family(capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("built before the size refusal")
+
+    monkeypatch.setattr(RingTable, "__init__", boom)
+    monkeypatch.setattr(equivalence, "hom_points", boom)
+    monkeypatch.setattr(equivalence, "versal_family", boom)
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "universality", "--ring", "cyclo(5)")
+    assert code == 2
+    assert "exceeds the bound" in err
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_exit_two_on_bad_series_literal(capsys):
+    for series in ("(" * 3000 + "t" + ")" * 3000, "t^5000", "t @prec=0"):
+        code, report, err = run(capsys, "normal-form", "--series", series)
+        assert code == 2
+        assert report is None and "error" in err
 
 
 # -- report schema -------------------------------------------------------------------

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from defo5.artin.rings import build_ring
+from defo5.artin.tables import ring_table
 from defo5.deformation.equivalence import (conjugator_search, equivalent,
-                                           ring_table, universality_scan)
+                                           universality_scan)
 from defo5.deformation.obstruction import defect_vector, obstruction_check
 from defo5.deformation.proofchain import (CATALOG, catalog_rings,
                                           locality_example_z25,

@@ -1,0 +1,85 @@
+"""Import layering of the package, read from the source with ``ast``:
+``artin`` stands alone, ``series`` rests on ``artin`` only, ``deformation``
+does not reach into ``symbolic``, and the ring-table cache has one home."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "defo5"
+
+
+def _module(path):
+    parts = path.relative_to(SRC.parent).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _package(path):
+    return _module(path) if path.name == "__init__.py" else \
+        _module(path).rpartition(".")[0]
+
+
+def defo5_imports(path):
+    """The defo5 modules that ``path`` imports, as absolute dotted names."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            out.update(a.name for a in node.names if a.name.startswith("defo5"))
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                base = _package(path).split(".")
+                base = base[:len(base) - node.level + 1]
+                name = ".".join(base + ([node.module] if node.module else []))
+            else:
+                name = node.module or ""
+            if name.split(".")[0] == "defo5":
+                if node.module is None:  # from . import x
+                    out.update(f"{name}.{a.name}" for a in node.names)
+                else:
+                    out.add(name)
+    return out
+
+
+def _subpackage(name):
+    parts = name.split(".")
+    return parts[1] if len(parts) > 1 else ""
+
+
+def _files(sub):
+    p = SRC / sub
+    return sorted(p.rglob("*.py")) if p.is_dir() else [p.with_suffix(".py")]
+
+
+@pytest.mark.parametrize("sub,allowed", [
+    ("artin", {"artin"}),
+    ("series", {"series", "artin"}),
+])
+def test_lower_layers_import_only_below(sub, allowed):
+    for path in _files(sub):
+        for name in defo5_imports(path):
+            assert _subpackage(name) in allowed, (path.name, name)
+
+
+def test_deformation_does_not_import_symbolic():
+    for path in _files("deformation"):
+        for name in defo5_imports(path):
+            assert _subpackage(name) != "symbolic", (path.name, name)
+
+
+def test_resolver_sees_relative_imports():
+    assert "defo5.artin.rings" in defo5_imports(SRC / "artin" / "tables.py")
+    assert "defo5.artin.tables" in defo5_imports(
+        SRC / "deformation" / "proofchain.py")
+    assert "defo5.gf5" in defo5_imports(SRC / "deformation" / "tangent.py")
+
+
+def test_one_table_cache():
+    homes = {"def ring_table": set(), "_table_cache": set()}
+    for path in SRC.rglob("*.py"):
+        text = path.read_text()
+        for needle, found in homes.items():
+            if needle in text:
+                found.add(path.relative_to(SRC).as_posix())
+    assert homes == {"def ring_table": {"artin/tables.py"},
+                     "_table_cache": {"artin/tables.py"}}

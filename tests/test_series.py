@@ -2,12 +2,14 @@
 geometric series, binomial series (rational coefficients with 2-power
 denominators reduced into the ring), and Lagrange inversion."""
 
+import time
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from defo5.artin.rings import build_ring
+from defo5.artin.literals import LiteralError
+from defo5.artin.rings import RingError, build_ring
 from defo5.series import PrecisionError, TruncatedSeries
 
 
@@ -177,3 +179,67 @@ def test_binary_bad_magic():
     s = TruncatedSeries.t(R, 3)
     with pytest.raises(Exception):
         TruncatedSeries.from_bytes(b"XXXX" + s.to_bytes()[4:])
+
+
+# -- literal precision and bounded-time failure ------------------------------------------
+
+def _lit(desc, text):
+    return TruncatedSeries.from_literal(build_ring(desc), text)
+
+
+@pytest.mark.parametrize("desc,text,shown", [
+    # without @prec the precision is the formal length of the polynomial
+    ("F5", "t - t", "0 @prec=2"),
+    ("F5", "5*t^2", "0 @prec=3"),
+    ("F5", "t^0", "1 @prec=1"),
+    ("F5", "t + 2*t^3 + 3*t^4 + 3*t^5 + t^6 + 2*t^7",
+     "t + 2*t^3 + 3*t^4 + 3*t^5 + t^6 + 2*t^7 @prec=8"),
+    ("F5", "2(1+t)^3", "2 + t + t^2 + 2*t^3 @prec=4"),
+    ("F5[e]/(e^2)", "3e", "3*e @prec=1"),
+    ("F5[e]/(e^2)", "3e*t - t^2", "3*e*t + 4*t^2 @prec=3"),
+    ("F5[e]/(e^2)", "-t^2+e", "e + 4*t^2 @prec=3"),
+    ("F5[e]/(e^2)", "-(1+e)t", "(4 + 4*e)*t @prec=2"),
+    ("F5[e]/(e^2)", "--t", "t @prec=2"),
+    ("F5[e]/(e^2)", "t^3 @prec=2", "0 @prec=2"),
+])
+def test_series_literal_precision(desc, text, shown):
+    assert str(_lit(desc, text)) == shown
+
+
+def test_series_literal_power_cut_at_prec():
+    # 100000 = 5^5 * 32, so (1+t)^100000 = (1+t^3125)^32 over F5
+    t0 = time.perf_counter()
+    s = _lit("F5", "(1+t)^100000 @prec=8")
+    assert time.perf_counter() - t0 < 1.0
+    assert str(s) == "1 @prec=8"
+
+
+def test_series_literal_degree_bound():
+    for text in ("(1+t)^100000", "t^2000", "(1+t)^600 * (1+t)^600"):
+        t0 = time.perf_counter()
+        with pytest.raises(LiteralError, match="degree"):
+            _lit("F5", text)
+        assert time.perf_counter() - t0 < 2.0
+    for text in ("t @prec=0", "t @prec=100000"):
+        with pytest.raises(LiteralError, match="@prec"):
+            _lit("F5", text)
+
+
+def test_series_literal_nesting_bound():
+    for text in ("(" * 3000 + "t" + ")" * 3000, "-" * 3000 + "t"):
+        t0 = time.perf_counter()
+        with pytest.raises(LiteralError, match="nests"):
+            _lit("F5", text)
+        assert time.perf_counter() - t0 < 1.0
+    assert str(_lit("F5", "(" * 50 + "t" + ")" * 50)) == "t @prec=2"
+
+
+def test_binary_truncated_data():
+    R = build_ring("cyclo(3)")
+    data = TruncatedSeries.from_literal(R, "1 + u*t @prec=4").to_bytes()
+    t0 = time.perf_counter()
+    for bad in (data[:2], data[:6], data[:11], data[:-1], data[:-8],
+                data + b"\0", data[:12] + b"\xff" + data[13:]):
+        with pytest.raises(RingError):
+            TruncatedSeries.from_bytes(bad)
+    assert time.perf_counter() - t0 < 1.0

@@ -166,3 +166,13 @@ def test_consistency_sample_quick():
     rep = consistency_sample(70, seed=99)
     assert rep["passed"], rep["mismatches"][:3]
     assert rep["witnesses"] >= 70
+
+
+def test_expansion_runs_once_per_process():
+    # verify_displayed_equations and consistency_sample share one expansion
+    assert isinstance(expand_lhs(4), tuple) and isinstance(expand_rhs(4), tuple)
+    assert expand_lhs(4) is expand_lhs(4) and expand_rhs(4) is expand_rhs(4)
+    misses = expand_lhs.cache_info().misses, expand_rhs.cache_info().misses
+    consistency_sample(7, seed=1)
+    assert (expand_lhs.cache_info().misses,
+            expand_rhs.cache_info().misses) == misses
