@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import re
 
-from .rings import DescriptorError, Element, Ring
+from .rings import MAX_DIGITS, DescriptorError, Element, Ring
 
 _TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z][A-Za-z0-9]*|\*\*|[-+*^()])")
 
 # Parentheses and unary signs nest at most this deep, so that parsing never
-# hits the interpreter's recursion limit; numerals (coefficients and
-# exponents) have at most this many digits, so ``^`` takes < 60 squarings.
+# hits the interpreter's recursion limit.  Numerals (coefficients and
+# exponents) have at most MAX_DIGITS digits, so ``^`` takes < 60 squarings.
 MAX_NESTING = 100
-MAX_DIGITS = 18
 
 
 class LiteralError(DescriptorError):

@@ -26,6 +26,16 @@ from typing import Iterator
 
 ENUMERATION_BOUND = 1 << 24
 
+# Descriptor bounds, checked before anything is built.  Numerals have at most
+# MAX_DIGITS digits (descriptors and element literals alike); Z/5^n needs
+# n <= MAX_ZMOD_EXPONENT; the whole ring has at most MAX_DIM basis elements,
+# which also bounds every nilpotent exponent by MAX_DIM: the structure
+# constants have dim^3 entries, and F5[e]/(e^32) builds in about 0.1 s,
+# growing as dim^3.
+MAX_DIGITS = 18
+MAX_ZMOD_EXPONENT = 1000
+MAX_DIM = 32
+
 # Phi5(1+u) = 5 + 10u + 10u^2 + 5u^3 + u^4
 _PHI5_SHIFTED = (5, 10, 10, 5, 1)
 
@@ -650,6 +660,12 @@ _ATOM_RE = re.compile(
 _SUFFIX_RE = re.compile(r"^\[([A-Za-z][A-Za-z0-9]*)\]/\(([A-Za-z][A-Za-z0-9]*)\^(\d+)\)")
 
 
+def _numeral(text):
+    if len(text) > MAX_DIGITS:
+        raise DescriptorError(f"numeral longer than {MAX_DIGITS} digits")
+    return int(text)
+
+
 @lru_cache(maxsize=None)
 def build_ring(descriptor: str) -> Ring:
     """Build a catalog ring from its descriptor string.
@@ -658,41 +674,57 @@ def build_ring(descriptor: str) -> Ring:
     ``cyclo(<m>)``, and nilpotent extensions ``<base>[e]/(e^<m>)``.
     Every spelling of a ring (spaces, ``Z/25`` for ``Z/5^2``, leading zeros)
     returns the one object interned under its canonical descriptor, so rings
-    from here are equal exactly when they are identical.
+    from here are equal exactly when they are identical.  The whole
+    descriptor is parsed and checked against the bounds ``MAX_DIGITS``,
+    ``MAX_ZMOD_EXPONENT`` and ``MAX_DIM`` before any ring is constructed.
     """
     text = descriptor.replace(" ", "")
-    f5 = _F5
     m = _ATOM_RE.match(text)
     if not m:
         raise DescriptorError(f"cannot parse ring descriptor {descriptor!r}")
-    if m.group(1) == "F5":
-        ring = f5
-    elif m.group(1) == "F25":
-        ring = _F25
-    elif m.group(2) is not None:
-        ring = _make_zmod(int(m.group(2)), f5)
-    elif m.group(3) is not None:
-        n = int(m.group(3))
-        e = 0
-        while n > 1 and n % 5 == 0:
-            n //= 5
-            e += 1
-        if n != 1 or e < 1:
-            raise DescriptorError(f"Z/<n> must have n a power of 5: {descriptor!r}")
-        ring = _make_zmod(e, f5)
-    else:
-        ring = _make_cyclo(int(m.group(4)), f5)
+    suffixes = []
     rest = text[m.end():]
     while rest:
         sm = _SUFFIX_RE.match(rest)
         if not sm:
             raise DescriptorError(f"cannot parse ring descriptor {descriptor!r}")
-        name, name2, power = sm.group(1), sm.group(2), int(sm.group(3))
+        name, name2, power = sm.group(1), sm.group(2), _numeral(sm.group(3))
         if name != name2:
             raise DescriptorError(
                 f"generator names disagree in {descriptor!r}: {name} vs {name2}")
-        ring = _make_nilpotent_extension(ring, name, power)
+        suffixes.append((name, power))
         rest = rest[sm.end():]
+    atom, zexp, zlit, cyclo_m = m.groups()
+    if zlit is not None:
+        q = _numeral(zlit)
+        e = 0
+        while q > 1 and q % 5 == 0:
+            q //= 5
+            e += 1
+        if q != 1 or e < 1:
+            raise DescriptorError(f"Z/<n> must have n a power of 5: {descriptor!r}")
+    elif zexp is not None:
+        e = _numeral(zexp)
+        if e > MAX_ZMOD_EXPONENT:
+            raise DescriptorError(f"Z/5^{e}: exponent exceeds {MAX_ZMOD_EXPONENT}")
+    if cyclo_m is not None:
+        cyclo_m = _numeral(cyclo_m)
+    dim = 2 if atom == "F25" else min(cyclo_m or 1, 4)
+    for _, power in suffixes:
+        dim *= power
+    if dim > MAX_DIM:
+        raise DescriptorError(f"{descriptor!r} has dimension {dim} > {MAX_DIM}")
+
+    if atom == "F5":
+        ring = _F5
+    elif atom == "F25":
+        ring = _F25
+    elif cyclo_m is not None:
+        ring = _make_cyclo(cyclo_m, _F5)
+    else:
+        ring = _make_zmod(e, _F5)
+    for name, power in suffixes:
+        ring = _make_nilpotent_extension(ring, name, power)
     return _RINGS.setdefault(ring.descriptor, ring)
 
 

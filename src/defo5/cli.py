@@ -2,7 +2,8 @@
 
 Every subcommand runs one verification and prints a structured JSON report
 (see reports.Report).  Exit status: 0 = verdict pass, 1 = verdict fail,
-2 = usage or size errors.
+2 = usage or size errors, 3 = an unexpected internal error (no report; an
+``error:`` line naming the exception, then its traceback, on stderr).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import os
 import sys
 import time
+import traceback
 
 from . import __version__
 from .artin.rings import (DescriptorError, EnumerationBoundError, RingError,
@@ -302,6 +304,10 @@ def main(argv=None):
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
     print(report.to_json())
     print(report.summary_line(), file=sys.stderr)
     return 0 if report.passed else 1

@@ -1,12 +1,15 @@
 """Obstruction to deforming sigma over Z/5^n (n >= 2).
 
 The versal ring has no points in Z/5^n for n >= 2, so sigma admits no lift
-there.  For n = 2 this is certified directly: any candidate lift over Z/25
-is sigma_W + 5*d with sigma_W the principal-branch t/sqrt(t^2+1) over Z/25
-and d over F5, and since (5d)^2 = 0 the order-5 condition is the
-inhomogeneous linear system Z*d = -(sigma_W^5 - t)/5 over F5, with Z the
-tangent-space cocycle matrix.  The system is certified inconsistent by
-exact row reduction.
+there.  A versal point y = 1 + u (u in 5A) of Z/5^n reduces to one of Z/25,
+and there Phi5(1 + u) = 5 + 10u + 10u^2 + 5u^3 + u^4 = 5 mod 25, so scanning
+the five elements of 1 + 5(Z/25) certifies the empty point set for every
+n >= 2 in constant time.  For n = 2 the lift is also refuted directly: any
+candidate lift over Z/25 is sigma_W + 5*d with sigma_W the principal-branch
+t/sqrt(t^2+1) over Z/25 and d over F5, and since (5d)^2 = 0 the order-5
+condition is the inhomogeneous linear system Z*d = -(sigma_W^5 - t)/5 over
+F5, with Z the tangent-space cocycle matrix.  The system is certified
+inconsistent by exact row reduction.
 """
 
 from __future__ import annotations
@@ -63,11 +66,12 @@ def defect_vector(prec: int):
 def obstruction_check(descriptor: str, prec: int):
     """Report that sigma has no lift over Z/5^n: hom_points empty for any
     n >= 2, and for n = 2 the linear order-5 system certified inconsistent."""
+    ring = build_ring(descriptor)  # bounds the numerals first
     n = _zmod_exponent(descriptor)
     if n < 2:
         raise RingError("obstruction_check expects n >= 2")
-    ring = build_ring(descriptor)
-    pts = hom_points(ring)
+    # Z/5^n -> Z/25 maps versal points to versal points
+    pts = hom_points(ring) if hom_points(build_ring("Z/25")) else []
     report = {
         "ring": ring.descriptor,
         "prec": prec,

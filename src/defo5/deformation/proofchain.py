@@ -39,6 +39,28 @@ Two exact reductions keep the scans tractable without weakening them:
     which is plain ring algebra (2 is a unit); the tests re-check the
     factored forms against the literal displays on sampled witnesses.
 
+Two evaluation shortcuts then decide each step's predicate over exactly
+the witnesses that a pass per s2 pair, or per (a2, u), would visit:
+
+ *  steps (i) and (vi) range over every (a0, y1, s1) row and every pair
+    (y2, s2).  Eq4 forces 1/s2 = 1/s1 - a0^2/s1^3 and Eq5 forces
+    1/s2 = 1/s1 - a0^2, and distinct pairs have distinct s2, so on each row
+    the premise holds for at most one pair: the one that a table from 1/s2
+    to its pair index names.  Every other pair fails the premise, so it is
+    still counted in ``checked`` but cannot be a counterexample.
+ *  step (ii) asks, per distinct (K, N, P, Q) and unit square u, whether
+    some a2 in A has a2*N = u*K and a2*P != u*Q.  Those a2 form the fibre
+    {a2 : a2*N = x} at x = u*K, so the answer is yes exactly when that fibre
+    is non-empty and a2*P is not constantly u*Q on it, i.e. when the min or
+    max of a2*P over the fibre differs from u*Q.  One pass over all a2 per
+    distinct (N, P) tabulates both for every x, and then every quad and
+    every u is a lookup: the same (a2, u) set, |A| * |U^2| per quad, without
+    building the |A| x |U^2| matrix.
+
+Witnesses are the ones the loop forms pick: the lowest pair index, then the
+lowest row; in step (ii) the lexicographically first bad quad, its first
+row, then the lowest a2 and u, found by one broadcast on that quad only.
+
 Step (iv) is stated with the sign that the algebra forces: multiplying Eq5
 by a0 and applying Eq3 gives a0*(1 - 1/s2) = a0^3.  The source display has
 the opposite sign, which fails on witnesses with a0^3 != 0 (for example
@@ -56,6 +78,9 @@ import numpy as np
 from ..artin.rings import Ring, build_ring
 from ..artin.tables import ring_table
 from .versal import hom_points
+
+# bound on the elements of one intermediate array in step (ii)
+_CHUNK = 1 << 14
 
 CATALOG = (
     "F5",
@@ -96,18 +121,21 @@ class _Scan:
         self.y_mask = np.zeros(T.n, dtype=bool)
         for y in self.ys:
             self.y_mask[y] = True
-        # All (a0, y1, s1) with s1^2 = a0^2 + y1, as parallel arrays, plus
-        # the Eq3 mask a0*s1 = a0.
-        a0s, y1s, s1s = [], [], []
-        for y1 in self.ys:
-            for a0 in T.mideal:
-                for s1 in T.roots[self.ADD[self.SQ[a0], y1]]:
-                    a0s.append(a0)
-                    y1s.append(y1)
-                    s1s.append(s1)
-        self.A0 = np.array(a0s, dtype=np.int32)
-        self.Y1 = np.array(y1s, dtype=np.int32)
-        self.S1 = np.array(s1s, dtype=np.int32)
+        # All (a0, y1, s1) with s1^2 = a0^2 + y1 (by y1, then a0, then s1 in
+        # the order of T.roots), as parallel arrays, plus the Eq3 mask
+        # a0*s1 = a0.  by_square lists the roots of each value in turn.
+        by_square = np.argsort(T.SQ, kind="stable").astype(np.int32)
+        n_roots = np.bincount(T.SQ, minlength=T.n)
+        start = np.cumsum(n_roots) - n_roots
+        y1 = np.repeat(np.array(self.ys, dtype=np.int32), len(T.mideal))
+        a0 = np.tile(T.mideal, len(self.ys))
+        square = self.ADD[self.SQ[a0], y1]
+        count = n_roots[square]
+        self.A0 = np.repeat(a0, count)
+        self.Y1 = np.repeat(y1, count)
+        offset = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count,
+                                                    count)
+        self.S1 = by_square[np.repeat(start[square], count) + offset]
         self.EQ3 = self.MUL[self.A0, self.S1] == self.A0
         # s2 candidates: (y2, s2) with s2^2 = y2, both branches.
         self.s2_pairs = [(y2, s2) for y2 in self.ys for s2 in T.roots[y2]]
@@ -152,25 +180,39 @@ def _step_report(name, statement, checked, witness=None, **extra):
     return rep
 
 
+def _pair_lookup(scan):
+    """For every element v, the index of the first s2 pair with 1/s2 = v, or
+    -1.  Eq4 and Eq5 each pin 1/s2 to one value per (a0, y1, s1) row, and
+    distinct pairs have distinct s2, so a row meets at most that one pair."""
+    lookup = np.full(scan.T.n, -1, dtype=np.int64)
+    for p in range(len(scan.s2_pairs) - 1, -1, -1):
+        lookup[scan.INV[scan.s2_pairs[p][1]]] = p
+    return lookup
+
+
+def _first_bad(scan, bad, pair):
+    """The witness of the lowest bad pair index, then the lowest row."""
+    rows = np.flatnonzero(bad)
+    if not rows.size:
+        return None
+    i = int(rows[np.argmin(pair[rows])])
+    y2, s2 = scan.s2_pairs[int(pair[i])]
+    return _witness(scan, a0=scan.A0[i], y1=scan.Y1[i], s1=scan.S1[i],
+                    y2=y2, s2=s2)
+
+
 def _step_i(scan):
     """Eq3 and Eq4 imply Eq5 (a1 eliminated as a unit factor)."""
     MUL, ADD, NEG, SQ, INV = scan.MUL, scan.ADD, scan.NEG, scan.SQ, scan.INV
     inv_s1 = INV[scan.S1]
     a0sq = SQ[scan.A0]
+    # Eq4 pins 1/s2 = core, and Eq5 then fails iff core != 1/s1 - a0^2
     core = ADD[inv_s1, NEG[MUL[a0sq, MUL[inv_s1, SQ[inv_s1]]]]]
-    checked = 0
-    witness = None
-    for y2, s2 in scan.s2_pairs:
-        inv_s2 = int(INV[s2])
-        eq4 = ADD[core, scan.NEG[inv_s2]] == scan.zero
-        eq5 = ADD[inv_s1, scan.NEG[inv_s2]] == a0sq
-        bad = scan.EQ3 & eq4 & ~eq5
-        checked += len(scan.A0)
-        if witness is None and bad.any():
-            i = int(np.flatnonzero(bad)[0])
-            witness = _witness(scan, a0=scan.A0[i], y1=scan.Y1[i],
-                               s1=scan.S1[i], y2=y2, s2=s2)
-    return _step_report("i", "Eq3 and Eq4 imply Eq5", checked, witness)
+    pair = _pair_lookup(scan)[core]
+    bad = scan.EQ3 & (pair >= 0) & (core != ADD[inv_s1, NEG[a0sq]])
+    return _step_report("i", "Eq3 and Eq4 imply Eq5",
+                        len(scan.s2_pairs) * len(scan.A0),
+                        _first_bad(scan, bad, pair))
 
 
 def _eq5_survivors(scan):
@@ -187,6 +229,35 @@ def _eq5_survivors(scan):
     return ok, inv_s2, s2, y2
 
 
+def _bad_quads(scan, K, N, P, Q):
+    """For parallel arrays of quads: whether some a2 in A and unit square u
+    have a2*N = u*K and a2*P != u*Q.  One fibre table per distinct (N, P)
+    holds the min and max of a2*P over each fibre {a2 : a2*N = x}, as
+    lo[g*n + x] and hi[g*n + x] (hi = -1: empty fibre); a quad is bad at u
+    iff u*K has a non-empty fibre on which a2*P is not identically u*Q."""
+    MUL, U, n = scan.MUL, scan.unit_squares, scan.T.n
+    groups, g_q = np.unique(N.astype(np.int64) * n + P, return_inverse=True)
+    lo = np.full(groups.size * n, n, dtype=np.int32)
+    hi = np.full(groups.size * n, -1, dtype=np.int32)
+    block = max(1, _CHUNK // n)
+    for g0 in range(0, groups.size, block):
+        g = groups[g0:g0 + block]
+        cell = MUL[scan.all_idx, g[:, None] // n] + \
+            n * np.arange(g0, g0 + g.size)[:, None]
+        rp = MUL[scan.all_idx, g[:, None] % n]
+        np.minimum.at(lo, cell.ravel(), rp.ravel())
+        np.maximum.at(hi, cell.ravel(), rp.ravel())
+    bad = np.zeros(len(K), dtype=bool)
+    block = max(1, _CHUNK // len(U))
+    for j0 in range(0, len(K), block):
+        j = slice(j0, j0 + block)
+        cell = g_q[j, None] * n + MUL[U, K[j, None]]
+        lq = MUL[U, Q[j, None]]
+        bad[j] = ((hi[cell] >= 0) & ((lo[cell] != lq) | (hi[cell] != lq))
+                  ).any(axis=1)
+    return bad
+
+
 def _step_ii(scan):
     """Eq3, Eq5 and the 3rd-order equation imply Eq6, quantified over unit
     squares u = a1^2 and all a2 with the factored forms u*K = a2*N and
@@ -196,55 +267,57 @@ def _step_ii(scan):
     inv_s1, inv_s1_cu, a0sq, K, Q = scan._knq()
     N = ADD[ADD[inv_s1, NEG[INV[y2]]], NEG[MUL[a0sq, inv_s1_cu]]]
     P = MUL[inv_s2, ADD[inv_s2, NEG[scan.one]]]
-    quads = np.stack([K[ok], N[ok], P[ok], Q[ok]], axis=1)
-    checked = int(ok.sum()) * len(scan.unit_squares) * scan.T.n
+    U, n = scan.unit_squares, scan.T.n
+    sel = np.flatnonzero(ok)
     witness = None
-    if quads.size:
-        uniq, first = np.unique(quads, axis=0, return_index=True)
-        sel = np.flatnonzero(ok)
-        for (k, nn, p, q), fi in zip(uniq, sel[first]):
-            lk = MUL[scan.unit_squares, k]
-            lq = MUL[scan.unit_squares, q]
-            rn = MUL[scan.all_idx, nn]
-            rp = MUL[scan.all_idx, p]
-            bad = (rn[:, None] == lk[None, :]) & (rp[:, None] != lq[None, :])
-            if witness is None and bad.any():
-                a2_i, u_i = np.argwhere(bad)[0]
-                u = int(scan.unit_squares[u_i])
-                a1 = int(scan.T.units[np.flatnonzero(
-                    scan.SQ[scan.T.units] == u)[0]])
-                i = int(fi)
-                witness = _witness(
-                    scan, a0=scan.A0[i], a1=a1, a2=scan.all_idx[a2_i],
-                    y1=scan.Y1[i], s1=scan.S1[i], y2=y2[i], s2=s2[i])
+    # distinct quads (K, N, P, Q) in lexicographic order, as one int64 key
+    # (n^4 < 2^63 for every n <= TABLE_BOUND)
+    key = K[sel].astype(np.int64)
+    for col in (N, P, Q):
+        key = key * n + col[sel]
+    quads, first = np.unique(key, return_index=True)
+    k, nn, p, q = (quads // n ** e % n for e in (3, 2, 1, 0))
+    bad_quad = _bad_quads(scan, k, nn, p, q)
+    if bad_quad.any():
+        # the first bad quad, its first row, then the lowest a2 and u
+        j = int(np.argmax(bad_quad))
+        bad = ((MUL[scan.all_idx, nn[j]][:, None] == MUL[U, k[j]][None, :])
+               & (MUL[scan.all_idx, p[j]][:, None] != MUL[U, q[j]][None, :]))
+        a2_i, u_i = np.argwhere(bad)[0]
+        u = int(U[u_i])
+        a1 = int(scan.T.units[np.flatnonzero(scan.SQ[scan.T.units] == u)[0]])
+        i = int(sel[first[j]])
+        witness = _witness(
+            scan, a0=scan.A0[i], a1=a1, a2=scan.all_idx[a2_i],
+            y1=scan.Y1[i], s1=scan.S1[i], y2=y2[i], s2=s2[i])
     return _step_report("ii", "Eq3, Eq5 and the 3rd-order equation imply Eq6",
-                        checked, witness)
+                        sel.size * len(U) * n, witness)
 
 
 def _step_iii(scan):
     """Eq6 implies a0 in (1/s2 - 1)*A."""
     MUL, ADD, NEG = scan.MUL, scan.ADD, scan.NEG
-    # Q depends only on a0; take one row per distinct a0.
+    # Q depends only on a0; take one row per distinct a0.  The products u*Q
+    # do not depend on s2.
     a0_vals = scan.T.mideal
     Q = MUL[scan.threehalf,
             MUL[ADD[scan.SQ[a0_vals], NEG[scan.one]], a0_vals]]
-    checked = 0
+    lq = MUL[scan.unit_squares[None, :], Q[:, None]]
     witness = None
     for y2, s2 in scan.s2_pairs:
         z = ADD[scan.INV[s2], NEG[scan.one]]
-        ideal = MUL[scan.all_idx, z]
         member = np.zeros(scan.T.n, dtype=bool)
-        member[ideal] = True
-        rp_set = np.unique(MUL[scan.all_idx, scan._p_of(s2)])
-        lq = MUL[scan.unit_squares[None, :], Q[:, None]]
-        sat = np.isin(lq, rp_set).any(axis=1)  # Eq6 satisfiable per a0
+        member[MUL[scan.all_idx, z]] = True
+        image = np.zeros(scan.T.n, dtype=bool)
+        image[MUL[scan.all_idx, scan._p_of(s2)]] = True
+        sat = image[lq].any(axis=1)  # Eq6 satisfiable per a0
         bad = sat & ~member[a0_vals]
-        checked += len(a0_vals)
-        if witness is None and bad.any():
+        if bad.any():
             witness = _witness(scan, a0=a0_vals[int(np.flatnonzero(bad)[0])],
                                y2=y2, s2=s2)
+            break
     return _step_report("iii", "Eq6 implies a0 in (1/s2 - 1)*A",
-                        checked, witness)
+                        len(scan.s2_pairs) * len(a0_vals), witness)
 
 
 def _step_iv(scan):
@@ -284,19 +357,13 @@ def _step_vi(scan):
     """Eq5 and a0^2 = 0 imply y1 = y2."""
     ADD, NEG, SQ, INV = scan.ADD, scan.NEG, scan.SQ, scan.INV
     sel = SQ[scan.A0] == scan.zero
-    inv_s1 = INV[scan.S1]
-    checked = 0
-    witness = None
-    for y2, s2 in scan.s2_pairs:
-        eq5 = ADD[inv_s1, NEG[int(INV[s2])]] == SQ[scan.A0]
-        bad = sel & eq5 & (scan.Y1 != y2)
-        checked += int(sel.sum())
-        if witness is None and bad.any():
-            i = int(np.flatnonzero(bad)[0])
-            witness = _witness(scan, a0=scan.A0[i], y1=scan.Y1[i],
-                               s1=scan.S1[i], y2=y2, s2=s2)
+    # Eq5 pins 1/s2 = 1/s1 - a0^2
+    pair = _pair_lookup(scan)[ADD[INV[scan.S1], NEG[SQ[scan.A0]]]]
+    pair_y2 = np.array([y2 for y2, _ in scan.s2_pairs] + [-1])
+    bad = sel & (pair >= 0) & (scan.Y1 != pair_y2[pair])
     return _step_report("vi", "Eq5 and a0^2 = 0 imply y1 = y2",
-                        checked, witness)
+                        len(scan.s2_pairs) * int(sel.sum()),
+                        _first_bad(scan, bad, pair))
 
 
 def proof_chain_check(ring: Ring | str):

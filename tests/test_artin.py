@@ -1,10 +1,13 @@
 """Ring catalog construction, canonical arithmetic, Hensel roots, literals."""
 
+import time
+
 import numpy as np
 import pytest
 
 from defo5.artin.literals import LiteralError, format_element, parse_element
-from defo5.artin.rings import (DescriptorError, MismatchError,
+from defo5.artin.rings import (MAX_DIGITS, MAX_DIM, MAX_ZMOD_EXPONENT,
+                               DescriptorError, MismatchError,
                                NoSquareRootError, NotAUnitError, Ring,
                                RingError, build_ring)
 from defo5.artin.tables import RingTable
@@ -47,6 +50,38 @@ def test_residue_fields():
 def test_bad_descriptors(bad):
     with pytest.raises(DescriptorError):
         build_ring(bad)
+
+
+@pytest.mark.parametrize("bad", [
+    "Z/" + "1" * 5000,                       # int() would refuse 5000 digits
+    "Z/5^" + "9" * (MAX_DIGITS + 1),
+    "cyclo(" + "9" * (MAX_DIGITS + 1) + ")",
+    "F5[e]/(e^" + "2" * (MAX_DIGITS + 1) + ")",
+    f"Z/5^{MAX_ZMOD_EXPONENT + 1}",
+    "Z/5^99999",
+    f"F5[e]/(e^{MAX_DIM + 1})",
+    "F5[e]/(e^80)",
+    f"F25[e]/(e^{MAX_DIM // 2 + 1})",         # exponent fine, dimension not
+    "F5[a]/(a^4)[b]/(b^4)[c]/(c^4)",
+])
+def test_descriptor_bounds_refused_at_once(bad, monkeypatch):
+    def built(*args, **kwargs):
+        raise AssertionError("a ring was constructed")
+
+    monkeypatch.setattr(Ring, "__init__", built)
+    t0 = time.perf_counter()
+    with pytest.raises(DescriptorError):
+        build_ring(bad)
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_descriptor_bounds_admit_their_limits():
+    assert build_ring(f"F5[e]/(e^{MAX_DIM})").dim == MAX_DIM
+    assert build_ring(f"F25[e]/(e^{MAX_DIM // 2})").dim == MAX_DIM
+    assert build_ring(f"Z/5^{MAX_ZMOD_EXPONENT}").cardinality == \
+        5 ** MAX_ZMOD_EXPONENT
+    assert build_ring("Z/" + "0" * (MAX_DIGITS - 3) + "125") is \
+        build_ring("Z/125")
 
 
 def test_mixed_ring_arithmetic_rejected():

@@ -47,6 +47,17 @@ def test_exit_two_on_bad_ring(capsys):
     assert "error" in err
 
 
+def test_exit_three_on_internal_error(capsys, monkeypatch):
+    def crash(args):
+        raise ZeroDivisionError("simulated defect")
+
+    monkeypatch.setattr("defo5.cli._cmd_order", crash)
+    code, report, err = run(capsys, "order")
+    assert code == 3
+    assert report is None
+    assert err.startswith("error:") and "ZeroDivisionError" in err
+
+
 def test_exit_two_on_unknown_subcommand(capsys):
     assert run(capsys, "frobnicate")[0] == 2
 

@@ -2,11 +2,15 @@
 chain; the proof chain is cross-checked against an independent brute force
 that evaluates the literal displayed equations over every witness."""
 
+import copy
+import time
+
 import numpy as np
 import pytest
 
-from defo5.artin.rings import build_ring
+from defo5.artin.rings import DescriptorError, build_ring
 from defo5.artin.tables import ring_table
+from defo5.deformation import obstruction, proofchain
 from defo5.deformation.equivalence import (conjugator_search, equivalent,
                                            universality_scan)
 from defo5.deformation.obstruction import defect_vector, obstruction_check
@@ -18,6 +22,8 @@ from defo5.deformation.versal import (VersalPoint, hom_points, is_lift,
                                       phi5, versal_family)
 from defo5.nottingham import Automorphism, base_sigma, conjugate, power
 from defo5.series import TruncatedSeries
+
+import proofchain_oracle
 
 
 # -- versal points -----------------------------------------------------------------
@@ -142,6 +148,45 @@ def test_obstruction_higher_n():
     assert rep["hom_points_empty"] and rep["obstructed"]
 
 
+def test_obstruction_descriptor_bounded():
+    with pytest.raises(DescriptorError):  # int() would refuse 5000 digits
+        obstruction_check("Z/5^" + "9" * 5000, 8)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_obstruction_certificate_against_enumeration(n):
+    """Phi5(1 + u) = 5 mod 25 for every u in 5A, so Z/5^n has no versal
+    point; the report's point count agrees with the full enumeration."""
+    ring = build_ring(f"Z/5^{n}")
+    for u in ring.enumerate("maximal-ideal"):
+        assert phi5(ring.one + u) - ring.from_int(5) in {
+            ring.from_int(25) * x for x in ring.enumerate()}
+    rep = obstruction_check(f"Z/5^{n}", 6)
+    assert rep["hom_points"] == len(hom_points(ring)) == 0
+    assert rep["hom_points_empty"] and rep["obstructed"]
+
+
+def test_obstruction_certificate_is_constant_time(monkeypatch):
+    scanned = []
+
+    def counting_hom_points(ring):
+        scanned.append(ring.descriptor)
+        return hom_points(ring)
+
+    monkeypatch.setattr(obstruction, "hom_points", counting_hom_points)
+    t0 = time.perf_counter()
+    rep = obstruction_check("Z/5^9", 8)
+    assert time.perf_counter() - t0 < 0.5
+    assert rep["hom_points"] == 0 and rep["obstructed"]
+    assert scanned == ["Z/5^2"]
+    # were Z/25 to have a point, the ring itself would be enumerated
+    monkeypatch.setattr(obstruction, "hom_points",
+                        lambda ring: scanned.append(ring.descriptor) or [1])
+    scanned.clear()
+    assert obstruction_check("Z/125", 8)["hom_points"] == 1
+    assert scanned == ["Z/5^2", "Z/5^3"]
+
+
 # -- proof chain ---------------------------------------------------------------------
 
 def test_catalog_contents():
@@ -176,6 +221,81 @@ def test_displayed_sign_of_final_identity():
     assert not iv["F5[e]/(e^4)"]["displayed_sign_holds"]
     assert not iv["cyclo(4)"]["displayed_sign_holds"]
     assert all(v["counterexamples"] == 0 for v in iv.values())
+
+
+STEP_PAIRS = {
+    "i": (proofchain._step_i, proofchain_oracle.step_i),
+    "ii": (proofchain._step_ii, proofchain_oracle.step_ii),
+    "iii": (proofchain._step_iii, proofchain_oracle.step_iii),
+    "vi": (proofchain._step_vi, proofchain_oracle.step_vi),
+}
+
+
+def _oracle_counterexamples(scan):
+    """Step reports against the loop-form oracle; the steps that found a
+    counterexample."""
+    found = set()
+    for name, (fast, oracle) in STEP_PAIRS.items():
+        rep = oracle(scan)
+        assert fast(scan) == rep, name
+        if rep["counterexamples"]:
+            found.add(name)
+    return found
+
+
+@pytest.mark.parametrize("desc", CATALOG)
+def test_proof_chain_steps_match_loop_oracle(desc):
+    assert _oracle_counterexamples(proofchain._Scan(build_ring(desc))) == set()
+
+
+@pytest.mark.parametrize("desc", ["F5", "F25", "Z/25", "F5[e]/(e^2)",
+                                  "F5[e]/(e^3)", "Z/125"])
+def test_fibre_tables_against_broadcast(desc):
+    """Random quads (K, N, P, Q), not only those the chain produces: bad iff
+    some a2 and unit square u have a2*N = u*K and a2*P != u*Q."""
+    scan = proofchain._Scan(build_ring(desc))
+    MUL, U, a2 = scan.MUL, scan.unit_squares, scan.all_idx
+    K, N, P, Q = np.random.default_rng(5).integers(0, scan.T.n, (4, 400))
+    bad = proofchain._bad_quads(scan, K, N, P, Q)
+    expect = [((MUL[a2, n][:, None] == MUL[U, k][None, :])
+               & (MUL[a2, p][:, None] != MUL[U, q][None, :])).any()
+              for k, n, p, q in zip(K, N, P, Q)]
+    assert bad.tolist() == expect
+    assert 0 < bad.sum() < len(bad)
+
+
+TAMPERS = {
+    # Eq3 assumed everywhere: Eq4 no longer forces Eq5, nor the 3rd-order
+    # equation Eq6; reversing the pairs moves the lowest bad pair index
+    "eq3_everywhere": (lambda s: {"EQ3": np.ones_like(s.EQ3)}, {"i", "ii"}),
+    "eq3_everywhere_pairs_reversed": (
+        lambda s: {"EQ3": np.ones_like(s.EQ3), "s2_pairs": s.s2_pairs[::-1]},
+        {"i", "ii"}),
+    # ... and with every other pair gone, the bad rows of step (i) pin 1/s2
+    # to no remaining pair, so none of them is a counterexample
+    "eq3_everywhere_half_the_pairs": (
+        lambda s: {"EQ3": np.ones_like(s.EQ3), "s2_pairs": s.s2_pairs[::2]},
+        {"ii"}),
+    # Q = 0 makes Eq6 satisfiable for every a0
+    "threehalf_zero": (lambda s: {"threehalf": s.zero}, {"iii"}),
+    # y2 labels shifted one pair along, or y1 one row along
+    "y2_rotated": (lambda s: {"s2_pairs": [
+        (s.s2_pairs[(k + 1) % len(s.s2_pairs)][0], s2)
+        for k, (_, s2) in enumerate(s.s2_pairs)]}, {"vi"}),
+    "y1_rolled": (lambda s: {"Y1": np.roll(s.Y1, 1)}, {"vi"}),
+    "first_root_dropped": (lambda s: {"s2_pairs": s.s2_pairs[1:]}, set()),
+}
+
+
+@pytest.mark.parametrize("tamper", sorted(TAMPERS))
+@pytest.mark.parametrize("desc", ["F5[e]/(e^3)", "cyclo(3)"])
+def test_proof_chain_witnesses_match_loop_oracle(desc, tamper):
+    """Scans with counterexamples: the fast steps pick the oracle's witness
+    (lowest pair index, then lowest row, then lowest a2 and u)."""
+    attrs, expected = TAMPERS[tamper]
+    scan = copy.copy(proofchain._Scan(build_ring(desc)))
+    scan.__dict__.update(attrs(scan))
+    assert _oracle_counterexamples(scan) == expected
 
 
 def test_locality_example_z25():
