@@ -131,23 +131,12 @@ class Ring:
         one = [0] * self.dim
         one[0] = 1
         self.one = Element(self, self.reduce(one))
-        self.char = self._additive_order_of_one()
+        # 1 is the first basis vector, so the characteristic is diag[0]
+        self.char = self.diag[0]
         self.maximal_ideal_generators = self._mideal_generators()
         self.nilpotency_index = self._nilpotency_index()
 
     # -- construction helpers -------------------------------------------------
-
-    def _additive_order_of_one(self):
-        """The characteristic.  The additive group has order |A| = 5^k, so the
-        order of 1 is the least power 5^a with 5^a * 1 = 0: O(k) steps."""
-        x = self.one
-        n = 1
-        while x.coords != self.zero.coords:
-            x = x * 5
-            n *= 5
-            if n > self.cardinality:
-                raise RingError("additive order overflow")
-        return n
 
     def _mideal_generators(self):
         gens = []
@@ -212,10 +201,6 @@ class Ring:
         except KeyError:
             raise DescriptorError(
                 f"ring {self.descriptor!r} has no generator {name!r}") from None
-
-    @property
-    def generator_names(self):
-        return tuple(self._generator_vecs)
 
     def section(self, res):
         """A multiplicative-basis lift of a residue-field element."""
@@ -523,7 +508,7 @@ def _make_zmod(n, f5):
 def _make_nilpotent_extension(base, name, m):
     if m < 2:
         raise DescriptorError("nilpotent extension needs exponent >= 2")
-    if name in base.generator_names or name in ("w", "u"):
+    if name in base._generator_vecs or name in ("w", "u"):
         raise DescriptorError(f"generator name {name!r} already in use")
     d = base.dim
     dim = d * m

@@ -52,10 +52,14 @@ class RingTable:
         self.mideal = np.flatnonzero(in_m).astype(np.int32)
         self.units = np.flatnonzero(~in_m).astype(np.int32)
 
-        inv = np.full(n, -1, dtype=np.int32)
-        rows, cols = np.nonzero(mul == self.one)
-        inv[rows] = cols
-        self.INV = inv
+        # u^-1 = u^(|U| - 1) by Lagrange, powered over all units at once
+        acc = np.full_like(self.units, self.one)
+        for bit in bin(len(self.units) - 1)[2:]:
+            acc = mul[acc, acc]
+            if bit == "1":
+                acc = mul[acc, self.units]
+        self.INV = np.full(n, -1, dtype=np.int32)
+        self.INV[self.units] = acc
         roots = [[] for _ in range(n)]
         for i in range(n):
             roots[self.SQ[i]].append(i)

@@ -78,21 +78,17 @@ def _cmd_conductor(args):
 
 def _cmd_normal_form(args):
     t0 = time.perf_counter()
+    params = {"ring": args.ring, "series": args.series, "prec": args.prec}
     ring = build_ring(args.ring)
     series = TruncatedSeries.from_literal(ring, args.series)
     try:
         aut = Automorphism(series)
         xi = normal_form_o5c2(aut, args.prec)
     except (NotAnAutomorphismError, RingError) as exc:
-        return _report("normal-form",
-                       {"ring": args.ring, "series": args.series,
-                        "prec": args.prec},
-                       False, {"error": str(exc)}, t0=t0)
+        return _report("normal-form", params, False, {"error": str(exc)},
+                       t0=t0)
     ok = xi is not None
-    return _report("normal-form",
-                   {"ring": args.ring, "series": args.series,
-                    "prec": args.prec},
-                   ok, {"conjugator_found": ok},
+    return _report("normal-form", params, ok, {"conjugator_found": ok},
                    witnesses=[str(xi.series)] if xi else [], t0=t0)
 
 
@@ -194,15 +190,8 @@ def _cmd_verify_all(args):
     t0 = time.perf_counter()
     quick = args.profile == "quick"
 
-    class _NS(argparse.Namespace):
-        pass
-
     def ns(**kw):
-        out = _NS()
-        out.jobs = args.jobs
-        for k, v in kw.items():
-            setattr(out, k, v)
-        return out
+        return argparse.Namespace(jobs=args.jobs, **kw)
 
     steps = [
         ("order", _cmd_order, ns(ring="F5", prec=16, cap=10)),

@@ -12,9 +12,8 @@ from dataclasses import asdict, dataclass, field
 
 VERDICT_PASS = "pass"
 VERDICT_FAIL = "fail"
-VERDICT_INDETERMINATE = "indeterminate"
 
-_VERDICTS = (VERDICT_PASS, VERDICT_FAIL, VERDICT_INDETERMINATE)
+_VERDICTS = (VERDICT_PASS, VERDICT_FAIL)
 
 
 @dataclass

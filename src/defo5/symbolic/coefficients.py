@@ -6,8 +6,11 @@ with g = a0 + a1*t + a2*t^2 + a3*t^3, through t^3.  The left surd is
 expanded as s1 * sqrt(1 + u) with u = (g^2 - a0^2)/(a0^2 + y1) (a series
 with zero constant term), via the exact binomial series for (1+u)^(-1/2);
 the right side substitutes the inner series t * (1/s2) * (1 + t^2/y2)^(-1/2).
-Every t-coefficient is a SurdExpression; all binomial denominators are
-powers of 2, units in the catalog rings.
+Every t-coefficient is a SurdExpression with components in
+QQ(a0, a1, a2, a3, y1, y2); all binomial denominators are powers of 2, units
+in the catalog rings.  consistency_sample evaluates each coefficient through
+its compiled plan, inverting each denominator factor (a0^2 + y1, y2) once per
+witness, and compares it with the series engine.
 
 g carries the extension symbol a3 even though the source writes
 g = a0 + a1*t + a2*t^2 + O(t^3): the raw t^3 coefficients do involve a3,
@@ -61,8 +64,8 @@ def expand_lhs(prec: int = 4):
     g = _g_coeffs()
     g_sq = _poly_mul(g, g, prec)
     r = SurdExpression.of(A0 ** 2 + Y1)
-    u = [(g_sq[i] - (g_sq[0] if i == 0 else 0)) / r for i in range(prec)]
-    u[0] = SurdExpression.of(0)  # g^2 - a0^2 has no constant term
+    # u = (g^2 - a0^2)/r has no constant term
+    u = [SurdExpression.of(0)] + [g_sq[i] / r for i in range(1, prec)]
     coeffs = _binomial_series_coeffs(-_HALF, prec)
     inv_sqrt = [SurdExpression.of(0) for _ in range(prec)]
     upow = [SurdExpression.of(1)] + [SurdExpression.of(0)] * (prec - 1)
@@ -190,26 +193,21 @@ def _witness_pools(ring):
 
 
 def _sample_witness(ring, rng, pools):
+    """a0 lies in the maximal ideal and y1, y2 in 1 + m, so a0^2 + y1 and y2
+    have residue 1: the roots with residue +-1 exist and are r and -r."""
     one = ring.one
     mideal, units, elements = pools
-    while True:
-        a0 = rng.choice(mideal)
-        a1 = rng.choice(units)
-        a2 = rng.choice(elements)
-        a3 = rng.choice(elements)
-        y1 = one + rng.choice(mideal)
-        y2 = one + rng.choice(mideal)
-        base1, base2 = a0 * a0 + y1, y2
-        try:
-            roots1 = [base1.sqrt(b) for b in (ring.residue_ring.one,
-                                              -ring.residue_ring.one)]
-            roots2 = [base2.sqrt(b) for b in (ring.residue_ring.one,
-                                              -ring.residue_ring.one)]
-        except Exception:
-            continue
-        s1 = rng.choice(roots1)
-        s2 = rng.choice(roots2)
-        return dict(a0=a0, a1=a1, a2=a2, a3=a3, y1=y1, y2=y2, s1=s1, s2=s2)
+    a0 = rng.choice(mideal)
+    a1 = rng.choice(units)
+    a2 = rng.choice(elements)
+    a3 = rng.choice(elements)
+    y1 = one + rng.choice(mideal)
+    y2 = one + rng.choice(mideal)
+    r1 = (a0 * a0 + y1).sqrt(ring.residue_ring.one)
+    r2 = y2.sqrt(ring.residue_ring.one)
+    s1 = rng.choice([r1, -r1])
+    s2 = rng.choice([r2, -r2])
+    return dict(a0=a0, a1=a1, a2=a2, a3=a3, y1=y1, y2=y2, s1=s1, s2=s2)
 
 
 def _engine_coefficients(ring, w, prec=4):

@@ -5,28 +5,33 @@ A SurdExpression is a rank-4 module element
 
     c00 + c10*s1 + c01*s2 + c11*s1*s2
 
-whose components are exact rational functions over Q; the relations
+whose components lie in FIELD = QQ(a0, a1, a2, a3, y1, y2), sympy's sparse
+rational-function field of reduced fractions, so arithmetic and equality are
+exact and canonical.  Sympy input is converted once; anything but a rational
+function of the six symbols over Q raises SurdError.  The relations
 s1^2 = a0^2 + y1 and s2^2 = y2 are applied eagerly, so surd exponents never
 exceed 1.  Inversion rationalizes through the four sign-conjugates
 (s1 -> +-s1, s2 -> +-s2): an expression is invertible exactly when its
-algebra norm (the product of the conjugates, a plain rational function) is
-nonzero.  All coefficient arithmetic is characteristic 0; specialization to
-the finite catalog rings happens only in evaluate(), where the denominators
-that actually occur (powers of a0^2 + y1, y2 and 2) are units.
+algebra norm (the product of the conjugates, an element of FIELD) is nonzero.
+All coefficient arithmetic is characteristic 0.  evaluate() specializes to a
+finite catalog ring through a plan compiled once per component: numerator
+terms, denominator content and irreducible factors (here a0^2 + y1 and y2).
+A witness inverts each distinct factor once and shares its inverse powers
+across components; rational constants have denominators prime to 5 and
+become integers modulo the characteristic.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from numbers import Rational as _PyRational
 
 import sympy as sp
+from sympy.polys.fields import FracElement
 
 A0, A1, A2, A3, Y1, Y2 = sp.symbols("a0 a1 a2 a3 y1 y2")
 SYMBOLS = (A0, A1, A2, A3, Y1, Y2)
-
-_S1_SQ = A0 ** 2 + Y1
-_S2_SQ = Y2
+FIELD = sp.field("a0,a1,a2,a3,y1,y2", sp.QQ)[0]
+_NAMES = tuple(str(s) for s in SYMBOLS)
 
 
 class SurdError(ValueError):
@@ -34,19 +39,31 @@ class SurdError(ValueError):
 
 
 def _norm(e):
-    return sp.cancel(sp.together(sp.sympify(e)))
+    """``e`` as an element of FIELD."""
+    if isinstance(e, FracElement) and e.field is FIELD:
+        return e
+    try:
+        expr = sp.sympify(e, strict=True)
+        if not isinstance(expr, sp.Expr) or expr.has(sp.Float):
+            raise ValueError("not an exact scalar expression")
+        return FIELD.from_expr(expr)
+    except ValueError as exc:  # also sympy's SympifyError
+        raise SurdError(f"{e!r} is not a rational function of "
+                        f"{', '.join(_NAMES)} over Q") from exc
+
+
+_S1_SQ, _S2_SQ = _norm(A0 ** 2 + Y1), _norm(Y2)
 
 
 class SurdExpression:
-    """c00 + c10*s1 + c01*s2 + c11*s1*s2 with rational-function components."""
+    """c00 + c10*s1 + c01*s2 + c11*s1*s2 with components in FIELD."""
 
-    __slots__ = ("c00", "c10", "c01", "c11")
+    __slots__ = ("c00", "c10", "c01", "c11", "_plans")
 
     def __init__(self, c00=0, c10=0, c01=0, c11=0):
-        self.c00 = _norm(c00)
-        self.c10 = _norm(c10)
-        self.c01 = _norm(c01)
-        self.c11 = _norm(c11)
+        comps = map(_norm, (c00, c10, c01, c11))
+        self.c00, self.c10, self.c01, self.c11 = comps
+        self._plans = None
 
     # -- constructors ---------------------------------------------------------
 
@@ -72,14 +89,13 @@ class SurdExpression:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return all(sp.cancel(a - b) == 0
-                   for a, b in zip(self._components(), other._components()))
+        return self._components() == other._components()
 
     def __hash__(self):
-        return hash(tuple(self._components()))
+        return hash(self._components())
 
     def is_zero(self):
-        return all(c == 0 for c in self._components())
+        return not any(self._components())
 
     def __add__(self, other):
         other = _coerce(other)
@@ -130,19 +146,19 @@ class SurdExpression:
         """Product of the four sign-conjugates; a plain rational function."""
         z = self * self.conj_s1()
         w = z * z.conj_s2()
-        if w.c10 != 0 or w.c01 != 0 or w.c11 != 0:
+        if w.c10 or w.c01 or w.c11:
             raise SurdError("norm failed to rationalize")  # pragma: no cover
         return w.c00
 
     def is_invertible(self):
-        return self.algebra_norm() != 0
+        return bool(self.algebra_norm())
 
     def inverse(self):
         n = self.algebra_norm()
-        if n == 0:
+        if not n:
             raise SurdError(f"{self} is not invertible (zero norm)")
         z = self * self.conj_s1()
-        return self.conj_s1() * z.conj_s2() * SurdExpression.of(1 / n)
+        return self.conj_s1() * z.conj_s2() * SurdExpression(1 / n)
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -158,9 +174,9 @@ class SurdExpression:
     def canonical_str(self):
         parts = []
         for comp, tag in zip(self._components(), ("", "s1", "s2", "s1*s2")):
-            if comp == 0:
+            if not comp:
                 continue
-            body = sp.sstr(sp.cancel(comp), order="lex")
+            body = sp.sstr(sp.cancel(comp.as_expr()), order="lex")
             parts.append(f"({body})*{tag}" if tag else f"({body})")
         return " + ".join(parts) if parts else "(0)"
 
@@ -169,12 +185,8 @@ class SurdExpression:
 
     def subs_sign(self, flip_s1=False, flip_s2=False):
         """The expression on the other square-root branch(es)."""
-        out = self
-        if flip_s1:
-            out = out.conj_s1()
-        if flip_s2:
-            out = out.conj_s2()
-        return out
+        out = self.conj_s1() if flip_s1 else self
+        return out.conj_s2() if flip_s2 else out
 
     # -- specialization -----------------------------------------------------------
 
@@ -182,21 +194,31 @@ class SurdExpression:
         """Exact value in a catalog ring.  ``witness`` maps the symbol names
         a0, a1, a2, a3, y1, y2 to ring elements and s1, s2 to the chosen
         square roots of a0^2 + y1 and y2 (both must square correctly).
-        Denominators must evaluate to units.  ``powers`` is the witness's
-        power table (name -> [1, x, x^2, ...], filled on demand); pass one
-        dict per witness to share it across evaluations."""
+        Denominator factors must evaluate to units.  ``powers`` is the
+        witness's power table (name -> [1, x, ...], denominator factor f ->
+        [1, 1/f, ...]); pass one dict per witness to share it."""
         if powers is None:
             powers = {}
-        s1v, s2v = witness["s1"], witness["s2"]
-        a0v, y1v, y2v = witness["a0"], witness["y1"], witness["y2"]
-        if s1v * s1v != a0v * a0v + y1v:
+
+        def square(name):
+            return _power(_powers(name, ring, witness, powers), 2)
+
+        if square("s1") != square("a0") + witness["y1"]:
             raise SurdError("witness s1 is not a square root of a0^2 + y1")
-        if s2v * s2v != y2v:
+        if square("s2") != witness["y2"]:
             raise SurdError("witness s2 is not a square root of y2")
-        vals = [_eval_rational(c, ring, witness, powers)
-                for c in self._components()]
-        return (vals[0] + vals[1] * s1v + vals[2] * s2v
-                + vals[3] * s1v * s2v)
+        s1v, s2v = witness["s1"], witness["s2"]
+        if self._plans is None:
+            self._plans = tuple(_compile(c) if c else None
+                                for c in self._components())
+        total = ring.zero
+        for plan, surds in zip(self._plans, ((), (s1v,), (s2v,), (s1v, s2v))):
+            if plan is not None:
+                value = _eval_fraction(plan, ring, witness, powers)
+                for s in surds:
+                    value = value * s
+                total = total + value
+        return total
 
 
 def _coerce(x):
@@ -207,49 +229,51 @@ def _coerce(x):
     return NotImplemented
 
 
-_NAMES = tuple(str(s) for s in SYMBOLS)
-_terms_cache: dict = {}
+def _terms(poly):
+    """((numerator, denominator, exponents), ...) of the terms of poly."""
+    return tuple((int(c.numerator), int(c.denominator), m)
+                 for m, c in poly.terms())
 
 
-def _poly_terms(poly_expr):
-    """[(numerator, denominator, monomial exponents), ...], cached."""
-    terms = _terms_cache.get(poly_expr)
-    if terms is None:
-        poly = sp.Poly(poly_expr, *SYMBOLS)
-        terms = tuple((int(sp.Rational(c).p), int(sp.Rational(c).q), m)
-                      for m, c in poly.terms())
-        _terms_cache[poly_expr] = terms
-    return terms
+def _compile(comp):
+    """The evaluation plan of a nonzero element of FIELD: its numerator terms
+    over the denominator's content, and each irreducible denominator factor
+    with its terms and multiplicity."""
+    content, factors = comp.denom.factor_list()
+    return (_terms(comp.numer.quo_ground(content)),
+            tuple((f, _terms(f), m) for f, m in factors))
 
 
-@lru_cache(maxsize=256)
-def _den_inverse(ring, den):
-    return ring.from_int(den).inv()
+def _powers(name, ring, witness, powers):
+    """The witness's power list [1, x, ...] of the variable ``name``."""
+    return powers.setdefault(name, [ring.one, witness[name]])
 
 
-def _eval_poly(poly_expr, ring, witness, powers):
+def _power(seq, exp):
+    """seq[exp] of a power list [1, x, x^2, ...], extended on demand."""
+    while len(seq) <= exp:
+        seq.append(seq[-1] * seq[1])
+    return seq[exp]
+
+
+def _eval_terms(terms, ring, witness, powers):
     total = ring.zero
-    for num, den, monom in _poly_terms(poly_expr):
-        term = ring.from_int(num)
-        if den != 1:
-            term = term * _den_inverse(ring, den)
+    for num, den, monom in terms:
+        term = num * pow(den, -1, ring.char)  # an int until the first power
         for name, exp in zip(_NAMES, monom):
             if exp:
-                seq = powers.setdefault(name, [ring.one, witness[name]])
-                while len(seq) <= exp:
-                    seq.append(seq[-1] * seq[1])
-                term = term * seq[exp]
+                term = _power(_powers(name, ring, witness, powers), exp) * term
         total = total + term
     return total
 
 
-_fraction_cache: dict = {}
-
-
-def _eval_rational(expr, ring, witness, powers):
-    pair = _fraction_cache.get(expr)
-    if pair is None:
-        pair = _fraction_cache[expr] = sp.fraction(sp.cancel(sp.together(expr)))
-    num_v = _eval_poly(pair[0], ring, witness, powers)
-    den_v = _eval_poly(pair[1], ring, witness, powers)
-    return num_v * den_v.inv()
+def _eval_fraction(plan, ring, witness, powers):
+    numer, factors = plan
+    value = _eval_terms(numer, ring, witness, powers)
+    for factor, terms, mult in factors:
+        seq = powers.get(factor)
+        if seq is None:
+            inv = _eval_terms(terms, ring, witness, powers).inv()
+            seq = powers[factor] = [ring.one, inv]
+        value = value * _power(seq, mult)
+    return value

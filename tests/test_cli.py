@@ -113,6 +113,17 @@ def test_report_json_round_trip():
     assert Report.from_json(rep.to_json()) == rep
 
 
+def test_report_refuses_indeterminate_verdict():
+    # "pass" and "fail" are the only verdicts; nothing emits a third
+    with pytest.raises(ValueError):
+        Report(command="x", params={}, verdict="indeterminate")
+    text = Report(command="x", params={}, verdict="pass").to_json()
+    assert '"verdict": "pass"' in text
+    with pytest.raises(ValueError):
+        Report.from_json(text.replace('"verdict": "pass"',
+                                      '"verdict": "indeterminate"'))
+
+
 def test_obstruction_golden_report(capsys):
     code, report, _ = run(capsys, "obstruction", "--n", "2", "--prec", "8")
     assert code == 0

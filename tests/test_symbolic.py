@@ -1,15 +1,19 @@
 """SurdExpression algebra and the symbolic coefficient extraction, including
 cross-validation of the factored forms used by the proof-chain scans."""
 
+import random
+
 import sympy as sp
 import pytest
 
-from defo5.artin.rings import build_ring
+import surd_oracle
+from defo5.artin.rings import Element, build_ring
+from defo5.symbolic import coefficients
 from defo5.symbolic.coefficients import (consistency_sample, displayed_eq3,
                                          displayed_eq4, displayed_third_order,
                                          expand_lhs, expand_rhs, inner_series,
                                          verify_displayed_equations)
-from defo5.symbolic.surd import (A0, A1, A2, A3, Y1, Y2, SurdError,
+from defo5.symbolic.surd import (A0, A1, A2, A3, SYMBOLS, Y1, Y2, SurdError,
                                  SurdExpression)
 
 
@@ -176,3 +180,105 @@ def test_expansion_runs_once_per_process():
     consistency_sample(7, seed=1)
     assert (expand_lhs.cache_info().misses,
             expand_rhs.cache_info().misses) == misses
+
+
+# -- the field representation against the sympy-Expr oracle -------------------------
+
+def _assert_same(new, old):
+    for a, b in zip(new._components(), old._components()):
+        assert sp.cancel(a.as_expr() - b) == 0
+    assert new.canonical_str() == old.canonical_str()
+
+
+@pytest.mark.parametrize("prec", [2, 3, 4, 5])
+def test_expansion_matches_expr_oracle(prec):
+    for new, old in ((expand_lhs(prec), surd_oracle.expand_lhs(prec)),
+                     (expand_rhs(prec), surd_oracle.expand_rhs(prec))):
+        assert len(new) == len(old) == prec
+        for a, b in zip(new, old):
+            _assert_same(a, b)
+
+
+@pytest.mark.parametrize("display", ["displayed_eq3", "displayed_eq4",
+                                     "displayed_third_order"])
+def test_displays_match_expr_oracle(display):
+    new = getattr(coefficients, display)()
+    old = getattr(surd_oracle, display)()
+    for a, b in zip(new, old):
+        _assert_same(a, b)
+
+
+def _witness(desc):
+    R = build_ring(desc)
+    x = R.generator("e") if "e" in desc else R.from_int(5)
+    w = dict(a0=x, a1=R.one + x, a2=R.from_int(3) + x, a3=x * x,
+             y1=R.one + 2 * x, y2=R.from_int(4) + x)
+    w["s1"] = (w["a0"] * w["a0"] + w["y1"]).sqrt()
+    w["s2"] = w["y2"].sqrt()
+    return R, w
+
+
+@pytest.mark.parametrize("desc", ["F5[e]/(e^3)", "Z/125"])
+def test_evaluation_matches_expr_oracle(desc):
+    R, w = _witness(desc)
+    powers = {}
+    for new, old in zip(expand_lhs(4) + expand_rhs(4),
+                        surd_oracle.expand_lhs(4) + surd_oracle.expand_rhs(4)):
+        assert new.evaluate(R, w, powers) == old.evaluate(R, w)
+
+
+def test_evaluation_inverts_each_denominator_factor_once(monkeypatch):
+    coeffs = expand_lhs(4) + expand_rhs(4)
+    factors = set()
+    for c in coeffs:
+        for comp in c._components():
+            den = sp.fraction(sp.cancel(comp.as_expr()))[1]
+            factors.update(f for f, _ in sp.factor_list(den, *SYMBOLS)[1])
+    assert factors == {A0 ** 2 + Y1, Y2}
+    R, w = _witness("F5[e]/(e^3)")
+    inverses = []
+    real_inv = Element.inv
+    monkeypatch.setattr(Element, "inv",
+                        lambda x: inverses.append(x) or real_inv(x))
+    powers = {}
+    values = [c.evaluate(R, w, powers) for c in coeffs]
+    assert len(inverses) <= len(factors)
+    # a zero component costs nothing: s1 * s2 has three
+    inverses.clear()
+    assert (s1() * s2()).evaluate(R, w, {}) == w["s1"] * w["s2"]
+    assert SurdExpression.of(0).evaluate(R, w, {}) == R.zero
+    assert inverses == []
+    # and a second pass over the same power table inverts nothing
+    assert [c.evaluate(R, w, powers) for c in coeffs] == values
+    assert inverses == []
+
+
+@pytest.mark.parametrize("desc", coefficients._SAMPLE_RINGS)
+def test_witness_draws_match_retrying_sampler(desc):
+    R = build_ring(desc)
+    pools = coefficients._witness_pools(R)
+    new, old = random.Random(7), random.Random(7)
+    for _ in range(40):
+        assert (coefficients._sample_witness(R, new, pools)
+                == surd_oracle._sample_witness(R, old, pools))
+
+
+# -- typed failure and canonical hashing --------------------------------------------
+
+@pytest.mark.parametrize("bad", [sp.Symbol("z"), sp.sqrt(2), sp.pi, sp.I,
+                                 sp.exp(A0), sp.sqrt(A0), sp.oo, sp.zoo,
+                                 sp.Float(0.5), 0.5, "a0", sp.true,
+                                 A0 + sp.Symbol("z")], ids=str)
+def test_non_rational_input_raises_surd_error(bad):
+    with pytest.raises(SurdError):
+        SurdExpression.of(bad)
+
+
+def test_equal_expressions_hash_equal():
+    x = SurdExpression.of((A0 ** 2 - 1) / (A0 - 1))
+    y = SurdExpression.of(A0 + 1)
+    assert x == y and hash(x) == hash(y)
+    u = s1() * SurdExpression.of(Y2 / (2 * Y2)) + s2() * s2()
+    v = SurdExpression.of(Y2) + s1() / 2
+    assert u == v and hash(u) == hash(v)
+    assert len({x, y, u, v}) == 2
