@@ -29,8 +29,6 @@ from .nottingham import (Automorphism, ConductorUndefinedError,
                          normal_form_o5c2, order, power)
 from .reports import (Report, VERDICT_FAIL, VERDICT_PASS)
 from .series import TruncatedSeries
-from .symbolic.coefficients import (consistency_sample,
-                                    verify_displayed_equations)
 
 _USAGE_ERRORS = (DescriptorError, EnumerationBoundError)
 
@@ -177,6 +175,9 @@ def _cmd_obstruction(args):
 
 
 def _cmd_coeff_eqs(args):
+    # sympy is imported here, not with the CLI: no other subcommand uses it
+    from .symbolic.coefficients import (consistency_sample,
+                                        verify_displayed_equations)
     t0 = time.perf_counter()
     sym = verify_displayed_equations()
     sample = consistency_sample(args.samples)

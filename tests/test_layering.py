@@ -1,8 +1,12 @@
 """Import layering of the package, read from the source with ``ast``:
 ``artin`` stands alone, ``series`` rests on ``artin`` only, ``deformation``
-does not reach into ``symbolic``, and the ring-table cache has one home."""
+does not reach into ``symbolic``, and the ring-table cache has one home.
+Also: importing the CLI does not import sympy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -83,3 +87,14 @@ def test_one_table_cache():
                 found.add(path.relative_to(SRC).as_posix())
     assert homes == {"def ring_table": {"artin/tables.py"},
                      "_table_cache": {"artin/tables.py"}}
+
+
+def test_cli_import_leaves_sympy_unloaded():
+    path = os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent)] + path))
+    code = ("import sys, defo5.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'sympy' or m.startswith(('sympy.', 'defo5.symbolic'))))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"
