@@ -14,6 +14,16 @@ additive relations kept in row Hermite normal form.  Every constructor yields
 a diagonal HNF (``Ring`` refuses any other), so elements are canonical
 coordinate vectors over that basis with 0 <= c[j] < hnf[j][j], reduced
 componentwise.
+
+Two scalar kernels share the one ``Element`` type, chosen by cardinality.  A
+ring of at most ``KERNEL_BOUND`` elements does its arithmetic by lookups in
+list copies of its ``RingTable`` (built on the first operation, through the
+one table cache): each element carries its table index, ``==`` compares
+indices, and ``+ - * neg inv sqrt residue`` return interned elements.
+Larger rings multiply through the sparse structure constants and lift
+inverses and square roots from the residue field by Newton iteration.  At
+625 elements the list tables would cost 10-16 ms of ``tolist`` and about
+8 MB each, more than the scalar work they would save there.
 """
 
 from __future__ import annotations
@@ -21,17 +31,20 @@ from __future__ import annotations
 import itertools
 import re
 from functools import cached_property, lru_cache
-from operator import add, mod, sub
+from operator import add, mod, mul, sub
 from typing import Iterator
 
 ENUMERATION_BOUND = 1 << 24
+
+# Rings with at most this many elements use the table kernel (module docstring).
+KERNEL_BOUND = 125
 
 # Descriptor bounds, checked before anything is built.  Numerals have at most
 # MAX_DIGITS digits (descriptors and element literals alike); Z/5^n needs
 # n <= MAX_ZMOD_EXPONENT; the whole ring has at most MAX_DIM basis elements,
 # which also bounds every nilpotent exponent by MAX_DIM: the structure
-# constants have dim^3 entries, and F5[e]/(e^32) builds in about 0.1 s,
-# growing as dim^3.
+# constants have dim^3 entries, and F5[e]/(e^32) builds and finds its
+# nilpotency index in about 0.1 s, growing as dim^3.
 MAX_DIGITS = 18
 MAX_ZMOD_EXPONENT = 1000
 MAX_DIM = 32
@@ -124,21 +137,35 @@ class Ring:
         self._residue_vecs = residue_vecs
         self._section_vecs = section_vecs
         self._generator_vecs = dict(generators)
-        self.cardinality = 1
-        for d in self.diag:
-            self.cardinality *= d
+        # mixed-radix weights, first coordinate most significant: an
+        # element's index in enumerate() order and in the ring's table
+        weights = [1] * self.dim
+        for j in range(self.dim - 2, -1, -1):
+            weights[j] = weights[j + 1] * self.diag[j + 1]
+        self._weights = tuple(weights)
+        self.cardinality = weights[0] * self.diag[0]
+        self._indexed = self.cardinality <= KERNEL_BOUND
         self.zero = Element(self, self.reduce([0] * self.dim))
         one = [0] * self.dim
         one[0] = 1
         self.one = Element(self, self.reduce(one))
         # 1 is the first basis vector, so the characteristic is diag[0]
         self.char = self.diag[0]
-        self.maximal_ideal_generators = self._mideal_generators()
-        self.nilpotency_index = self._nilpotency_index()
 
-    # -- construction helpers -------------------------------------------------
+    # -- structure, computed on first use ----------------------------------------
 
-    def _mideal_generators(self):
+    @cached_property
+    def _kernel(self):
+        """The table kernel of a ring of at most KERNEL_BOUND elements, else
+        None.  Never touched while ``__init__`` runs, so the table is built
+        from a finished ring."""
+        if not self._indexed:
+            return None
+        from .tables import ring_table  # tables imports this module
+        return _Kernel(self, ring_table(self))
+
+    @cached_property
+    def maximal_ideal_generators(self):
         gens = []
         five = self.from_int(5)
         if five != self.zero:
@@ -151,7 +178,8 @@ class Ring:
                 gens.append(el)
         return tuple(gens)
 
-    def _nilpotency_index(self):
+    @cached_property
+    def nilpotency_index(self):
         gens = [g for g in self.maximal_ideal_generators if g != self.zero]
         if not gens:
             return 1
@@ -177,6 +205,16 @@ class Ring:
 
     # -- element construction --------------------------------------------------
 
+    def _residue(self, coords):
+        """The residue-field image of a coordinate vector."""
+        k = self.residue_ring
+        acc = [0] * k.dim
+        for c, vec in zip(coords, self._residue_vecs):
+            if c:
+                for j, v in enumerate(vec):
+                    acc[j] += c * v
+        return Element(k, k.reduce(acc))
+
     @property
     def residue_ring(self):
         return self._residue_ring if self._residue_ring is not None else self
@@ -191,6 +229,9 @@ class Ring:
         return Element(self, self.reduce(coords))
 
     def from_int(self, n):
+        kern = self._kernel
+        if kern is not None:
+            return kern.els[n % self.char * self._weights[0]]
         vec = [0] * self.dim
         vec[0] = n
         return Element(self, self.reduce(vec))
@@ -267,13 +308,15 @@ class Ring:
 
 
 class Element:
-    """An element of a catalog ring, stored as a canonical coordinate vector."""
+    """An element of a catalog ring: its canonical coordinate vector and, in a
+    ring of at most KERNEL_BOUND elements, its table index."""
 
-    __slots__ = ("ring", "coords")
+    __slots__ = ("ring", "coords", "_i")
 
     def __init__(self, ring, coords):
         self.ring = ring
-        self.coords = tuple(coords)
+        self.coords = coords = tuple(coords)
+        self._i = sum(map(mul, coords, ring._weights)) if ring._indexed else None
 
     def _check(self, other):
         if isinstance(other, Element):
@@ -291,6 +334,9 @@ class Element:
             other = self._check(other)
             if other is NotImplemented:
                 return NotImplemented
+        kern = ring._kernel
+        if kern is not None:
+            return kern.els[kern.ADD[self._i][other._i]]
         return Element(ring, ring.reduce(map(add, self.coords, other.coords)))
 
     __radd__ = __add__
@@ -301,22 +347,31 @@ class Element:
             other = self._check(other)
             if other is NotImplemented:
                 return NotImplemented
+        kern = ring._kernel
+        if kern is not None:
+            return kern.els[kern.SUB[self._i][other._i]]
         return Element(ring, ring.reduce(map(sub, self.coords, other.coords)))
 
     def __rsub__(self, other):
         return self._check(other) - self
 
     def __neg__(self):
+        kern = self.ring._kernel
+        if kern is not None:
+            return kern.els[kern.NEG[self._i]]
         return Element(self.ring, self.ring.reduce([-a for a in self.coords]))
 
     def __mul__(self, other):
         ring = self.ring
+        kern = ring._kernel
         if other.__class__ is not Element or other.ring is not ring:
-            if isinstance(other, int):
+            if kern is None and isinstance(other, int):
                 return Element(ring, ring.reduce([a * other for a in self.coords]))
             other = self._check(other)
             if other is NotImplemented:
                 return NotImplemented
+        if kern is not None:
+            return kern.els[kern.MUL[self._i][other._i]]
         a, b = self.coords, other.coords
         if ring.dim == 1:  # basis {1}: 1 * 1 = 1
             return Element(ring, ((a[0] * b[0]) % ring.diag[0],))
@@ -345,11 +400,13 @@ class Element:
         return out
 
     def __eq__(self, other):
+        if other.__class__ is Element and other.ring is self.ring:
+            i = self._i
+            return self.coords == other.coords if i is None else i == other._i
         if isinstance(other, Element):
-            return self.coords == other.coords and (
-                self.ring is other.ring or self.ring == other.ring)
+            return self.coords == other.coords and self.ring == other.ring
         if isinstance(other, int):
-            return self.coords == self.ring.from_int(other).coords
+            return self == self.ring.from_int(other)
         return NotImplemented
 
     def __hash__(self):
@@ -357,15 +414,10 @@ class Element:
 
     def residue(self):
         ring = self.ring
-        if ring.is_field:
-            return self
-        k = ring.residue_ring
-        acc = [0] * k.dim
-        for i, c in enumerate(self.coords):
-            if c:
-                for j, v in enumerate(ring._residue_vecs[i]):
-                    acc[j] += c * v
-        return Element(k, k.reduce(acc))
+        kern = ring._kernel
+        if kern is not None:
+            return kern.res[self._i]
+        return self if ring.is_field else ring._residue(self.coords)
 
     def is_unit(self):
         return self.residue() != self.ring.residue_ring.zero
@@ -387,7 +439,14 @@ class Element:
         return n
 
     def inv(self):
-        """Exact inverse of a unit (Newton lift of the residue inverse)."""
+        """Exact inverse of a unit: a table lookup, or a Newton lift of the
+        residue inverse."""
+        kern = self.ring._kernel
+        if kern is not None:
+            j = kern.INV[self._i]
+            if j < 0:
+                raise NotAUnitError(f"{self} is not a unit")
+            return kern.els[j]
         rinv = self.ring.residue_ring._field_inverses.get(self.residue().coords)
         if rinv is None:
             raise NotAUnitError(f"{self} is not a unit")
@@ -429,6 +488,10 @@ class Element:
                 raise NoSquareRootError(
                     f"{branch} is not a square root of residue {res}")
             pick = branch
+        kern = self.ring._kernel
+        if kern is not None:  # the one root on branch ``pick``, by Hensel
+            return next(kern.els[j] for j in kern.roots[self._i]
+                        if kern.res[j] == pick)
         r = self.ring.section(pick)
         half = self.ring._half
         for _ in range(64):
@@ -452,6 +515,26 @@ class Element:
             else:
                 parts.append(f"{c}*{name}")
         return " + ".join(parts) if parts else "0"
+
+
+class _Kernel:
+    """List copies of a ring's ``RingTable`` and one interned ``Element`` per
+    index: ``els[ADD[i][j]]`` is ``els[i] + els[j]``, and so on; ``INV`` is -1
+    off the units, ``res[i]`` the residue of ``els[i]``, ``roots[i]`` the
+    indices of the square roots of ``els[i]``."""
+
+    __slots__ = ("els", "res", "ADD", "SUB", "MUL", "NEG", "INV", "roots")
+
+    def __init__(self, ring, table):
+        self.els = els = [Element(ring, c) for c in table.coords.tolist()]
+        self.res = els if ring.is_field else [ring._residue(x.coords)
+                                              for x in els]
+        self.ADD = table.ADD.tolist()
+        self.SUB = table.ADD[:, table.NEG].tolist()
+        self.MUL = table.MUL.tolist()
+        self.NEG = table.NEG.tolist()
+        self.INV = table.INV.tolist()
+        self.roots = table.roots
 
 
 # -- constructors --------------------------------------------------------------

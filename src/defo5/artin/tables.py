@@ -3,12 +3,16 @@
 Elements are identified with their rank in the deterministic enumeration
 order (mixed radix over the canonical coordinate box, first coordinate most
 significant).  Addition and multiplication become int32 table lookups, which
-lets the brute-force oracles run vectorized over numpy index arrays.
+lets the exhaustive scans run vectorized over numpy index arrays.  For a ring
+of at most ``rings.KERNEL_BOUND`` elements the same table, copied to Python
+lists, is also the scalar kernel of ``Element`` (see ``rings``).
 
 Every table comes from the ring's own presentation: the relation lattice is
 diagonal, so each output coordinate is reduced on its own by ``% diag[k]``,
 and coordinate k of a product is the bilinear form ``S[:, :, k]`` of the
-structure constants.  ``ring_table`` keeps one table per ring and process.
+structure constants.  Nothing here uses ``Element`` arithmetic, so a table
+can be built before its ring's kernel exists.  ``ring_table`` keeps one
+table per ring and process.
 """
 
 from __future__ import annotations
@@ -29,10 +33,7 @@ class RingTable:
         self.ring = ring
         n = self.n = ring.cardinality
         d = ring.dim
-        weights = [1] * d
-        for j in range(d - 2, -1, -1):
-            weights[j] = weights[j + 1] * ring.diag[j + 1]
-        self._weights = tuple(weights)
+        weights = self._weights = ring._weights
         coords = self.coords = np.indices(ring.diag).reshape(d, -1).T.astype(np.int64)
 
         S = np.array(ring.mul_basis, dtype=np.int64)  # S[i, j, k]

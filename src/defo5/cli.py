@@ -130,7 +130,7 @@ def _cmd_iterates(args):
 
 def _cmd_tangent(args):
     t0 = time.perf_counter()
-    sweep = tuple(int(p) for p in args.prec_sweep.split(","))
+    sweep = args.prec_sweep
     rep = tangent_report(sweep)
     per = rep["per_precision"].values()
     ok = (rep["stable"] and rep["dimension"] == 1
@@ -209,7 +209,7 @@ def _cmd_verify_all(args):
         steps.append((f"versal-check[{r}]", _cmd_versal_check,
                       ns(ring=r, prec=16, tautological=True)))
     steps.append(("tangent", _cmd_tangent,
-                  ns(prec_sweep="8,12" if quick else "8,12,16")))
+                  ns(prec_sweep=(8, 12) if quick else (8, 12, 16))))
     universality_rings = ["F5[e]/(e^2)"] if quick else [
         "F5[e]/(e^2)", "F5[e]/(e^3)"]
     for r in universality_rings:
@@ -234,14 +234,43 @@ def _cmd_verify_all(args):
 
 # -- parser -----------------------------------------------------------------------
 
+# Every series needs its linear coefficient, so a precision is at least 2.
+# sigma = t - t^3/2 + ... agrees with t below t^3, so its order, its
+# conductor and its conjugacy class show only from precision 4 on (below it
+# xi = t conjugates sigma to any order-5 conductor-2 series).  Counts of
+# witnesses, iterates and catalog rings have floors too: below them a scan
+# checks nothing and would pass.
+MIN_PREC = 2
+MIN_SIGMA_PREC = 4
+
+
+def _int_at_least(low):
+    def parse(text):
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}") from None
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {n}")
+        return n
+    return parse
+
+
+_prec = _int_at_least(MIN_PREC)
+
+
+def _prec_sweep(text):
+    return tuple(_prec(p) for p in text.split(","))
+
 
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="defo5",
         description="Exact verification of the order-5/conductor-2 "
                     "deformation computation.")
-    parser.add_argument("--jobs", type=int,
-                        default=int(os.environ.get("DEFO5_JOBS", "1")),
+    parser.add_argument("--jobs", type=_int_at_least(1),
+                        default=os.environ.get("DEFO5_JOBS", "1"),
                         help="parallel worker bound for the scans")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -253,31 +282,33 @@ def build_parser():
         return p
 
     add("order", _cmd_order,
-        ring=dict(default="F5"), prec=dict(type=int, default=16),
-        cap=dict(type=int, default=10))
+        ring=dict(default="F5"),
+        prec=dict(type=_int_at_least(MIN_SIGMA_PREC), default=16),
+        cap=dict(type=_int_at_least(1), default=10))
     add("conductor", _cmd_conductor,
-        ring=dict(default="F5"), prec=dict(type=int, default=8))
+        ring=dict(default="F5"),
+        prec=dict(type=_int_at_least(MIN_SIGMA_PREC), default=8))
     add("normal-form", _cmd_normal_form,
         ring=dict(default="F5"), series=dict(required=True),
-        prec=dict(type=int, default=8))
+        prec=dict(type=_int_at_least(MIN_SIGMA_PREC), default=8))
     add("versal-check", _cmd_versal_check,
-        ring=dict(required=True), prec=dict(type=int, default=16),
+        ring=dict(required=True), prec=dict(type=_prec, default=16),
         tautological=dict(action="store_true",
                           help="check only the point y = 1 + u of cyclo(m)"))
     add("iterates", _cmd_iterates,
-        ring=dict(required=True), prec=dict(type=int, default=12),
-        k_max=dict(type=int, default=5))
+        ring=dict(required=True), prec=dict(type=_prec, default=12),
+        k_max=dict(type=_int_at_least(0), default=5))
     add("tangent", _cmd_tangent,
-        prec_sweep=dict(default="8,12,16"))
+        prec_sweep=dict(type=_prec_sweep, default="8,12,16"))
     add("universality", _cmd_universality,
-        ring=dict(required=True), prec=dict(type=int, default=4))
+        ring=dict(required=True), prec=dict(type=_prec, default=4))
     add("proof-chain", _cmd_proof_chain,
         ring=dict(default=None),
-        max_cardinality=dict(type=int, default=5 ** 4))
+        max_cardinality=dict(type=_int_at_least(5), default=5 ** 4))
     add("obstruction", _cmd_obstruction,
-        n=dict(type=int, default=2), prec=dict(type=int, default=8))
+        n=dict(type=int, default=2), prec=dict(type=_prec, default=8))
     add("coeff-eqs", _cmd_coeff_eqs,
-        samples=dict(type=int, default=1000))
+        samples=dict(type=_int_at_least(1), default=1000))
     add("verify-all", _cmd_verify_all,
         profile=dict(choices=("quick", "full"), default="quick"))
     return parser

@@ -51,11 +51,22 @@ class TruncatedSeries:
                 coeffs = coeffs[:prec]
             elif prec > len(coeffs):
                 coeffs = coeffs + tuple([ring.zero] * (prec - len(coeffs)))
+        self._set(ring, coeffs)
+
+    def _set(self, ring, coeffs):
         if not coeffs:
             raise PrecisionError("a series needs precision >= 1")
         self.ring = ring
         self.coeffs = coeffs
         self.prec = len(coeffs)
+
+    @classmethod
+    def _of(cls, ring, coeffs):
+        """The series with these coefficients, already Elements of ``ring``
+        (results of this module's arithmetic), taken without coercion."""
+        self = cls.__new__(cls)
+        self._set(ring, tuple(coeffs))
+        return self
 
     # -- constructors ----------------------------------------------------------
 
@@ -87,7 +98,7 @@ class TruncatedSeries:
         if prec > self.prec:
             raise PrecisionError(
                 f"cannot truncate a prec-{self.prec} series to prec {prec}")
-        return TruncatedSeries(self.ring, self.coeffs[:prec])
+        return TruncatedSeries._of(self.ring, self.coeffs[:prec])
 
     def exact_extension(self, prec):
         """Reinterpret the stored coefficients as the *whole* series and pad
@@ -122,29 +133,29 @@ class TruncatedSeries:
 
     def __add__(self, other):
         other, p = self._join(other)
-        return TruncatedSeries(self.ring, [a + b for a, b in
-                                           zip(self.coeffs[:p], other.coeffs[:p])])
+        return TruncatedSeries._of(self.ring, [
+            a + b for a, b in zip(self.coeffs[:p], other.coeffs[:p])])
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other, p = self._join(other)
-        return TruncatedSeries(self.ring, [a - b for a, b in
-                                           zip(self.coeffs[:p], other.coeffs[:p])])
+        return TruncatedSeries._of(self.ring, [
+            a - b for a, b in zip(self.coeffs[:p], other.coeffs[:p])])
 
     def __rsub__(self, other):
         other, _ = self._join(other)
         return other - self
 
     def __neg__(self):
-        return TruncatedSeries(self.ring, [-a for a in self.coeffs])
+        return TruncatedSeries._of(self.ring, [-a for a in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, Element) or isinstance(other, int):
             c = _coerce(self.ring, other)
-            return TruncatedSeries(self.ring, [a * c for a in self.coeffs])
+            return TruncatedSeries._of(self.ring, [a * c for a in self.coeffs])
         other, p = self._join(other)
-        return TruncatedSeries(
+        return TruncatedSeries._of(
             self.ring, _mul_raw(self.ring, self.coeffs, other.coeffs, p))
 
     __rmul__ = __mul__
@@ -152,7 +163,7 @@ class TruncatedSeries:
     def div(self, other):
         """self / other, requiring a unit constant term in ``other``."""
         other, p = self._join(other)
-        result = TruncatedSeries(
+        result = TruncatedSeries._of(
             self.ring, _div_raw(self.ring, self.coeffs, other.coeffs, p))
         if __debug__:
             assert (result * other).agrees_with(self, p)
@@ -172,7 +183,7 @@ class TruncatedSeries:
             for i in range(1, n):
                 acc = acc - r[i] * r[n - i]
             r.append(acc * inv_2r0)
-        result = TruncatedSeries(self.ring, r)
+        result = TruncatedSeries._of(self.ring, r)
         if __debug__:
             assert (result * result).agrees_with(self)
         return result
@@ -182,7 +193,7 @@ class TruncatedSeries:
     def derivative(self):
         if self.prec < 2:
             raise PrecisionError("derivative needs precision >= 2")
-        return TruncatedSeries(
+        return TruncatedSeries._of(
             self.ring, [self.coeffs[i] * i for i in range(1, self.prec)])
 
     def compose(self, inner):
@@ -200,7 +211,7 @@ class TruncatedSeries:
         if prec_out < 1:
             raise PrecisionError("composition result would have precision < 1")
         out = _compose_raw(self.ring, self.coeffs, inner.coeffs[:p], p)
-        return TruncatedSeries(self.ring, out[:prec_out])
+        return TruncatedSeries._of(self.ring, out[:prec_out])
 
     def comp_inverse(self):
         """Compositional inverse; needs nilpotent c0 and unit c1."""
@@ -230,7 +241,7 @@ class TruncatedSeries:
             h = _sub_raw(h, delta)
         else:
             raise RingError("compositional-inverse Newton iteration stalled")
-        result = TruncatedSeries(ring, h[:prec_out])
+        result = TruncatedSeries._of(ring, h[:prec_out])
         if __debug__:
             check = self.compose(result)
             assert check.agrees_with(TruncatedSeries.t(ring, check.prec))
@@ -252,7 +263,7 @@ class TruncatedSeries:
             raise RingError(f"series is not divisible by t^{k}")
         if self.prec - k < 1:
             raise PrecisionError("shift would drop below precision 1")
-        return TruncatedSeries(self.ring, self.coeffs[k:])
+        return TruncatedSeries._of(self.ring, self.coeffs[k:])
 
     # -- text and binary forms -------------------------------------------------
 
@@ -308,7 +319,7 @@ class TruncatedSeries:
             coords = struct.unpack_from("<%dQ" % dim, data, off)
             off += 8 * dim
             coeffs.append(Element(ring, ring.reduce(coords)))
-        return cls(ring, coeffs)
+        return cls._of(ring, coeffs)
 
 
 # -- raw fixed-length helpers (no precision semantics) ---------------------------

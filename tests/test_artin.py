@@ -1,17 +1,19 @@
 """Ring catalog construction, canonical arithmetic, Hensel roots, literals."""
 
 import time
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 from defo5.artin.literals import LiteralError, format_element, parse_element
-from defo5.artin.rings import (MAX_DIGITS, MAX_DIM, MAX_ZMOD_EXPONENT,
-                               DescriptorError, MismatchError,
-                               NoSquareRootError, NotAUnitError, Ring,
-                               RingError, build_ring)
-from defo5.artin.tables import RingTable
+from defo5.artin.rings import (KERNEL_BOUND, MAX_DIGITS, MAX_DIM,
+                               MAX_ZMOD_EXPONENT, DescriptorError,
+                               MismatchError, NoSquareRootError,
+                               NotAUnitError, Ring, RingError, build_ring)
+from defo5.artin.tables import RingTable, ring_table
 from defo5.deformation.proofchain import CATALOG
+from defo5.series import TruncatedSeries
 
 from table_oracle import reference_tables
 
@@ -208,28 +210,165 @@ def test_ring_table_matches_generic_build(desc):
             assert got == want, name
 
 
-@pytest.mark.parametrize(
-    "desc", [d for d in CATALOG if build_ring(d).cardinality <= 125])
+@contextmanager
+def structure_constants(ring):
+    """Run the arithmetic of ``ring`` and of its residue field on their
+    structure constants and Newton lifts, the kernel of rings above
+    KERNEL_BOUND, instead of on their tables."""
+    saved = {r: r.__dict__.pop("_kernel", None)
+             for r in {ring, ring.residue_ring}}
+    try:
+        for r in saved:
+            r._kernel = None
+        yield
+    finally:
+        for r, kern in saved.items():
+            del r._kernel
+            if kern is not None:
+                r._kernel = kern
+
+
+_SMALL_CATALOG = [d for d in CATALOG
+                  if build_ring(d).cardinality <= KERNEL_BOUND]
+
+
+@pytest.mark.parametrize("desc", _SMALL_CATALOG)
 def test_ring_table_against_scalar_arithmetic(desc):
     R = build_ring(desc)
     T = RingTable(R)
+    with structure_constants(R):
+        els = list(R.enumerate())
+        assert [T.index(x) for x in els] == list(range(T.n))
+        assert [T.element(i) for i in range(T.n)] == els
+        idx = T.index
+        for i, x in enumerate(els):
+            assert list(T.ADD[i]) == [idx(x + y) for y in els]
+            assert list(T.MUL[i]) == [idx(x * y) for y in els]
+            assert T.NEG[i] == idx(-x)
+            assert T.SQ[i] == idx(x * x)
+            assert T.INV[i] == (idx(x.inv()) if x.is_unit() else -1)
+            assert T.roots[i] == tuple(j for j, y in enumerate(els)
+                                       if y * y == x)
+        assert list(T.mideal) == [i for i, x in enumerate(els)
+                                  if x.in_maximal_ideal()]
+        assert list(T.units) == [i for i, x in enumerate(els) if x.is_unit()]
+        assert (T.one, T.zero) == (idx(R.one), idx(R.zero))
+        assert [T.from_int(k) for k in (-7, 0, 2, 30)] == \
+            [idx(R.from_int(k)) for k in (-7, 0, 2, 30)]
+
+
+# -- the table kernel against the structure constants ---------------------------
+
+_INTS = (-126, -7, -1, 0, 1, 2, 5, 24, 30, 126)
+
+
+def _outcome(fn, *args):
+    """coords of the result, or the exception class it raised."""
+    try:
+        return fn(*args).coords
+    except RingError as exc:
+        return type(exc)
+
+
+def _unary_outcomes(R):
+    """Per element: -x, residue, inverse, and the square root on every
+    residue branch and the principal one."""
+    branches = list(R.residue_ring.enumerate()) + [None]
+    return [(_outcome(x.__neg__), _outcome(x.residue), _outcome(x.inv),
+             [_outcome(x.sqrt, b) for b in branches])
+            for x in R.enumerate()]
+
+
+def _binary_outcomes(R):
+    """Per pair: x + y, x - y, x * y, x == y; per int k: the same with k on
+    either side."""
     els = list(R.enumerate())
-    assert [T.index(x) for x in els] == list(range(T.n))
-    assert [T.element(i) for i in range(T.n)] == els
-    idx = T.index
-    for i, x in enumerate(els):
-        assert list(T.ADD[i]) == [idx(x + y) for y in els]
-        assert list(T.MUL[i]) == [idx(x * y) for y in els]
-        assert T.NEG[i] == idx(-x)
-        assert T.SQ[i] == idx(x * x)
-        assert T.INV[i] == (idx(x.inv()) if x.is_unit() else -1)
-        assert T.roots[i] == tuple(j for j, y in enumerate(els) if y * y == x)
-    assert list(T.mideal) == [i for i, x in enumerate(els)
-                              if x.in_maximal_ideal()]
-    assert list(T.units) == [i for i, x in enumerate(els) if x.is_unit()]
-    assert (T.one, T.zero) == (idx(R.one), idx(R.zero))
-    assert [T.from_int(k) for k in (-7, 0, 2, 30)] == \
-        [idx(R.from_int(k)) for k in (-7, 0, 2, 30)]
+    pairs = [((x + y).coords, (x - y).coords, (x * y).coords, x == y)
+             for x in els for y in els]
+    ints = [((x + k).coords, (k + x).coords, (x - k).coords,
+             (k - x).coords, (x * k).coords, (k * x).coords, x == k)
+            for x in els for k in _INTS]
+    return pairs, ints
+
+
+@pytest.mark.parametrize("desc", _SMALL_CATALOG)
+def test_table_kernel_against_structure_constants(desc):
+    R = build_ring(desc)
+    with structure_constants(R):
+        assert R._kernel is None
+        want_unary = _unary_outcomes(R)
+        want_pairs, want_ints = _binary_outcomes(R)
+    assert R._kernel is not None
+    assert _unary_outcomes(R) == want_unary
+    pairs, ints = _binary_outcomes(R)
+    assert pairs == want_pairs
+    assert ints == want_ints
+    # equality is the equality of canonical coordinates
+    els = list(R.enumerate())
+    assert [eq for *_, eq in pairs] == [x.coords == y.coords
+                                        for x in els for y in els]
+    ints_as_coords = [R.reduce([k] + [0] * (R.dim - 1)) for k in _INTS]
+    assert [eq for *_, eq in ints] == [x.coords == c for x in els
+                                       for c in ints_as_coords]
+    # some branch has no root, and every non-unit refuses inv and sqrt
+    flat = [o for _, _, inv, roots in want_unary for o in [inv] + roots]
+    assert NoSquareRootError in flat and NotAUnitError in flat
+
+
+@pytest.mark.parametrize("desc", _SMALL_CATALOG)
+def test_table_kernel_results_are_interned(desc):
+    R = build_ring(desc)
+    kern = R._kernel
+    x, y = kern.els[-1], kern.els[len(kern.els) // 2]
+    for z in (x + y, x - y, x * y, -x, x * 3, 2 + y, R.from_int(7)):
+        assert z is kern.els[z._i]
+    assert R.one.inv() is kern.els[R.one._i]
+
+
+@pytest.mark.parametrize("desc", _SMALL_CATALOG)
+def test_every_constructor_meets_the_interned_elements(desc):
+    R = build_ring(desc)
+    kern = R._kernel
+    T = ring_table(R)
+
+    def same(x):
+        z = kern.els[T.index(x)]
+        assert x == z and z == x and hash(x) == hash(z)
+        assert x._i == z._i
+
+    for i, x in enumerate(R.enumerate()):
+        same(x)
+        same(R.element(list(x.coords)))
+        same(T.element(i))
+        same(parse_element(R, format_element(x)))
+    series = TruncatedSeries(R, list(R.enumerate()))
+    for x in TruncatedSeries.from_bytes(series.to_bytes()).coeffs:
+        same(x)
+    for k in _INTS:
+        same(R.from_int(k))
+    for r in R.residue_ring.enumerate():
+        same(R.section(r))
+    for name in R._generator_vecs:
+        same(R.generator(name))
+    same(R.zero)
+    same(R.one)
+
+
+@pytest.mark.parametrize("desc", ["cyclo(4)", "F5[e]/(e^4)"])
+def test_no_list_kernel_above_the_bound(desc, monkeypatch):
+    R = build_ring(desc)
+    assert R.cardinality == 625 > KERNEL_BOUND
+    R.residue_ring.one.inv()  # the residue field's own kernel may be built
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(RingTable, "__init__", boom)
+    x = R.one + R.generator("u" if desc.startswith("cyclo") else "e")
+    y = x * x * 3 - x
+    assert y * y.inv() == R.one
+    assert (x * x).sqrt(1) * (x * x).sqrt(1) == x * x
+    assert R._kernel is None and x._i is None
 
 
 # -- literals ---------------------------------------------------------------------
@@ -306,9 +445,6 @@ def _reference_mul(ring, a, b):
             for k, vk in enumerate(ring.mul_basis[i][j]):
                 acc[k] += ai * bj * vk
     return _reference_reduce(ring, acc)
-
-
-_SMALL_CATALOG = [d for d in CATALOG if build_ring(d).cardinality <= 125]
 
 
 @pytest.mark.parametrize("desc", _SMALL_CATALOG)

@@ -95,6 +95,70 @@ def test_exit_two_on_bad_series_literal(capsys):
         assert report is None and "error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("universality", "--ring", "F5[e]/(e^2)", "--prec", "0"),
+    ("universality", "--ring", "F5[e]/(e^2)", "--prec", "1"),
+    ("universality", "--ring", "F5[e]/(e^2)", "--prec", "-3"),
+    ("iterates", "--ring", "F5", "--prec", "0"),
+    ("iterates", "--ring", "F5", "--prec", "1"),
+    ("iterates", "--ring", "F5", "--prec", "-1"),
+    ("iterates", "--ring", "F5", "--k-max", "-1"),
+    ("order", "--prec", "0"),
+    ("order", "--prec", "3"),
+    ("order", "--cap", "0"),
+    ("conductor", "--prec", "1"),
+    ("conductor", "--prec", "2"),
+    ("conductor", "--prec", "3"),
+    ("normal-form", "--series", "t + t^2", "--prec", "0"),
+    ("normal-form", "--series", "t + t^2", "--prec", "1"),
+    ("normal-form", "--series", "t + t^3", "--prec", "3"),
+    ("versal-check", "--ring", "cyclo(2)", "--prec", "1"),
+    ("obstruction", "--prec", "1"),
+    ("tangent", "--prec-sweep", "8,x"),
+    ("tangent", "--prec-sweep", ""),
+    ("tangent", "--prec-sweep", "1"),
+    ("tangent", "--prec-sweep", "8,1,12"),
+    ("universality", "--ring", "F5[e]/(e^2)", "--prec", "2.5"),
+    ("coeff-eqs", "--samples", "0"),
+    ("coeff-eqs", "--samples", "-5"),
+    ("proof-chain", "--max-cardinality", "0"),
+])
+def test_exit_two_on_bad_count_before_any_ring(capsys, monkeypatch, argv):
+    def boom(*args, **kwargs):
+        raise AssertionError("work started before the usage check")
+
+    for target in ("build_ring", "tangent_report", "proof_chain_scan"):
+        monkeypatch.setattr(f"defo5.cli.{target}", boom)
+    monkeypatch.setattr(RingTable, "__init__", boom)
+    code, report, err = run(capsys, *argv)
+    assert code == 2
+    assert report is None
+    assert err.startswith("usage:") and f"argument --{argv[-2][2:]}" in err
+
+
+@pytest.mark.parametrize("jobs", ["abc", "0", "-2"])
+def test_exit_two_on_bad_jobs(capsys, monkeypatch, jobs):
+    monkeypatch.setenv("DEFO5_JOBS", jobs)
+    code, report, err = run(capsys, "order")
+    assert code == 2 and report is None and "argument --jobs" in err
+    monkeypatch.delenv("DEFO5_JOBS")
+    assert run(capsys, "--jobs", jobs, "order")[0] == 2
+
+
+@pytest.mark.parametrize("argv,want", [
+    (("conductor", "--prec", "4"), 0),
+    (("order", "--prec", "4"), 0),
+    (("normal-form", "--series", "t + t^3", "--prec", "4"), 1),
+    (("order", "--cap", "1"), 1),  # sigma has order 5, not 1: a verdict
+    (("tangent", "--prec-sweep", "2"), 0),
+    (("iterates", "--ring", "F5", "--prec", "2", "--k-max", "0"), 0),
+    (("proof-chain", "--max-cardinality", "5"), 0),
+])
+def test_smallest_counts_accepted(capsys, argv, want):
+    code, report, _ = run(capsys, *argv)
+    assert code == want and report is not None
+
+
 # -- report schema -------------------------------------------------------------------
 
 def test_report_schema_keys(capsys):
