@@ -9,11 +9,19 @@ Rings come from a fixed constructor catalog:
     cyclo(m)                    Z[u]/(Phi5(1+u), u^m)
 
 Every ring is stored as a free presentation: a monomial basis, integer
-structure constants for basis products, and a full-rank integer lattice of
-additive relations kept in row Hermite normal form.  Every constructor yields
-a diagonal HNF (``Ring`` refuses any other), so elements are canonical
-coordinate vectors over that basis with 0 <= c[j] < hnf[j][j], reduced
-componentwise.
+structure constants for basis products, and the additive order ``diag[j]``
+of each basis vector, so elements are canonical coordinate vectors with
+0 <= c[j] < diag[j], reduced componentwise.  The invariants come in closed
+form from the constructors:
+
+* moduli: cyclo(m) = Z5[zeta5]/(u^m) with u = y - 1 a uniformiser and
+  u^4 in 5*R^x, so coordinate u^i has modulus 5^ceil((m - i)/4); a tower
+  B[e]/(e^m) is m copies of B;
+* nilpotency index: 1 for F5 and F25, n for Z/5^n, m for cyclo(m), and
+  e_B + m - 1 for B[e]/(e^m);
+* residue field: on the first coordinates, so the residue of an element is
+  its first ``residue_ring.dim`` coordinates mod 5, and the section pads a
+  residue-field vector with zeros.
 
 Two scalar kernels share the one ``Element`` type, chosen by cardinality.  A
 ring of at most ``KERNEL_BOUND`` elements does its arithmetic by lookups in
@@ -32,7 +40,6 @@ import itertools
 import re
 from functools import cached_property, lru_cache
 from operator import add, mod, mul, sub
-from typing import Iterator
 
 ENUMERATION_BOUND = 1 << 24
 
@@ -43,8 +50,8 @@ KERNEL_BOUND = 125
 # MAX_DIGITS digits (descriptors and element literals alike); Z/5^n needs
 # n <= MAX_ZMOD_EXPONENT; the whole ring has at most MAX_DIM basis elements,
 # which also bounds every nilpotent exponent by MAX_DIM: the structure
-# constants have dim^3 entries, and F5[e]/(e^32) builds and finds its
-# nilpotency index in about 0.1 s, growing as dim^3.
+# constants have dim^3 entries, built in about 3 ms for F5[e]/(e^32) and
+# growing as dim^3 (the nilpotency index is a closed form, not searched).
 MAX_DIGITS = 18
 MAX_ZMOD_EXPONENT = 1000
 MAX_DIM = 32
@@ -77,65 +84,23 @@ class EnumerationBoundError(RingError):
     """Enumeration was requested beyond the configured cardinality bound."""
 
 
-def _hnf_rows(rows, dim):
-    """Row Hermite normal form (upper triangular, positive pivots) of the
-    lattice spanned by ``rows``.  Raises if the lattice is not full rank,
-    which would mean the presented ring is infinite."""
-    work = [list(r) for r in rows if any(r)]
-    out = []
-    for col in range(dim):
-        pivots = [r for r in work if r[col] != 0]
-        rest = [r for r in work if r[col] == 0]
-        if not pivots:
-            raise RingError("additive relation lattice is not full rank")
-        # Reduce all rows with a nonzero entry in `col` down to one via gcd.
-        while len(pivots) > 1:
-            pivots.sort(key=lambda r: abs(r[col]))
-            a = pivots[0]
-            for r in pivots[1:]:
-                q = r[col] // a[col]
-                for k in range(dim):
-                    r[k] -= q * a[k]
-            moved = [r for r in pivots[1:] if r[col] == 0]
-            rest.extend(r for r in moved if any(r))
-            pivots = [pivots[0]] + [r for r in pivots[1:] if r[col] != 0]
-        pivot = pivots[0]
-        if pivot[col] < 0:
-            pivot = [-x for x in pivot]
-        out.append(pivot)
-        work = [r for r in rest if any(r)]
-    # Normalize entries above each pivot.
-    for i in range(dim - 1, -1, -1):
-        for k in range(i):
-            q = out[k][i] // out[i][i]
-            if q:
-                for c in range(dim):
-                    out[k][c] -= q * out[i][c]
-    return tuple(tuple(r) for r in out)
-
-
 class Ring:
     """A finite Artinian local ring from the constructor catalog."""
 
-    def __init__(self, descriptor, basis, mul_basis, hnf, residue_ring,
-                 residue_vecs, section_vecs, generators):
+    def __init__(self, descriptor, basis, mul_basis, diag, residue_ring,
+                 nilpotency_index, generators):
         self.descriptor = descriptor
         self.basis = tuple(basis)
         self.dim = len(self.basis)
         self.mul_basis = mul_basis  # dim x dim table of canonical vectors
-        self.hnf = hnf
-        self.diag = tuple(hnf[i][i] for i in range(self.dim))
-        if any(hnf[i][j] for i in range(self.dim)
-               for j in range(self.dim) if i != j):
-            raise RingError(f"{descriptor}: relation lattice HNF is not diagonal")
+        self.diag = tuple(diag)
         # sparse structure constants: the nonzero (k, v) of each basis product
         self._mul_rows = tuple(
             tuple(tuple((k, v) for k, v in enumerate(vec) if v) for vec in row)
             for row in mul_basis)
         # residue_ring is None for fields (they are their own residue field)
         self._residue_ring = residue_ring
-        self._residue_vecs = residue_vecs
-        self._section_vecs = section_vecs
+        self.nilpotency_index = nilpotency_index
         self._generator_vecs = dict(generators)
         # mixed-radix weights, first coordinate most significant: an
         # element's index in enumerate() order and in the ring's table
@@ -145,10 +110,8 @@ class Ring:
         self._weights = tuple(weights)
         self.cardinality = weights[0] * self.diag[0]
         self._indexed = self.cardinality <= KERNEL_BOUND
-        self.zero = Element(self, self.reduce([0] * self.dim))
-        one = [0] * self.dim
-        one[0] = 1
-        self.one = Element(self, self.reduce(one))
+        self.zero = Element(self, (0,) * self.dim)
+        self.one = Element(self, (1,) + (0,) * (self.dim - 1))
         # 1 is the first basis vector, so the characteristic is diag[0]
         self.char = self.diag[0]
 
@@ -164,40 +127,6 @@ class Ring:
         from .tables import ring_table  # tables imports this module
         return _Kernel(self, ring_table(self))
 
-    @cached_property
-    def maximal_ideal_generators(self):
-        gens = []
-        five = self.from_int(5)
-        if five != self.zero:
-            gens.append(five)
-        for i in range(self.dim):
-            vec = [0] * self.dim
-            vec[i] = 1
-            el = Element(self, self.reduce(vec))
-            if el != self.zero and el.residue() == self.residue_ring.zero:
-                gens.append(el)
-        return tuple(gens)
-
-    @cached_property
-    def nilpotency_index(self):
-        gens = [g for g in self.maximal_ideal_generators if g != self.zero]
-        if not gens:
-            return 1
-        layer = set(g.coords for g in gens)
-        e = 1
-        while layer:
-            e += 1
-            nxt = set()
-            for g in gens:
-                for c in layer:
-                    p = g * Element(self, c)
-                    if p != self.zero:
-                        nxt.add(p.coords)
-            layer = nxt
-            if e > self.cardinality:
-                raise RingError("nilpotency index overflow")
-        return e
-
     # -- canonical form --------------------------------------------------------
 
     def reduce(self, vec):
@@ -206,14 +135,10 @@ class Ring:
     # -- element construction --------------------------------------------------
 
     def _residue(self, coords):
-        """The residue-field image of a coordinate vector."""
+        """The residue-field image of a coordinate vector: its first
+        coordinates (module docstring)."""
         k = self.residue_ring
-        acc = [0] * k.dim
-        for c, vec in zip(coords, self._residue_vecs):
-            if c:
-                for j, v in enumerate(vec):
-                    acc[j] += c * v
-        return Element(k, k.reduce(acc))
+        return Element(k, k.reduce(coords[:k.dim]))
 
     @property
     def residue_ring(self):
@@ -247,23 +172,18 @@ class Ring:
         """A multiplicative-basis lift of a residue-field element."""
         if res.ring is not self.residue_ring:
             raise MismatchError("section argument must live in the residue field")
-        acc = self.zero
-        for i, c in enumerate(res.coords):
-            if c:
-                acc = acc + Element(self, self._section_vecs[i]) * c
-        return acc
+        return Element(self, res.coords + (0,) * (self.dim - len(res.coords)))
 
     # -- enumeration -----------------------------------------------------------
 
-    def enumerate(self, which="all", bound=None):
+    def enumerate(self, which="all"):
         """Yield ring elements in the deterministic mixed-radix order.
 
         ``which`` is one of ``all``, ``maximal-ideal``, ``units``.
         """
-        limit = ENUMERATION_BOUND if bound is None else bound
-        if self.cardinality > limit:
+        if self.cardinality > ENUMERATION_BOUND:
             raise EnumerationBoundError(
-                f"cardinality {self.cardinality} exceeds bound {limit}")
+                f"cardinality {self.cardinality} exceeds bound {ENUMERATION_BOUND}")
         if which not in ("all", "maximal-ideal", "units"):
             raise RingError(f"unknown enumeration filter {which!r}")
         rzero = self.residue_ring.zero
@@ -545,10 +465,9 @@ def _make_f5():
         descriptor="F5",
         basis=("1",),
         mul_basis=(((1,),),),
-        hnf=((5,),),
+        diag=(5,),
         residue_ring=None,
-        residue_vecs=((1,),),
-        section_vecs=((1,),),
+        nilpotency_index=1,  # a field
         generators={},
     )
 
@@ -563,10 +482,9 @@ def _make_f25():
         descriptor="F25",
         basis=("1", "w"),
         mul_basis=mul,
-        hnf=((5, 0), (0, 5)),
+        diag=(5, 5),
         residue_ring=None,
-        residue_vecs=((1, 0), (0, 1)),
-        section_vecs=((1, 0), (0, 1)),
+        nilpotency_index=1,  # a field
         generators={"w": (0, 1)},
     )
 
@@ -580,10 +498,9 @@ def _make_zmod(n, f5):
         descriptor=f"Z/5^{n}",
         basis=("1",),
         mul_basis=(((1,),),),
-        hnf=((5 ** n,),),
+        diag=(5 ** n,),
         residue_ring=f5,
-        residue_vecs=((1,),),
-        section_vecs=((1,),),
+        nilpotency_index=n,  # the maximal ideal is (5), and 5^(n-1) != 0
         generators={},
     )
 
@@ -619,66 +536,35 @@ def _make_nilpotent_extension(base, name, m):
                             out[off + k] = v
                         vec = tuple(out)
                     mul[s * d + i][r * d + j] = vec
-    hnf = [[0] * dim for _ in range(dim)]
-    for s in range(m):
-        for i in range(d):
-            for j in range(d):
-                hnf[s * d + i][s * d + j] = base.hnf[i][j]
-    res = base.residue_ring
-    res_vecs = []
-    for s in range(m):
-        for i in range(d):
-            if s == 0:
-                res_vecs.append(base._residue_vecs[i])
-            else:
-                res_vecs.append(tuple([0] * res.dim))
-    section_vecs = []
-    for i in range(res.dim):
-        v = [0] * dim
-        v[:d] = list(base._section_vecs[i])
-        section_vecs.append(tuple(v))
-    gens = {}
-    for g, vec in base._generator_vecs.items():
-        v = [0] * dim
-        v[:d] = list(vec)
-        gens[g] = tuple(v)
+    gens = {g: vec + (0,) * (dim - d) for g, vec in base._generator_vecs.items()}
     gv = [0] * dim
     gv[d] = 1
     gens[name] = tuple(gv)
-    ring = Ring(
+    return Ring(
         descriptor=f"{base.descriptor}[{name}]/({name}^{m})",
         basis=basis,
         mul_basis=tuple(tuple(r) for r in mul),
-        hnf=tuple(tuple(r) for r in hnf),
-        residue_ring=res,
-        residue_vecs=tuple(res_vecs),
-        section_vecs=tuple(section_vecs),
+        diag=base.diag * m,  # m copies of B, one per power of e
+        residue_ring=base.residue_ring,
+        # the maximal ideal is (m_B, e), and (m_B, e)^k is the sum of the
+        # m_B^i e^j with i + j = k: nonzero exactly for k <= (e_B - 1) + (m - 1)
+        nilpotency_index=base.nilpotency_index + m - 1,
         generators=gens,
     )
-    return ring
 
 
-def _cyclo_reduce_poly(coeffs, m):
-    """Reduce an integer polynomial in u using u^4 -> -5-10u-10u^2-5u^3 (when
-    the basis has degree 4) and u^m -> 0, down to length min(m, 4)."""
-    d = min(m, 4)
-    work = list(coeffs)
-    if m >= 5:
-        while len(work) > 4:
-            top = work.pop()
-            if top:
-                # u^(len) = u^(len-4) * u^4
-                k = len(work) - 4
-                for i, c in enumerate(_PHI5_SHIFTED[:4]):
-                    work[k + i] -= top * c
-        while len(work) < 4:
-            work.append(0)
-    else:
-        work = work[:m] + [0] * max(0, m - len(work))
-        work = work[:d]
-        while len(work) < d:
-            work.append(0)
-    return work[:d] + [0] * (d - len(work))
+def _cyclo_reduce_poly(coeffs, diag):
+    """The canonical coordinates of an integer polynomial in u in cyclo(m):
+    fold u^4 -> -5-10u-10u^2-5u^3 down to degree < 4, keep the first
+    min(m, 4) = len(diag) coordinates (u^i = 0 for i >= m <= 4) and reduce
+    each modulo its diag."""
+    work = list(coeffs) + [0] * (4 - len(coeffs))
+    while len(work) > 4:
+        top = work.pop()
+        k = len(work) - 4  # u^len = u^k * u^4
+        for i, c in enumerate(_PHI5_SHIFTED[:4]):
+            work[k + i] -= top * c
+    return tuple(map(mod, work, diag))
 
 
 def _make_cyclo(m, f5):
@@ -687,37 +573,19 @@ def _make_cyclo(m, f5):
     if m > 8:
         raise DescriptorError("cyclo(m) supported for m <= 8 (25 = 0 there)")
     d = min(m, 4)
-    rel_rows = []
-    if m >= 5:
-        for j in range(4):
-            rel_rows.append(_cyclo_reduce_poly([0] * (m + j) + [1], m))
-    else:
-        phi = list(_PHI5_SHIFTED)
-        for j in range(d):
-            rel_rows.append(_cyclo_reduce_poly([0] * j + phi, m))
-    hnf = _hnf_rows(rel_rows, d)
-    diag = [hnf[i][i] for i in range(d)]  # diagonal; checked by Ring
-    mul = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            row.append(tuple(map(mod, _cyclo_reduce_poly([0] * (i + j) + [1], m), diag)))
-        mul.append(tuple(row))
-    if m == 1:
-        gens = {}
-    else:
-        gens = {"u": tuple(map(mod, [0, 1] + [0] * (d - 2), diag)) if d >= 2 else (0,)}
-    res_vecs = [(1,)] + [(0,)] * (d - 1)
+    # 5 = unit * u^4, so 5^k u^i = unit * u^(4k+i) is 0 exactly when 4k+i >= m
+    diag = tuple(5 ** ((m - i + 3) // 4) for i in range(d))
+    mul = tuple(tuple(_cyclo_reduce_poly([0] * (i + j) + [1], diag)
+                      for j in range(d)) for i in range(d))
     return Ring(
         descriptor=f"cyclo({m})",
         basis=tuple("1" if i == 0 else ("u" if i == 1 else f"u^{i}")
                     for i in range(d)),
-        mul_basis=tuple(mul),
-        hnf=hnf,
+        mul_basis=mul,
+        diag=diag,
         residue_ring=f5,
-        residue_vecs=tuple(res_vecs),
-        section_vecs=(tuple([1] + [0] * (d - 1)),),
-        generators=gens,
+        nilpotency_index=m,  # u is a uniformiser and u^m = 0 != u^(m-1)
+        generators={"u": (0, 1) + (0,) * (d - 2)} if m > 1 else {},
     )
 
 

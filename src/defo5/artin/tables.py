@@ -7,8 +7,8 @@ lets the exhaustive scans run vectorized over numpy index arrays.  For a ring
 of at most ``rings.KERNEL_BOUND`` elements the same table, copied to Python
 lists, is also the scalar kernel of ``Element`` (see ``rings``).
 
-Every table comes from the ring's own presentation: the relation lattice is
-diagonal, so each output coordinate is reduced on its own by ``% diag[k]``,
+Every table comes from the ring's own presentation: basis vector k has
+additive order ``diag[k]``, so each output coordinate is reduced on its own,
 and coordinate k of a product is the bilinear form ``S[:, :, k]`` of the
 structure constants.  Nothing here uses ``Element`` arithmetic, so a table
 can be built before its ring's kernel exists.  ``ring_table`` keeps one
@@ -25,11 +25,11 @@ TABLE_BOUND = 5 ** 5
 
 
 class RingTable:
-    def __init__(self, ring: Ring, bound: int = TABLE_BOUND):
-        if ring.cardinality > bound:
+    def __init__(self, ring: Ring):
+        if ring.cardinality > TABLE_BOUND:
             raise EnumerationBoundError(
                 f"{ring.descriptor}: cardinality {ring.cardinality} exceeds "
-                f"table bound {bound}")
+                f"table bound {TABLE_BOUND}")
         self.ring = ring
         n = self.n = ring.cardinality
         d = ring.dim
@@ -47,9 +47,9 @@ class RingTable:
         self.zero = 0
         self.one = self.index(ring.one)
 
-        # residue coordinates; both residue fields, F5 and F25, have the all-5 box
-        R = np.array(ring._residue_vecs, dtype=np.int64)  # (d, residue dim)
-        in_m = ((coords @ R) % 5 == 0).all(axis=1)
+        # the residue is the first coordinates, reduced in the all-5 box of
+        # both residue fields, F5 and F25
+        in_m = (coords[:, :ring.residue_ring.dim] % 5 == 0).all(axis=1)
         self.mideal = np.flatnonzero(in_m).astype(np.int32)
         self.units = np.flatnonzero(~in_m).astype(np.int32)
 

@@ -9,7 +9,6 @@ Every subcommand runs one verification and prints a structured JSON report
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 import traceback
@@ -269,8 +268,7 @@ def build_parser():
         prog="defo5",
         description="Exact verification of the order-5/conductor-2 "
                     "deformation computation.")
-    parser.add_argument("--jobs", type=_int_at_least(1),
-                        default=os.environ.get("DEFO5_JOBS", "1"),
+    parser.add_argument("--jobs", type=_int_at_least(1), default=1,
                         help="parallel worker bound for the scans")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -3,8 +3,8 @@ tangent space, obstruction, and the exhaustive proof-chain scans."""
 
 from .equivalence import conjugator_search, equivalent, universality_scan
 from .obstruction import defect_vector, obstruction_check, sigma_w
-from .proofchain import (CATALOG, catalog_rings, locality_example_z25,
-                         proof_chain_check, proof_chain_scan)
+from .proofchain import (CATALOG, catalog_rings, proof_chain_check,
+                         proof_chain_scan)
 from .tangent import (cocycle_matrix, coboundary_matrix, tangent_report,
                       tangent_space)
 from .versal import (VersalPoint, hom_points, is_lift, iterate_closed_form,
@@ -14,7 +14,7 @@ __all__ = [
     "CATALOG", "VersalPoint", "catalog_rings", "coboundary_matrix",
     "cocycle_matrix", "conjugator_search", "defect_vector", "equivalent",
     "hom_points", "is_lift", "iterate_closed_form", "lift_certificate",
-    "locality_example_z25", "obstruction_check", "phi5", "proof_chain_check",
-    "proof_chain_scan", "sigma_w", "tangent_report", "tangent_space",
-    "universality_scan", "versal_family",
+    "obstruction_check", "phi5", "proof_chain_check", "proof_chain_scan",
+    "sigma_w", "tangent_report", "tangent_space", "universality_scan",
+    "versal_family",
 ]

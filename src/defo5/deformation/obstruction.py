@@ -14,32 +14,12 @@ inconsistent by exact row reduction.
 
 from __future__ import annotations
 
-import re
-
 from .. import gf5
 from ..artin.rings import DescriptorError, RingError, build_ring
 from ..nottingham import base_sigma, power
 from ..series import TruncatedSeries
 from .tangent import COCYCLE_SHIFT, cocycle_matrix
 from .versal import hom_points
-
-_ZMOD_RE = re.compile(r"Z/5\^(\d+)$|Z/(\d+)$")
-
-
-def _zmod_exponent(descriptor: str) -> int:
-    m = _ZMOD_RE.match(descriptor.strip())
-    if not m:
-        raise DescriptorError(f"{descriptor!r} is not a Z/5^n descriptor")
-    if m.group(1) is not None:
-        return int(m.group(1))
-    q = int(m.group(2))
-    n = 0
-    while q > 1 and q % 5 == 0:
-        q //= 5
-        n += 1
-    if q != 1:
-        raise DescriptorError(f"{descriptor!r} is not a Z/5^n descriptor")
-    return n
 
 
 def sigma_w(prec: int):
@@ -67,7 +47,9 @@ def obstruction_check(descriptor: str, prec: int):
     """Report that sigma has no lift over Z/5^n: hom_points empty for any
     n >= 2, and for n = 2 the linear order-5 system certified inconsistent."""
     ring = build_ring(descriptor)  # bounds the numerals first
-    n = _zmod_exponent(descriptor)
+    n = ring.nilpotency_index  # Z/5^n has nilpotency index n
+    if ring.dim != 1 or ring is not build_ring(f"Z/5^{n}"):
+        raise DescriptorError(f"{descriptor!r} is not a Z/5^n descriptor")
     if n < 2:
         raise RingError("obstruction_check expects n >= 2")
     # Z/5^n -> Z/25 maps versal points to versal points

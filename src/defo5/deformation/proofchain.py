@@ -405,20 +405,3 @@ def proof_chain_scan(max_cardinality: int = 5 ** 4, jobs: int = 1):
         "passed": all(r["passed"] for r in reports),
     }
 
-
-def locality_example_z25():
-    """Step (v) standalone on Z/25: x^2 in x^3*(Z/25) implies x^2 = 0 for the
-    five elements x of 5*(Z/25)."""
-    ring = build_ring("Z/25")
-    out = []
-    T = ring_table(ring)
-    all_idx = np.arange(T.n, dtype=np.int32)
-    for x in T.mideal:
-        sq = int(T.SQ[x])
-        cube = int(T.MUL[x, sq])
-        member = bool((T.MUL[all_idx, cube] == sq).any())
-        out.append({"x": str(T.element(int(x))),
-                    "x2_in_x3A": member,
-                    "x2_is_zero": sq == T.zero,
-                    "implication_holds": (not member) or sq == T.zero})
-    return out

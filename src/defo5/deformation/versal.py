@@ -38,12 +38,12 @@ class VersalPoint:
             raise RingError(f"{self.y} is not congruent to 1 mod the maximal ideal")
 
 
-def hom_points(ring: Ring, bound=None):
+def hom_points(ring: Ring):
     """All versal points of an enumerable ring, by exhaustive scan of 1 + m."""
     pts = []
     one = ring.one
     zero = ring.zero
-    for x in ring.enumerate("maximal-ideal", bound=bound):
+    for x in ring.enumerate("maximal-ideal"):
         y = one + x
         if phi5(y) == zero:
             pts.append(VersalPoint(ring, y))

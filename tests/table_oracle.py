@@ -1,20 +1,25 @@
 """The generic RingTable build used before the tables were computed per
 coordinate: a chunked ``einsum`` over the structure constants and a row-by-row
-Hermite-normal-form reduction.  Kept as an independent test oracle."""
+reduction by the Hermite normal form of the relation lattice, which
+``ring_oracle`` derives from the presentation.  Kept as an independent test
+oracle."""
 
 import numpy as np
+
+from ring_oracle import relation_hnf
 
 
 def reference_tables(ring):
     """{name: value} for coords, ADD, MUL, NEG, SQ, INV, mideal, units,
     roots, one and zero, built the generic way."""
-    n, d = ring.cardinality, ring.dim
-    diag = np.array(ring.diag, dtype=np.int64)
-    H = np.array(ring.hnf, dtype=np.int64)
+    d = ring.dim
+    H = np.array(relation_hnf(ring), dtype=np.int64)
+    diag = np.diagonal(H)
+    n = int(np.prod(diag))
     weights = np.ones(d, dtype=np.int64)
     for j in range(d - 2, -1, -1):
         weights[j] = weights[j + 1] * diag[j + 1]
-    coords = np.indices(ring.diag).reshape(d, -1).T.astype(np.int64)
+    coords = np.indices(tuple(diag)).reshape(d, -1).T.astype(np.int64)
 
     def reduce(v):
         v = v.copy()
@@ -40,10 +45,13 @@ def reference_tables(ring):
     one = np.zeros(d, dtype=np.int64)
     one[0] = 1
     one = int(rank(reduce(one[None, :]))[0])
-    R = np.array(ring._residue_vecs, dtype=np.int64)
-    mideal_mask = ((coords @ R) % 5 == 0).all(axis=1)
     idx = np.arange(n)
     sq = mul[idx, idx]
+    # the maximal ideal is the nilpotent elements: x^(2^k) = 0 once 2^k >= n
+    power = idx
+    for _ in range(n.bit_length()):
+        power = mul[power, power]
+    mideal_mask = power == 0
     inv = np.full(n, -1, dtype=np.int32)
     rows, cols = np.nonzero(mul == one)
     inv[rows] = cols

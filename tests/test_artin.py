@@ -1,5 +1,6 @@
 """Ring catalog construction, canonical arithmetic, Hensel roots, literals."""
 
+import random
 import time
 from contextlib import contextmanager
 
@@ -15,6 +16,8 @@ from defo5.artin.tables import RingTable, ring_table
 from defo5.deformation.proofchain import CATALOG
 from defo5.series import TruncatedSeries
 
+from ring_oracle import (cyclo_relation_rows, hnf_rows,
+                         nilpotency_index_by_search, relation_hnf)
 from table_oracle import reference_tables
 
 
@@ -171,7 +174,6 @@ def test_cyclo2_isomorphic_to_dual_numbers():
     assert c.cardinality == d.cardinality
     assert c.diag == d.diag
     assert c.mul_basis == d.mul_basis
-    assert c.hnf == d.hnf
 
 
 # -- enumeration and tables -----------------------------------------------------
@@ -429,11 +431,12 @@ def test_characteristic_against_counting(desc):
 
 def _reference_reduce(ring, vec):
     """Generic HNF reduction, row by row."""
+    H = relation_hnf(ring)
     v = list(vec)
     for j in range(ring.dim):
-        q = v[j] // ring.hnf[j][j]
+        q = v[j] // H[j][j]
         for k in range(j, ring.dim):
-            v[k] -= q * ring.hnf[j][k]
+            v[k] -= q * H[j][k]
     return tuple(v)
 
 
@@ -477,10 +480,77 @@ def test_cyclo_reduction_matches_generic_hnf(m):
         assert R.reduce(vec) == _reference_reduce(R, vec)
 
 
-def test_non_diagonal_hnf_refused():
-    with pytest.raises(RingError, match="not diagonal"):
-        Ring(descriptor="X", basis=("1", "x"),
-             mul_basis=(((1, 0), (0, 1)), ((0, 1), (0, 0))),
-             hnf=((5, 1), (0, 5)), residue_ring=None,
-             residue_vecs=((1, 0), (0, 1)), section_vecs=((1, 0), (0, 1)),
-             generators={})
+# -- closed-form invariants against the generic algorithms ---------------------
+
+_TOWERS = (
+    "Z/5^7", "F5[e]/(e^5)", "F25[e]/(e^3)", "Z/25[e]/(e^2)", "Z/5^3[e]/(e^3)",
+    "cyclo(1)[e]/(e^3)", "cyclo(2)[e]/(e^2)", "cyclo(3)[e]/(e^2)",
+    "cyclo(5)[e]/(e^2)", "cyclo(7)[e]/(e^2)", "cyclo(8)[e]/(e^4)",
+    "cyclo(6)[e]/(e^3)[f]/(f^2)", "cyclo(4)[e]/(e^2)[f]/(f^2)",
+    "Z/5^4[e]/(e^2)[f]/(f^3)", "Z/5^9[e]/(e^3)", "F25[e]/(e^2)[f]/(f^2)",
+    "F25[e]/(e^4)[f]/(f^2)", "F5[a]/(a^2)[b]/(b^2)[c]/(c^2)", "F5[e]/(e^32)",
+)
+
+
+def _diagonal(entries):
+    return tuple(tuple(x if i == j else 0 for j, x in enumerate(entries))
+                 for i in range(len(entries)))
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_cyclo_diag_is_the_generic_hnf(m):
+    """5^ceil((m - i)/4) on u^i, and u^i = 0 (modulus 1) for m <= i < 4."""
+    R = build_ring(f"cyclo({m})")
+    assert hnf_rows(cyclo_relation_rows(m), 4) == \
+        _diagonal(R.diag + (1,) * (4 - R.dim))
+
+
+@pytest.mark.parametrize("desc", CATALOG + _TOWERS)
+def test_diag_is_the_generic_hnf(desc):
+    R = build_ring(desc)
+    assert relation_hnf(R) == _diagonal(R.diag)
+
+
+@pytest.mark.parametrize("desc", CATALOG + _TOWERS)
+def test_nilpotency_index_against_search(desc):
+    R = build_ring(desc)
+    assert R.nilpotency_index == nilpotency_index_by_search(R)
+
+
+@pytest.mark.parametrize("desc", _SMALL_CATALOG)
+def test_maximal_ideal_is_the_nilpotent_elements(desc):
+    R = build_ring(desc)
+    for x in R.enumerate():
+        assert x.in_maximal_ideal() == (x ** R.nilpotency_index == R.zero)
+
+
+def _residue_checks(R, pairs):
+    k = R.residue_ring
+    assert R.one.residue() == k.one
+    for x, y in pairs:
+        assert (x + y).residue() == x.residue() + y.residue()
+        assert (x * y).residue() == x.residue() * y.residue()
+    for r in k.enumerate():
+        assert R.section(r).residue() == r
+
+
+@pytest.mark.parametrize("desc", _SMALL_CATALOG)
+def test_residue_is_a_ring_map_split_by_the_section(desc):
+    R = build_ring(desc)
+    els = list(R.enumerate())
+    _residue_checks(R, [(x, y) for x in els for y in els])
+    with structure_constants(R):
+        _residue_checks(R, [(x, y) for x in els[::7] for y in els[::3]])
+
+
+@pytest.mark.parametrize("desc", ["cyclo(5)", "F25[e]/(e^2)", "cyclo(4)",
+                                  "Z/5^4[e]/(e^2)[f]/(f^3)",
+                                  "cyclo(3)[e]/(e^2)", "F25[e]/(e^2)[f]/(f^2)"])
+def test_residue_is_a_ring_map_on_larger_rings(desc):
+    R = build_ring(desc)
+    rng = random.Random(desc)
+
+    def sample():
+        return R.element([rng.randrange(d) for d in R.diag])
+
+    _residue_checks(R, [(sample(), sample()) for _ in range(300)])

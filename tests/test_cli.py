@@ -137,12 +137,9 @@ def test_exit_two_on_bad_count_before_any_ring(capsys, monkeypatch, argv):
 
 
 @pytest.mark.parametrize("jobs", ["abc", "0", "-2"])
-def test_exit_two_on_bad_jobs(capsys, monkeypatch, jobs):
-    monkeypatch.setenv("DEFO5_JOBS", jobs)
-    code, report, err = run(capsys, "order")
+def test_exit_two_on_bad_jobs(capsys, jobs):
+    code, report, err = run(capsys, "--jobs", jobs, "order")
     assert code == 2 and report is None and "argument --jobs" in err
-    monkeypatch.delenv("DEFO5_JOBS")
-    assert run(capsys, "--jobs", jobs, "order")[0] == 2
 
 
 @pytest.mark.parametrize("argv,want", [

@@ -8,14 +8,13 @@ import time
 import numpy as np
 import pytest
 
-from defo5.artin.rings import DescriptorError, build_ring
+from defo5.artin.rings import DescriptorError, RingError, build_ring
 from defo5.artin.tables import ring_table
 from defo5.deformation import obstruction, proofchain
 from defo5.deformation.equivalence import (conjugator_search, equivalent,
                                            universality_scan)
 from defo5.deformation.obstruction import defect_vector, obstruction_check
 from defo5.deformation.proofchain import (CATALOG, catalog_rings,
-                                          locality_example_z25,
                                           proof_chain_check, proof_chain_scan)
 from defo5.deformation.versal import (VersalPoint, hom_points, is_lift,
                                       iterate_closed_form, lift_certificate,
@@ -148,9 +147,23 @@ def test_obstruction_higher_n():
     assert rep["hom_points_empty"] and rep["obstructed"]
 
 
-def test_obstruction_descriptor_bounded():
-    with pytest.raises(DescriptorError):  # int() would refuse 5000 digits
-        obstruction_check("Z/5^" + "9" * 5000, 8)
+@pytest.mark.parametrize("desc,error", [
+    ("Z/5", RingError),
+    ("Z/5^1", RingError),
+    ("F5", RingError),  # the ring Z/5
+    ("F25", DescriptorError),
+    ("cyclo(1)", DescriptorError),
+    ("cyclo(2)", DescriptorError),
+    ("Z/10", DescriptorError),
+    ("Z/5^0", DescriptorError),
+    ("F5[e]/(e^2)", DescriptorError),
+    # int() would refuse 5000 digits
+    pytest.param("Z/5^" + "9" * 5000, DescriptorError, id="5000-digit-n"),
+])
+def test_obstruction_refusals(desc, error):
+    with pytest.raises(RingError) as info:
+        obstruction_check(desc, 8)
+    assert type(info.value) is error
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -296,12 +309,6 @@ def test_proof_chain_witnesses_match_loop_oracle(desc, tamper):
     scan = copy.copy(proofchain._Scan(build_ring(desc)))
     scan.__dict__.update(attrs(scan))
     assert _oracle_counterexamples(scan) == expected
-
-
-def test_locality_example_z25():
-    rows = locality_example_z25()
-    assert len(rows) == 5
-    assert all(r["implication_holds"] for r in rows)
 
 
 def test_proof_chain_brute_force_cross_check():
