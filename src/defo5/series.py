@@ -326,14 +326,18 @@ class TruncatedSeries:
 
 
 def _mul_raw(ring, a, b, p):
+    # zero terms are skipped by comparing coordinate tuples, which costs no
+    # Python-level Element.__eq__ call
     zero = ring.zero
+    z = zero.coords
     out = [zero] * p
+    nonzero_b = [(j, bj) for j, bj in enumerate(b[:p]) if bj.coords != z]
     for i, ai in enumerate(a[:p]):
-        if ai == zero:
+        if ai.coords == z:
             continue
-        for j, bj in enumerate(b[:p - i]):
-            if bj == zero:
-                continue
+        for j, bj in nonzero_b:
+            if i + j >= p:
+                break
             out[i + j] = out[i + j] + ai * bj
     return out
 

@@ -1,8 +1,13 @@
-"""The generic RingTable build used before the tables were computed per
-coordinate: a chunked ``einsum`` over the structure constants and a row-by-row
-reduction by the Hermite normal form of the relation lattice, which
-``ring_oracle`` derives from the presentation.  Kept as an independent test
-oracle."""
+"""Two earlier RingTable builds, kept as independent test oracles.
+
+``reference_tables`` is the generic build: a chunked ``einsum`` over the
+structure constants and a row-by-row reduction by the Hermite normal form of
+the relation lattice, which ``ring_oracle`` derives from the presentation.
+
+``per_coordinate_tables`` is the build that replaced it: for each output
+coordinate k, an n x n ``add.outer`` and the bilinear form ``S[:, :, k]``,
+each reduced mod ``diag[k]`` and ranked into the int32 tables.  It reads the
+ring's own moduli, so it is fast enough for the 3125-element rings."""
 
 import numpy as np
 
@@ -65,3 +70,16 @@ def reference_tables(ring):
         "units": np.nonzero(~mideal_mask)[0].astype(np.int32),
         "roots": [tuple(r) for r in roots], "one": one, "zero": 0,
     }
+
+
+def per_coordinate_tables(ring):
+    """(ADD, MUL), one output coordinate at a time."""
+    n, d = ring.cardinality, ring.dim
+    coords = np.indices(ring.diag).reshape(d, -1).T.astype(np.int64)
+    S = np.array(ring.mul_basis, dtype=np.int64)  # S[i, j, k]
+    add = np.zeros((n, n), dtype=np.int32)
+    mul = np.zeros((n, n), dtype=np.int32)
+    for k, (m, w) in enumerate(zip(ring.diag, ring._weights)):
+        add += np.add.outer(coords[:, k], coords[:, k]) % m * w
+        mul += (coords @ S[:, :, k]) @ coords.T % m * w
+    return add, mul

@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -18,7 +19,7 @@ from defo5.series import TruncatedSeries
 
 from ring_oracle import (cyclo_relation_rows, hnf_rows,
                          nilpotency_index_by_search, relation_hnf)
-from table_oracle import reference_tables
+from table_oracle import per_coordinate_tables, reference_tables
 
 
 # -- construction ---------------------------------------------------------------
@@ -210,6 +211,42 @@ def test_ring_table_matches_generic_build(desc):
             assert got.tobytes() == want.tobytes(), name
         else:
             assert got == want, name
+
+
+# the 3125-element rings; then rings whose column split falls inside one
+# coordinate (Z/5^n) or on a coordinate boundary (Z/25[e]/(e^2)), or leaves
+# a single wide block (F5: n1 = 1)
+@pytest.mark.parametrize("desc", [
+    "cyclo(5)", "F5[e]/(e^5)", "Z/5^5",
+    "F5", "Z/25", "Z/125", "Z/625", "Z/25[e]/(e^2)"])
+def test_ring_table_matches_per_coordinate_build(desc):
+    T = RingTable(build_ring(desc))
+    for name, want in zip(("ADD", "MUL"), per_coordinate_tables(T.ring)):
+        got = getattr(T, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+def test_ring_table_build_peak_memory():
+    """Building a 625-element table peaks at under twice its two tables."""
+    R = build_ring("cyclo(4)")
+    tracemalloc.start()
+    try:
+        T = RingTable(R)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * (T.ADD.nbytes + T.MUL.nbytes)
+
+
+def test_ring_table_element_refuses_indices_outside_the_table():
+    T = RingTable(build_ring("F5[e]/(e^2)"))
+    nonunit = int(T.mideal[1])
+    assert T.INV[nonunit] == -1
+    for idx in (-1, T.n, int(T.INV[nonunit])):
+        with pytest.raises(RingError):
+            T.element(idx)
+    assert T.element(T.n - 1).coords == (4, 4)
 
 
 @contextmanager

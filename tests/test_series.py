@@ -9,7 +9,7 @@ from math import comb
 import pytest
 
 from defo5.artin.literals import LiteralError
-from defo5.artin.rings import RingError, build_ring
+from defo5.artin.rings import Element, RingError, build_ring
 from defo5.series import PrecisionError, TruncatedSeries
 
 
@@ -87,6 +87,31 @@ def test_division_examples():
     assert str(q) == "t + 4*t^2 + t^3 @prec=4"
     # re-multiplication closes
     assert (q * (one + t)).agrees_with(t)
+
+
+@pytest.mark.parametrize("desc", ["F5[e]/(e^3)", "cyclo(4)"])
+def test_product_skips_zeros_without_element_eq(desc, monkeypatch):
+    """The product skips zero coefficients by comparing coordinate tuples:
+    no Element.__eq__ call, on the table kernel (125 elements) and on the
+    structure constants (625), and the schoolbook product's coefficients."""
+    R = build_ring(desc)
+    x, y = R.element([1] * R.dim), R.element(list(range(R.dim)))
+    a = TruncatedSeries(R, [0, 1, 0, 3, x, 0, 2], prec=8)
+    b = TruncatedSeries(R, [2, 0, y, 0, 0, 1, 0, x], prec=8)
+    want = tuple(sum((a.coeffs[i] * b.coeffs[k - i] for i in range(k + 1)),
+                     R.zero) for k in range(8))
+    calls = []
+    eq = Element.__eq__
+
+    def counting_eq(self, other):
+        calls.append(other)
+        return eq(self, other)
+
+    monkeypatch.setattr(Element, "__eq__", counting_eq)
+    got = (a * b).coeffs
+    monkeypatch.undo()
+    assert calls == []
+    assert got == want
 
 
 # -- precision tracking ---------------------------------------------------------------
