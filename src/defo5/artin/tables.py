@@ -2,10 +2,12 @@
 
 Elements are identified with their rank in the deterministic enumeration
 order (mixed radix over the canonical coordinate box, first coordinate most
-significant).  Addition and multiplication become int32 table lookups, which
-lets the exhaustive scans run vectorized over numpy index arrays.  For a ring
-of at most ``rings.KERNEL_BOUND`` elements the same table, copied to Python
-lists, is also the scalar kernel of ``Element`` (see ``rings``).
+significant).  Addition and multiplication become int16 table lookups (each
+index is below ``TABLE_BOUND`` = 3125 < 2^15), which lets the exhaustive
+scans run vectorized over numpy index arrays; a flat index a * n + b formed
+from table values must be widened first.  For a ring of at most
+``rings.KERNEL_BOUND`` elements the same table, copied to Python lists, is
+also the scalar kernel of ``Element`` (see ``rings``).
 
 ``ADD`` and ``MUL`` are built by split columns.  Every modulus ``diag[k]`` is
 a power of 5, so the ranks are base-5 numerals in which coordinate k owns a
@@ -36,12 +38,12 @@ _BLOCK = 1 << 17
 
 
 def _sum_table(U, V, diag, weights):
-    """The n x n1*n2 int32 table whose entry [i, j1 * n2 + j2] ranks the
+    """The n x n1*n2 index table whose entry [i, j1 * n2 + j2] ranks the
     vector with coordinate k = (U[k, i, j1] + V[k, i, j2]) mod diag[k].
 
     ``U`` (d x n x n1) and ``V`` (d x n x n2, or d x 1 x n2 for blocks that do
     not depend on the row) are reduced mod ``diag``, so each coordinate sum is
-    below 2 * diag[k] and carries at most once."""
+    below 2 * diag[k] and carries at most once, and each rank below 2n."""
     U = U.astype(np.int16)
     V = V.astype(np.int16)
     _, n, n1 = U.shape
@@ -50,12 +52,12 @@ def _sum_table(U, V, diag, weights):
     def cols(v):  # v[i, j2] as an n x 1 x n2 view
         return np.broadcast_to(v[:, None, :], (n, 1, n2))
 
-    w = np.array(weights, dtype=np.int32)
+    w = np.array(weights, dtype=np.int16)
     lo = np.tensordot(w, U, 1)[:, :, None]
     hi = cols(np.tensordot(w, V, 1))
-    out = np.empty((n, n1, n2), dtype=np.int32)
+    out = np.empty((n, n1, n2), dtype=np.int16)
     # coordinate k carries where U_k >= diag[k] - V_k; never if it cannot
-    carries = [(U[k][:, :, None], cols(m - V[k]), np.int32(m * wk))
+    carries = [(U[k][:, :, None], cols(m - V[k]), np.int16(m * wk))
                for k, (m, wk) in enumerate(zip(diag, weights))
                if U[k].max() + V[k].max() >= m]
     rows = max(1, _BLOCK // out[0].size)
@@ -94,7 +96,7 @@ class RingTable:
                        np.array(ring.mul_basis, dtype=np.int64))
         mul = self.MUL = _sum_table(xs @ y1s % mods, xs @ y2s % mods,
                                     ring.diag, weights)
-        self.NEG = ((-coords % ring.diag) @ weights).astype(np.int32)
+        self.NEG = ((-coords % ring.diag) @ weights).astype(np.int16)
         self.SQ = mul.diagonal().copy()
         self.zero = 0
         self.one = self.index(ring.one)
@@ -102,8 +104,8 @@ class RingTable:
         # the residue is the first coordinates, reduced in the all-5 box of
         # both residue fields, F5 and F25
         in_m = (coords[:, :ring.residue_ring.dim] % 5 == 0).all(axis=1)
-        self.mideal = np.flatnonzero(in_m).astype(np.int32)
-        self.units = np.flatnonzero(~in_m).astype(np.int32)
+        self.mideal = np.flatnonzero(in_m).astype(np.int16)
+        self.units = np.flatnonzero(~in_m).astype(np.int16)
 
         # u^-1 = u^(|U| - 1) by Lagrange, powered over all units at once
         acc = np.full_like(self.units, self.one)
@@ -111,7 +113,7 @@ class RingTable:
             acc = mul[acc, acc]
             if bit == "1":
                 acc = mul[acc, self.units]
-        self.INV = np.full(n, -1, dtype=np.int32)
+        self.INV = np.full(n, -1, dtype=np.int16)
         self.INV[self.units] = acc
         roots = [[] for _ in range(n)]
         for i in range(n):

@@ -113,6 +113,7 @@ class _Search:
                 f">= {prec} and lift2 precision >= {J}")
         MUL, ADD = T.MUL, T.ADD
         self.MULf, self.ADDf = MUL.ravel(), ADD.ravel()
+        self.n = np.int64(T.n)  # so that a * n + b widens int16 indices
 
         # POW1[f, i, k] = (lift1^i)_k; C1K[f, k] = c1^k = (lift1^k)_k
         self.POW1 = np.zeros((len(sources), prec, prec), dtype=np.int32)
@@ -169,10 +170,10 @@ class _Search:
         return self.first, self.count
 
     def _mul(self, a, b):
-        return np.take(self.MULf, a * self.T.n + b)
+        return np.take(self.MULf, a * self.n + b)
 
     def _add(self, a, b):
-        return np.take(self.ADDf, a * self.T.n + b)
+        return np.take(self.ADDf, a * self.n + b)
 
     def _level(self, p, xi, pw, k):
         """Fibres of level k >= 1 for every row, and Q[j], the part of
@@ -201,7 +202,7 @@ class _Search:
         if unit not in self.fibres:
             self.fibres[unit] = _fibres(self.T, self.vals[unit])
         sol, start, count = self.fibres[unit]
-        key = delta * self.T.n + add(right, np.take(self.T.NEG, left))
+        key = delta * self.n + add(right, np.take(self.T.NEG, left))
         return sol, start[key], count[key], Q
 
     def _advance(self, p, xi, pw, k, sol, start, count, Q):

@@ -39,7 +39,7 @@ Two exact reductions keep the scans tractable without weakening them:
     which is plain ring algebra (2 is a unit); the tests re-check the
     factored forms against the literal displays on sampled witnesses.
 
-Two evaluation shortcuts then decide each step's predicate over exactly
+Three evaluation shortcuts then decide each step's predicate over exactly
 the witnesses that a pass per s2 pair, or per (a2, u), would visit:
 
  *  steps (i) and (vi) range over every (a0, y1, s1) row and every pair
@@ -48,14 +48,16 @@ the witnesses that a pass per s2 pair, or per (a2, u), would visit:
     the premise holds for at most one pair: the one that a table from 1/s2
     to its pair index names.  Every other pair fails the premise, so it is
     still counted in ``checked`` but cannot be a counterexample.
- *  step (ii) asks, per distinct (K, N, P, Q) and unit square u, whether
-    some a2 in A has a2*N = u*K and a2*P != u*Q.  Those a2 form the fibre
-    {a2 : a2*N = x} at x = u*K, so the answer is yes exactly when that fibre
-    is non-empty and a2*P is not constantly u*Q on it, i.e. when the min or
-    max of a2*P over the fibre differs from u*Q.  One pass over all a2 per
-    distinct (N, P) tabulates both for every x, and then every quad and
-    every u is a lookup: the same (a2, u) set, |A| * |U^2| per quad, without
-    building the |A| x |U^2| matrix.
+ *  the unit square u = a1^2 factors out of steps (ii) and (iii).  In (ii),
+    a2 = u*b turns "some a2 has a2*N = u*K, a2*P != u*Q" into "some b has
+    b*N = K, b*P != Q" for every u.  In (iii), P = (1/s2)*z with the unit
+    1/s2 and z = 1/s2 - 1, so Eq6 is satisfiable at a0 (u*Q in P*A) iff Q is
+    in z*A: one z*A membership matrix decides premise and conclusion.
+ *  step (ii) then asks, per distinct (K, N, P, Q), whether the fibre
+    {b : b*N = K} = pre + ann(N) is non-empty with ann(N)*P != 0 or
+    pre*P != Q.  One pass over all b per distinct (N, P) tabulates both, so
+    every quad is a lookup: the same (a2, u) set, |A| * |U^2| per quad,
+    without building the |A| x |U^2| matrix.
 
 Witnesses are the ones the loop forms pick: the lowest pair index, then the
 lowest row; in step (ii) the lexicographically first bad quad, its first
@@ -77,7 +79,6 @@ import numpy as np
 
 from ..artin.rings import Ring, build_ring
 from ..artin.tables import ring_table
-from .versal import hom_points
 
 # bound on the elements of one intermediate array in step (ii)
 _CHUNK = 1 << 14
@@ -117,10 +118,12 @@ class _Scan:
         self.all_idx = np.arange(T.n, dtype=np.int32)
         self.unit_squares = np.unique(T.SQ[T.units])
         self.threehalf = self.MUL[T.from_int(3), self.INV[T.from_int(2)]]
-        self.ys = sorted(T.index(p.y) for p in hom_points(ring))
+        y, phi = self.ADD[T.one, T.mideal], T.one
+        for _ in range(4):  # Phi5(y) = 1 + y(1 + y(1 + y(1 + y)))
+            phi = self.ADD[T.one, self.MUL[y, phi]]
+        self.ys = sorted(y[phi == T.zero].tolist())  # the versal points
         self.y_mask = np.zeros(T.n, dtype=bool)
-        for y in self.ys:
-            self.y_mask[y] = True
+        self.y_mask[self.ys] = True
         # All (a0, y1, s1) with s1^2 = a0^2 + y1 (by y1, then a0, then s1 in
         # the order of T.roots), as parallel arrays, plus the Eq3 mask
         # a0*s1 = a0.  by_square lists the roots of each value in turn.
@@ -231,31 +234,21 @@ def _eq5_survivors(scan):
 
 def _bad_quads(scan, K, N, P, Q):
     """For parallel arrays of quads: whether some a2 in A and unit square u
-    have a2*N = u*K and a2*P != u*Q.  One fibre table per distinct (N, P)
-    holds the min and max of a2*P over each fibre {a2 : a2*N = x}, as
-    lo[g*n + x] and hi[g*n + x] (hi = -1: empty fibre); a quad is bad at u
-    iff u*K has a non-empty fibre on which a2*P is not identically u*Q."""
-    MUL, U, n = scan.MUL, scan.unit_squares, scan.T.n
+    have a2*N = u*K and a2*P != u*Q, i.e. some b has b*N = K and b*P != Q.
+    Per distinct (N, P) group g, val[g, x] = pre*P for some pre with
+    pre*N = x (-1: none) and moving[g] = (ann(N)*P != 0)."""
+    MUL, n = scan.MUL, scan.T.n
     groups, g_q = np.unique(N.astype(np.int64) * n + P, return_inverse=True)
-    lo = np.full(groups.size * n, n, dtype=np.int32)
-    hi = np.full(groups.size * n, -1, dtype=np.int32)
+    val = np.full((groups.size, n), -1, dtype=MUL.dtype)
+    moving = np.zeros(groups.size, dtype=bool)
     block = max(1, _CHUNK // n)
     for g0 in range(0, groups.size, block):
-        g = groups[g0:g0 + block]
-        cell = MUL[scan.all_idx, g[:, None] // n] + \
-            n * np.arange(g0, g0 + g.size)[:, None]
-        rp = MUL[scan.all_idx, g[:, None] % n]
-        np.minimum.at(lo, cell.ravel(), rp.ravel())
-        np.maximum.at(hi, cell.ravel(), rp.ravel())
-    bad = np.zeros(len(K), dtype=bool)
-    block = max(1, _CHUNK // len(U))
-    for j0 in range(0, len(K), block):
-        j = slice(j0, j0 + block)
-        cell = g_q[j, None] * n + MUL[U, K[j, None]]
-        lq = MUL[U, Q[j, None]]
-        bad[j] = ((hi[cell] >= 0) & ((lo[cell] != lq) | (hi[cell] != lq))
-                  ).any(axis=1)
-    return bad
+        g = slice(g0, g0 + block)
+        rn, rp = MUL[groups[g] // n], MUL[groups[g] % n]
+        val[np.arange(g0, g0 + len(rn))[:, None], rn] = rp
+        moving[g] = ((rn == scan.zero) & (rp != scan.zero)).any(axis=1)
+    pre_p = val[g_q, K]
+    return (pre_p >= 0) & (moving[g_q] | (pre_p != Q))
 
 
 def _step_ii(scan):
@@ -294,28 +287,31 @@ def _step_ii(scan):
                         sel.size * len(U) * n, witness)
 
 
+def _ideal_members(scan, s2):
+    """member[p, x]: whether x is in (1/s2[p] - 1)*A, from one ``MUL`` gather
+    (MUL is symmetric, so row z of MUL is z*A)."""
+    image = scan.MUL[scan.ADD[scan.INV[s2], scan.NEG[scan.one]]]
+    member = np.zeros(image.shape, dtype=bool)
+    member[np.arange(len(s2))[:, None], image] = True
+    return member
+
+
 def _step_iii(scan):
-    """Eq6 implies a0 in (1/s2 - 1)*A."""
+    """Eq6 implies a0 in (1/s2 - 1)*A, where Eq6 is satisfiable at a0 iff Q
+    is in (1/s2 - 1)*A (u-invariance, see the module docstring)."""
     MUL, ADD, NEG = scan.MUL, scan.ADD, scan.NEG
-    # Q depends only on a0; take one row per distinct a0.  The products u*Q
-    # do not depend on s2.
+    # Q depends only on a0; take one row per distinct a0
     a0_vals = scan.T.mideal
     Q = MUL[scan.threehalf,
             MUL[ADD[scan.SQ[a0_vals], NEG[scan.one]], a0_vals]]
-    lq = MUL[scan.unit_squares[None, :], Q[:, None]]
+    member = _ideal_members(scan, np.array([s2 for _, s2 in scan.s2_pairs],
+                                           dtype=MUL.dtype))
+    bad = np.argwhere(member[:, Q] & ~member[:, a0_vals])
     witness = None
-    for y2, s2 in scan.s2_pairs:
-        z = ADD[scan.INV[s2], NEG[scan.one]]
-        member = np.zeros(scan.T.n, dtype=bool)
-        member[MUL[scan.all_idx, z]] = True
-        image = np.zeros(scan.T.n, dtype=bool)
-        image[MUL[scan.all_idx, scan._p_of(s2)]] = True
-        sat = image[lq].any(axis=1)  # Eq6 satisfiable per a0
-        bad = sat & ~member[a0_vals]
-        if bad.any():
-            witness = _witness(scan, a0=a0_vals[int(np.flatnonzero(bad)[0])],
-                               y2=y2, s2=s2)
-            break
+    if bad.size:
+        p, i = bad[0]
+        y2, s2 = scan.s2_pairs[p]
+        witness = _witness(scan, a0=a0_vals[i], y2=y2, s2=s2)
     return _step_report("iii", "Eq6 implies a0 in (1/s2 - 1)*A",
                         len(scan.s2_pairs) * len(a0_vals), witness)
 
@@ -383,17 +379,13 @@ def proof_chain_check(ring: Ring | str):
     }
 
 
-def _check_descriptor(descriptor: str):
-    return proof_chain_check(descriptor)
-
-
 def proof_chain_scan(max_cardinality: int = 5 ** 4, jobs: int = 1):
     """proof_chain_check over the whole catalog, optionally in parallel;
     results are merged in canonical catalog order."""
     rings = catalog_rings(max_cardinality)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_check_descriptor,
+            reports = list(pool.map(proof_chain_check,
                                     [r.descriptor for r in rings]))
     else:
         reports = [proof_chain_check(r) for r in rings]

@@ -6,7 +6,7 @@ the relation lattice, which ``ring_oracle`` derives from the presentation.
 
 ``per_coordinate_tables`` is the build that replaced it: for each output
 coordinate k, an n x n ``add.outer`` and the bilinear form ``S[:, :, k]``,
-each reduced mod ``diag[k]`` and ranked into the int32 tables.  It reads the
+each reduced mod ``diag[k]`` and ranked into the int16 tables.  It reads the
 ring's own moduli, so it is fast enough for the 3125-element rings."""
 
 import numpy as np
@@ -34,12 +34,12 @@ def reference_tables(ring):
         return v
 
     def rank(v):
-        return (v @ weights).astype(np.int32)
+        return (v @ weights).astype(np.int16)
 
     S = np.array([[ring.mul_basis[i][j] for j in range(d)]
                   for i in range(d)], dtype=np.int64)
-    add = np.empty((n, n), dtype=np.int32)
-    mul = np.empty((n, n), dtype=np.int32)
+    add = np.empty((n, n), dtype=np.int16)
+    mul = np.empty((n, n), dtype=np.int16)
     chunk = max(1, (1 << 22) // max(1, n))
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
@@ -57,7 +57,7 @@ def reference_tables(ring):
     for _ in range(n.bit_length()):
         power = mul[power, power]
     mideal_mask = power == 0
-    inv = np.full(n, -1, dtype=np.int32)
+    inv = np.full(n, -1, dtype=np.int16)
     rows, cols = np.nonzero(mul == one)
     inv[rows] = cols
     roots = [[] for _ in range(n)]
@@ -66,8 +66,8 @@ def reference_tables(ring):
     return {
         "coords": coords, "ADD": add, "MUL": mul,
         "NEG": rank(reduce(-coords)), "SQ": sq, "INV": inv,
-        "mideal": np.nonzero(mideal_mask)[0].astype(np.int32),
-        "units": np.nonzero(~mideal_mask)[0].astype(np.int32),
+        "mideal": np.nonzero(mideal_mask)[0].astype(np.int16),
+        "units": np.nonzero(~mideal_mask)[0].astype(np.int16),
         "roots": [tuple(r) for r in roots], "one": one, "zero": 0,
     }
 
@@ -77,8 +77,8 @@ def per_coordinate_tables(ring):
     n, d = ring.cardinality, ring.dim
     coords = np.indices(ring.diag).reshape(d, -1).T.astype(np.int64)
     S = np.array(ring.mul_basis, dtype=np.int64)  # S[i, j, k]
-    add = np.zeros((n, n), dtype=np.int32)
-    mul = np.zeros((n, n), dtype=np.int32)
+    add = np.zeros((n, n), dtype=np.int16)
+    mul = np.zeros((n, n), dtype=np.int16)
     for k, (m, w) in enumerate(zip(ring.diag, ring._weights)):
         add += np.add.outer(coords[:, k], coords[:, k]) % m * w
         mul += (coords @ S[:, :, k]) @ coords.T % m * w

@@ -13,7 +13,7 @@ from defo5.artin.rings import (KERNEL_BOUND, MAX_DIGITS, MAX_DIM,
                                MAX_ZMOD_EXPONENT, DescriptorError,
                                MismatchError, NoSquareRootError,
                                NotAUnitError, Ring, RingError, build_ring)
-from defo5.artin.tables import RingTable, ring_table
+from defo5.artin.tables import TABLE_BOUND, RingTable, ring_table
 from defo5.deformation.proofchain import CATALOG
 from defo5.series import TruncatedSeries
 
@@ -225,6 +225,19 @@ def test_ring_table_matches_per_coordinate_build(desc):
         got = getattr(T, name)
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("desc", ["F5", "cyclo(4)", "Z/5^5"])
+def test_ring_table_index_arrays_share_one_int16_dtype(desc):
+    """Every index is below TABLE_BOUND < 2^15, so every index array is
+    int16; only the coordinates are wider."""
+    T = RingTable(build_ring(desc))
+    arrays = {name: v for name, v in vars(T).items()
+              if isinstance(v, np.ndarray) and name != "coords"}
+    assert set(arrays) == {"ADD", "MUL", "NEG", "SQ", "INV", "mideal",
+                           "units"}
+    assert {v.dtype for v in arrays.values()} == {np.dtype(np.int16)}
+    assert T.n <= TABLE_BOUND < 2 ** 15
 
 
 def test_ring_table_build_peak_memory():

@@ -6,12 +6,14 @@ import json
 import random
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 
 import conjugator_oracle as oracle
 from defo5 import cli
 from defo5.artin.rings import (ENUMERATION_BOUND, EnumerationBoundError,
                                RingError, build_ring)
+from defo5.artin.tables import ring_table
 from defo5.deformation import CATALOG, equivalence
 from defo5.deformation.equivalence import conjugator_search, universality_scan
 from defo5.deformation.versal import hom_points, versal_family
@@ -118,6 +120,25 @@ def test_frontier_refusal_exits_two(monkeypatch):
     assert out.getvalue() == ""
     assert "frontier" in err.getvalue()
     assert "exceeds the bound" in err.getvalue()
+
+
+@pytest.mark.parametrize("desc", ["cyclo(4)", "F5[e]/(e^4)"])
+def test_flat_table_index_is_formed_wide(desc):
+    """_mul and _add look up a * n + b for int16 table values a, b; near
+    n - 1 the product a * n passes 2^15, so it must not be formed in int16."""
+    ring = build_ring(desc)
+    T = ring_table(ring)
+    fams = _families(ring, 3)[:1]
+    search = equivalence._Search(T, fams, fams, 3)
+    # indices read back from the table, so they carry its int16 dtype
+    a = T.NEG[T.NEG[np.arange(T.n - 20, T.n)]][:, None]
+    b = T.NEG[T.NEG[np.r_[0:5, T.n - 15:T.n]]][None, :]
+    assert a.dtype == np.int16 and int(a.max()) * T.n >= 2 ** 15
+    els = [T.element(i) for i in range(T.n)]
+    for got, op in ((search._mul(a, b), lambda x, y: x * y),
+                    (search._add(a, b), lambda x, y: x + y)):
+        assert got.tolist() == [[T.index(op(els[x], els[y])) for y in b[0]]
+                                for x in a[:, 0]]
 
 
 def test_cardinality_rule_admits_625_and_refuses_3125():

@@ -277,6 +277,32 @@ def test_fibre_tables_against_broadcast(desc):
     assert 0 < bad.sum() < len(bad)
 
 
+@pytest.mark.parametrize("desc", ["F5", "F25", "Z/25", "F5[e]/(e^2)",
+                                  "F5[e]/(e^3)", "Z/125"])
+def test_ideal_members_against_broadcast(desc):
+    """Random units s2 and random Q, not only those the chain produces:
+    member[p, Q] iff some unit square u has u*Q in P*A, P = (1/s2)(1/s2 - 1)."""
+    scan = proofchain._Scan(build_ring(desc))
+    MUL, U, a2 = scan.MUL, scan.unit_squares, scan.all_idx
+    rng = np.random.default_rng(6)
+    s2 = rng.choice(scan.T.units, 40)
+    Q = rng.integers(0, scan.T.n, 50)
+    member = proofchain._ideal_members(scan, s2)[:, Q]
+    expect = [[np.isin(MUL[U, q], MUL[a2, scan._p_of(s)]).any() for q in Q]
+              for s in s2]
+    assert member.tolist() == expect
+    assert 0 < member.sum() < member.size
+
+
+def test_scan_versal_points_are_hom_points():
+    """_Scan reads its versal points off its own table."""
+    for desc in CATALOG + ("cyclo(5)", "F5[e]/(e^5)", "Z/5^5"):
+        ring = build_ring(desc)
+        T = ring_table(ring)
+        assert proofchain._Scan(ring).ys == sorted(
+            T.index(p.y) for p in hom_points(ring)), desc
+
+
 TAMPERS = {
     # Eq3 assumed everywhere: Eq4 no longer forces Eq5, nor the 3rd-order
     # equation Eq6; reversing the pairs moves the lowest bad pair index
