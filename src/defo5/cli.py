@@ -14,8 +14,9 @@ import time
 import traceback
 
 from . import __version__
-from .artin.rings import (DescriptorError, EnumerationBoundError, RingError,
-                          build_ring)
+from .artin.rings import (MAX_ZMOD_EXPONENT, DescriptorError,
+                          EnumerationBoundError, RingError, build_ring)
+from .artin.tables import TABLE_BOUND
 from .deformation.equivalence import universality_scan
 from .deformation.obstruction import obstruction_check
 from .deformation.proofchain import proof_chain_check, proof_chain_scan
@@ -27,7 +28,7 @@ from .nottingham import (Automorphism, ConductorUndefinedError,
                          NotAnAutomorphismError, base_sigma, hasse_conductor,
                          normal_form_o5c2, order, power)
 from .reports import (Report, VERDICT_FAIL, VERDICT_PASS)
-from .series import TruncatedSeries
+from .series import MAX_DEGREE, TruncatedSeries
 
 _USAGE_ERRORS = (DescriptorError, EnumerationBoundError)
 
@@ -166,11 +167,12 @@ def _cmd_proof_chain(args):
 
 def _cmd_obstruction(args):
     t0 = time.perf_counter()
-    if args.n < 2:
-        raise DescriptorError("obstruction requires --n >= 2")
     rep = obstruction_check(f"Z/5^{args.n}", args.prec)
     return _report("obstruction", {"n": args.n, "prec": args.prec},
                    rep["obstructed"], rep, t0=t0)
+
+
+_ORACLE_RINGS = ("F5[e]/(e^2)", "F5[e]/(e^3)", "cyclo(2)", "cyclo(3)")
 
 
 def _cmd_coeff_eqs(args):
@@ -179,6 +181,13 @@ def _cmd_coeff_eqs(args):
                                         verify_displayed_equations)
     t0 = time.perf_counter()
     sym = verify_displayed_equations()
+    # Eq5, Eq6 and the third-order display: checked on finite rings by the
+    # proof chain, not derived symbolically
+    oracle = {d: proof_chain_check(build_ring(d))["passed"]
+              for d in _ORACLE_RINGS}
+    sym.update(downstream_verification="oracle-verified",
+               oracle_proof_chain_passed=oracle,
+               passed=sym["passed"] and all(oracle.values()))
     sample = consistency_sample(args.samples)
     ok = sym["passed"] and sample["passed"]
     return _report("coeff-eqs", {"samples": args.samples}, ok,
@@ -238,29 +247,45 @@ def _cmd_verify_all(args):
 # conductor and its conjugacy class show only from precision 4 on (below it
 # xi = t conjugates sigma to any order-5 conductor-2 series).  Counts of
 # witnesses, iterates and catalog rings have floors too: below them a scan
-# checks nothing and would pass.
+# checks nothing and would pass.  Every count also has a ceiling, so that
+# each command ends in bounded time: a precision is at most the longest
+# series literal, iterates and order caps at most MAX_ITERATES (the cost
+# grows as k^2), a precision sweep at most MAX_SWEEP entries, witnesses
+# at most MAX_SAMPLES, worker processes at most MAX_JOBS, and the catalog
+# scan stops at the largest table.
 MIN_PREC = 2
 MIN_SIGMA_PREC = 4
+MAX_PREC = MAX_DEGREE + 1
+MAX_ITERATES = 100
+MAX_SAMPLES = 10 ** 5
+MAX_JOBS = 64
+MAX_SWEEP = 8
 
 
-def _int_at_least(low):
+def _int_in(low, high):
     def parse(text):
         try:
             n = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"expected an integer, got {text!r}") from None
-        if n < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {n}")
+        if not low <= n <= high:
+            raise argparse.ArgumentTypeError(
+                f"must lie in {low}..{high}, got {n}")
         return n
     return parse
 
 
-_prec = _int_at_least(MIN_PREC)
+_prec = _int_in(MIN_PREC, MAX_PREC)
+_sigma_prec = _int_in(MIN_SIGMA_PREC, MAX_PREC)
 
 
 def _prec_sweep(text):
-    return tuple(_prec(p) for p in text.split(","))
+    precs = text.split(",")
+    if len(precs) > MAX_SWEEP:
+        raise argparse.ArgumentTypeError(
+            f"at most {MAX_SWEEP} precisions, got {len(precs)}")
+    return tuple(_prec(p) for p in precs)
 
 
 def build_parser():
@@ -268,7 +293,7 @@ def build_parser():
         prog="defo5",
         description="Exact verification of the order-5/conductor-2 "
                     "deformation computation.")
-    parser.add_argument("--jobs", type=_int_at_least(1), default=1,
+    parser.add_argument("--jobs", type=_int_in(1, MAX_JOBS), default=1,
                         help="parallel worker bound for the scans")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -281,32 +306,33 @@ def build_parser():
 
     add("order", _cmd_order,
         ring=dict(default="F5"),
-        prec=dict(type=_int_at_least(MIN_SIGMA_PREC), default=16),
-        cap=dict(type=_int_at_least(1), default=10))
+        prec=dict(type=_sigma_prec, default=16),
+        cap=dict(type=_int_in(1, MAX_ITERATES), default=10))
     add("conductor", _cmd_conductor,
         ring=dict(default="F5"),
-        prec=dict(type=_int_at_least(MIN_SIGMA_PREC), default=8))
+        prec=dict(type=_sigma_prec, default=8))
     add("normal-form", _cmd_normal_form,
-        ring=dict(default="F5"), series=dict(required=True),
-        prec=dict(type=_int_at_least(MIN_SIGMA_PREC), default=8))
+        ring=dict(choices=("F5",), default="F5"), series=dict(required=True),
+        prec=dict(type=_sigma_prec, default=8))
     add("versal-check", _cmd_versal_check,
         ring=dict(required=True), prec=dict(type=_prec, default=16),
         tautological=dict(action="store_true",
                           help="check only the point y = 1 + u of cyclo(m)"))
     add("iterates", _cmd_iterates,
         ring=dict(required=True), prec=dict(type=_prec, default=12),
-        k_max=dict(type=_int_at_least(0), default=5))
+        k_max=dict(type=_int_in(0, MAX_ITERATES), default=5))
     add("tangent", _cmd_tangent,
         prec_sweep=dict(type=_prec_sweep, default="8,12,16"))
     add("universality", _cmd_universality,
         ring=dict(required=True), prec=dict(type=_prec, default=4))
     add("proof-chain", _cmd_proof_chain,
         ring=dict(default=None),
-        max_cardinality=dict(type=_int_at_least(5), default=5 ** 4))
+        max_cardinality=dict(type=_int_in(5, TABLE_BOUND), default=5 ** 4))
     add("obstruction", _cmd_obstruction,
-        n=dict(type=int, default=2), prec=dict(type=_prec, default=8))
+        n=dict(type=_int_in(2, MAX_ZMOD_EXPONENT), default=2),
+        prec=dict(type=_prec, default=8))
     add("coeff-eqs", _cmd_coeff_eqs,
-        samples=dict(type=_int_at_least(1), default=1000))
+        samples=dict(type=_int_in(1, MAX_SAMPLES), default=1000))
     add("verify-all", _cmd_verify_all,
         profile=dict(choices=("quick", "full"), default="quick"))
     return parser

@@ -162,10 +162,6 @@ class _Scan:
         Q = MUL[self.threehalf, MUL[ADD[a0sq, NEG[self.one]], self.A0]]
         return inv_s1, inv_s1_cu, a0sq, K, Q
 
-    def _p_of(self, s2):
-        inv_s2 = self.INV[s2]
-        return self.MUL[inv_s2, self.ADD[inv_s2, self.NEG[self.one]]]
-
 
 def _witness(scan, **elts):
     return {k: scan.el(v) for k, v in elts.items()}
@@ -384,7 +380,7 @@ def proof_chain_scan(max_cardinality: int = 5 ** 4, jobs: int = 1):
     results are merged in canonical catalog order."""
     rings = catalog_rings(max_cardinality)
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(rings))) as pool:
             reports = list(pool.map(proof_chain_check,
                                     [r.descriptor for r in rings]))
     else:

@@ -7,10 +7,10 @@ expanded as s1 * sqrt(1 + u) with u = (g^2 - a0^2)/(a0^2 + y1) (a series
 with zero constant term), via the exact binomial series for (1+u)^(-1/2);
 the right side substitutes the inner series t * (1/s2) * (1 + t^2/y2)^(-1/2).
 Every t-coefficient is a SurdExpression with components in
-QQ(a0, a1, a2, a3, y1, y2); all binomial denominators are powers of 2, units
-in the catalog rings.  consistency_sample evaluates each coefficient through
-its compiled plan, inverting each denominator factor (a0^2 + y1, y2) once per
-witness, and compares it with the series engine.
+QQ(a0, a1, a2, a3, y1, y2); every binomial denominator is some 2^k, a unit
+in the catalog rings.  consistency_sample evaluates each coefficient at a
+witness (its numerator terms times the inverse of its denominator terms) and
+compares it with the series engine.
 
 g carries the extension symbol a3 even though the source writes
 g = a0 + a1*t + a2*t^2 + O(t^3): the raw t^3 coefficients do involve a3,
@@ -26,7 +26,6 @@ from functools import lru_cache
 import sympy as sp
 
 from ..artin.rings import build_ring
-from ..deformation.proofchain import proof_chain_check
 from ..series import TruncatedSeries
 from .surd import A0, A1, A2, A3, Y1, Y2, SurdExpression
 
@@ -83,7 +82,7 @@ def inner_series(prec: int = 4):
     coeffs = _binomial_series_coeffs(-_HALF, prec)
     inv_s2 = SurdExpression.s2() / SurdExpression.of(Y2)
     out = [SurdExpression.of(0) for _ in range(prec)]
-    # (1 + t^2/y2)^(-1/2) has only even powers; multiply by t * (1/s2).
+    # (1 + t^2/y2)^(-1/2) has only even degrees; multiply by t * (1/s2).
     for k, c in enumerate(coeffs):
         deg = 2 * k + 1
         if deg >= prec:
@@ -145,10 +144,10 @@ def displayed_third_order():
 
 def verify_displayed_equations():
     """Certify the t^0/t^1 coefficient equations symbolically against the
-    displayed Eqs. (t^0: a0/s1 = a0; t^1: a1/s1 - a0^2*a1/s1^3 = a1/s2),
-    record the raw t^2/t^3 coefficients, and report the downstream equations
-    (Eq5, Eq6, the third-order display) as oracle-verified on finite rings
-    via the proof chain, not symbolically derived."""
+    displayed Eqs. (t^0: a0/s1 = a0; t^1: a1/s1 - a0^2*a1/s1^3 = a1/s2) and
+    record the raw t^2/t^3 coefficients.  The downstream equations (Eq5, Eq6,
+    the third-order display) are not derived here: the coeff-eqs command
+    verifies them on finite rings through the proof chain."""
     lhs = expand_lhs(4)
     rhs = expand_rhs(4)
     eq3_l, eq3_r = displayed_eq3()
@@ -159,9 +158,6 @@ def verify_displayed_equations():
     # (the source's a3-elimination bookkeeping is implicit).
     d3_l, d3_r = displayed_third_order()
     raw_t3_equals_display = ((lhs[3] - rhs[3]) == (d3_l - d3_r))
-    oracle_rings = ("F5[e]/(e^2)", "F5[e]/(e^3)", "cyclo(2)", "cyclo(3)")
-    oracle = {d: proof_chain_check(build_ring(d))["passed"]
-              for d in oracle_rings}
     return {
         "t0_matches_eq3": t0_matches,
         "t1_matches_eq4": t1_matches,
@@ -174,9 +170,7 @@ def verify_displayed_equations():
         "third_order_display": {"lhs": d3_l.canonical_str(),
                                 "rhs": d3_r.canonical_str()},
         "raw_t3_difference_equals_display_difference": raw_t3_equals_display,
-        "downstream_verification": "oracle-verified",
-        "oracle_proof_chain_passed": oracle,
-        "passed": t0_matches and t1_matches and all(oracle.values()),
+        "passed": t0_matches and t1_matches,
     }
 
 
@@ -237,10 +231,9 @@ def consistency_sample(n: int = 1000, seed: int = 20260823, prec: int = 4):
         for _ in range(per_ring):
             w = _sample_witness(ring, rng, pools)
             lhs_eng, rhs_eng = _engine_coefficients(ring, w, prec)
-            powers = {}
             for i in range(prec):
-                if (lhs_sym[i].evaluate(ring, w, powers) != lhs_eng[i]
-                        or rhs_sym[i].evaluate(ring, w, powers) != rhs_eng[i]):
+                if (lhs_sym[i].evaluate(ring, w) != lhs_eng[i]
+                        or rhs_sym[i].evaluate(ring, w) != rhs_eng[i]):
                     mismatches.append({"ring": desc, "t_power": i,
                                        "witness": {k: str(v)
                                                    for k, v in w.items()}})

@@ -14,11 +14,11 @@ exceed 1.  Inversion rationalizes through the four sign-conjugates
 (s1 -> +-s1, s2 -> +-s2): an expression is invertible exactly when its
 algebra norm (the product of the conjugates, an element of FIELD) is nonzero.
 All coefficient arithmetic is characteristic 0.  evaluate() specializes to a
-finite catalog ring through a plan compiled once per component: numerator
-terms, denominator content and irreducible factors (here a0^2 + y1 and y2).
-A witness inverts each distinct factor once and shares its inverse powers
-across components; rational constants have denominators prime to 5 and
-become integers modulo the characteristic.
+finite catalog ring by one rule: each nonzero component is its numerator
+terms times the inverse of its denominator terms (here, up to a rational
+constant, a product of powers of a0^2 + y1 and y2, so a unit at every
+witness of the sample rings).  Rational constants have denominators prime
+to 5 and become integers modulo the characteristic.
 """
 
 from __future__ import annotations
@@ -190,31 +190,26 @@ class SurdExpression:
 
     # -- specialization -----------------------------------------------------------
 
-    def evaluate(self, ring, witness, powers=None):
+    def evaluate(self, ring, witness):
         """Exact value in a catalog ring.  ``witness`` maps the symbol names
         a0, a1, a2, a3, y1, y2 to ring elements and s1, s2 to the chosen
         square roots of a0^2 + y1 and y2 (both must square correctly).
-        Denominator factors must evaluate to units.  ``powers`` is the
-        witness's power table (name -> [1, x, ...], denominator factor f ->
-        [1, 1/f, ...]); pass one dict per witness to share it."""
-        if powers is None:
-            powers = {}
-
-        def square(name):
-            return _power(_powers(name, ring, witness, powers), 2)
-
-        if square("s1") != square("a0") + witness["y1"]:
-            raise SurdError("witness s1 is not a square root of a0^2 + y1")
-        if square("s2") != witness["y2"]:
-            raise SurdError("witness s2 is not a square root of y2")
+        Each denominator must evaluate to a unit (NotAUnitError otherwise)."""
         s1v, s2v = witness["s1"], witness["s2"]
+        if s1v * s1v != witness["a0"] * witness["a0"] + witness["y1"]:
+            raise SurdError("witness s1 is not a square root of a0^2 + y1")
+        if s2v * s2v != witness["y2"]:
+            raise SurdError("witness s2 is not a square root of y2")
         if self._plans is None:
-            self._plans = tuple(_compile(c) if c else None
-                                for c in self._components())
+            self._plans = tuple((_terms(c.numer), _terms(c.denom)) if c
+                                else None for c in self._components())
+        pows = [[ring.one, witness[name]] for name in _NAMES]
         total = ring.zero
         for plan, surds in zip(self._plans, ((), (s1v,), (s2v,), (s1v, s2v))):
             if plan is not None:
-                value = _eval_fraction(plan, ring, witness, powers)
+                numer, denom = plan
+                value = (_eval_terms(numer, ring, pows)
+                         * _eval_terms(denom, ring, pows).inv())
                 for s in surds:
                     value = value * s
                 total = total + value
@@ -235,45 +230,16 @@ def _terms(poly):
                  for m, c in poly.terms())
 
 
-def _compile(comp):
-    """The evaluation plan of a nonzero element of FIELD: its numerator terms
-    over the denominator's content, and each irreducible denominator factor
-    with its terms and multiplicity."""
-    content, factors = comp.denom.factor_list()
-    return (_terms(comp.numer.quo_ground(content)),
-            tuple((f, _terms(f), m) for f, m in factors))
-
-
-def _powers(name, ring, witness, powers):
-    """The witness's power list [1, x, ...] of the variable ``name``."""
-    return powers.setdefault(name, [ring.one, witness[name]])
-
-
-def _power(seq, exp):
-    """seq[exp] of a power list [1, x, x^2, ...], extended on demand."""
-    while len(seq) <= exp:
-        seq.append(seq[-1] * seq[1])
-    return seq[exp]
-
-
-def _eval_terms(terms, ring, witness, powers):
+def _eval_terms(terms, ring, pows):
+    """The value of a term list; ``pows`` holds one list [1, x, x^2, ...]
+    per symbol, extended on demand."""
     total = ring.zero
     for num, den, monom in terms:
         term = num * pow(den, -1, ring.char)  # an int until the first power
-        for name, exp in zip(_NAMES, monom):
+        for seq, exp in zip(pows, monom):
             if exp:
-                term = _power(_powers(name, ring, witness, powers), exp) * term
+                while len(seq) <= exp:
+                    seq.append(seq[-1] * seq[1])
+                term = seq[exp] * term
         total = total + term
     return total
-
-
-def _eval_fraction(plan, ring, witness, powers):
-    numer, factors = plan
-    value = _eval_terms(numer, ring, witness, powers)
-    for factor, terms, mult in factors:
-        seq = powers.get(factor)
-        if seq is None:
-            inv = _eval_terms(terms, ring, witness, powers).inv()
-            seq = powers[factor] = [ring.one, inv]
-        value = value * _power(seq, mult)
-    return value

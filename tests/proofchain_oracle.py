@@ -10,6 +10,12 @@ from defo5.deformation.proofchain import (_eq5_survivors, _step_report,
                                           _witness)
 
 
+def p_of(scan, s2):
+    """P = (1/s2)(1/s2 - 1), the generator of the ideal in Eq6."""
+    inv_s2 = scan.INV[s2]
+    return scan.MUL[inv_s2, scan.ADD[inv_s2, scan.NEG[scan.one]]]
+
+
 def step_i(scan):
     """Eq3 and Eq4 imply Eq5 (a1 eliminated as a unit factor)."""
     MUL, ADD, NEG, SQ, INV = scan.MUL, scan.ADD, scan.NEG, scan.SQ, scan.INV
@@ -79,7 +85,7 @@ def step_iii(scan):
         ideal = MUL[scan.all_idx, z]
         member = np.zeros(scan.T.n, dtype=bool)
         member[ideal] = True
-        rp_set = np.unique(MUL[scan.all_idx, scan._p_of(s2)])
+        rp_set = np.unique(MUL[scan.all_idx, p_of(scan, s2)])
         lq = MUL[scan.unit_squares[None, :], Q[:, None]]
         sat = np.isin(lq, rp_set).any(axis=1)  # Eq6 satisfiable per a0
         bad = sat & ~member[a0_vals]

@@ -122,6 +122,22 @@ def test_exit_two_on_bad_series_literal(capsys):
     ("coeff-eqs", "--samples", "0"),
     ("coeff-eqs", "--samples", "-5"),
     ("proof-chain", "--max-cardinality", "0"),
+    ("order", "--prec", "1026"),
+    ("conductor", "--prec", "100000"),
+    ("normal-form", "--series", "t + t^3", "--prec", "1026"),
+    ("versal-check", "--ring", "cyclo(2)", "--prec", "1026"),
+    ("iterates", "--ring", "F5", "--prec", "1026"),
+    ("universality", "--ring", "F5[e]/(e^2)", "--prec", "1026"),
+    ("obstruction", "--prec", "1026"),
+    ("tangent", "--prec-sweep", "8,1026"),
+    ("tangent", "--prec-sweep", ",".join(["8"] * 9)),
+    ("iterates", "--ring", "cyclo(3)", "--k-max", "101"),
+    ("order", "--cap", "101"),
+    ("coeff-eqs", "--samples", "100001"),
+    ("proof-chain", "--max-cardinality", "3126"),
+    ("obstruction", "--n", "1"),
+    ("obstruction", "--n", "1001"),
+    ("normal-form", "--series", "t + t^3", "--ring", "F25"),
 ])
 def test_exit_two_on_bad_count_before_any_ring(capsys, monkeypatch, argv):
     def boom(*args, **kwargs):
@@ -136,7 +152,7 @@ def test_exit_two_on_bad_count_before_any_ring(capsys, monkeypatch, argv):
     assert err.startswith("usage:") and f"argument --{argv[-2][2:]}" in err
 
 
-@pytest.mark.parametrize("jobs", ["abc", "0", "-2"])
+@pytest.mark.parametrize("jobs", ["abc", "0", "-2", "65"])
 def test_exit_two_on_bad_jobs(capsys, jobs):
     code, report, err = run(capsys, "--jobs", jobs, "order")
     assert code == 2 and report is None and "argument --jobs" in err
@@ -154,6 +170,18 @@ def test_exit_two_on_bad_jobs(capsys, jobs):
 def test_smallest_counts_accepted(capsys, argv, want):
     code, report, _ = run(capsys, *argv)
     assert code == want and report is not None
+
+
+@pytest.mark.parametrize("argv", [
+    ("order", "--cap", "100"),
+    ("iterates", "--ring", "F5", "--prec", "2", "--k-max", "100"),
+    ("obstruction", "--n", "1000"),
+    ("tangent", "--prec-sweep", ",".join(["2"] * 8)),
+    ("proof-chain", "--max-cardinality", "3125"),
+])
+def test_largest_cheap_counts_accepted(capsys, argv):
+    code, report, _ = run(capsys, *argv)
+    assert code == 0 and report is not None
 
 
 # -- report schema -------------------------------------------------------------------
@@ -227,6 +255,17 @@ def test_versal_check_tautological(capsys):
                           "--tautological", "--prec", "12")
     assert code == 0
     assert report["details"]["hom_points"] == 1
+
+
+def test_coeff_eqs_checks_downstream_equations_by_proof_chain(capsys):
+    code, report, _ = run(capsys, "coeff-eqs", "--samples", "7")
+    assert code == 0
+    sym = report["details"]["symbolic"]
+    assert sym["passed"] and sym["t0_matches_eq3"] and sym["t1_matches_eq4"]
+    assert sym["downstream_verification"] == "oracle-verified"
+    assert sym["oracle_proof_chain_passed"] == {
+        "F5[e]/(e^2)": True, "F5[e]/(e^3)": True,
+        "cyclo(2)": True, "cyclo(3)": True}
 
 
 def test_verify_all_quick(capsys):

@@ -288,8 +288,9 @@ def test_ideal_members_against_broadcast(desc):
     s2 = rng.choice(scan.T.units, 40)
     Q = rng.integers(0, scan.T.n, 50)
     member = proofchain._ideal_members(scan, s2)[:, Q]
-    expect = [[np.isin(MUL[U, q], MUL[a2, scan._p_of(s)]).any() for q in Q]
-              for s in s2]
+    expect = [[np.isin(MUL[U, q],
+                       MUL[a2, proofchain_oracle.p_of(scan, s)]).any()
+               for q in Q] for s in s2]
     assert member.tolist() == expect
     assert 0 < member.sum() < member.size
 

@@ -1,6 +1,7 @@
 """Import layering of the package, read from the source with ``ast``:
-``artin`` stands alone, ``series`` rests on ``artin`` only, ``deformation``
-does not reach into ``symbolic``, and the ring-table cache has one home.
+``artin`` stands alone, ``series`` rests on ``artin`` only, ``symbolic`` on
+``artin`` and ``series`` only, ``deformation`` does not reach into
+``symbolic``, and the ring-table cache has one home.
 Also: importing the CLI does not import sympy."""
 
 import ast
@@ -58,6 +59,7 @@ def _files(sub):
 @pytest.mark.parametrize("sub,allowed", [
     ("artin", {"artin"}),
     ("series", {"series", "artin"}),
+    ("symbolic", {"symbolic", "artin", "series"}),
 ])
 def test_lower_layers_import_only_below(sub, allowed):
     for path in _files(sub):
