@@ -176,7 +176,7 @@ _ORACLE_RINGS = ("F5[e]/(e^2)", "F5[e]/(e^3)", "cyclo(2)", "cyclo(3)")
 
 
 def _cmd_coeff_eqs(args):
-    # sympy is imported here, not with the CLI: no other subcommand uses it
+    # imported here, not with the CLI: no other subcommand uses symbolic
     from .symbolic.coefficients import (consistency_sample,
                                         verify_displayed_equations)
     t0 = time.perf_counter()

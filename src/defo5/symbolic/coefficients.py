@@ -7,8 +7,9 @@ expanded as s1 * sqrt(1 + u) with u = (g^2 - a0^2)/(a0^2 + y1) (a series
 with zero constant term), via the exact binomial series for (1+u)^(-1/2);
 the right side substitutes the inner series t * (1/s2) * (1 + t^2/y2)^(-1/2).
 Every t-coefficient is a SurdExpression with components in
-QQ(a0, a1, a2, a3, y1, y2); every binomial denominator is some 2^k, a unit
-in the catalog rings.  consistency_sample evaluates each coefficient at a
+Q[a0, a1, a2, a3, y1, y2][1/r, 1/y2], r = a0^2 + y1; every binomial
+coefficient is a Fraction whose denominator is some 2^k, a unit in the
+catalog rings.  consistency_sample evaluates each coefficient at a
 witness (its numerator terms times the inverse of its denominator terms) and
 compares it with the series engine.
 
@@ -21,20 +22,19 @@ third-order display (whose exact bookkeeping the source leaves implicit).
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from functools import lru_cache
-
-import sympy as sp
 
 from ..artin.rings import build_ring
 from ..series import TruncatedSeries
 from .surd import A0, A1, A2, A3, Y1, Y2, SurdExpression
 
-_HALF = sp.Rational(1, 2)
+_HALF = Fraction(1, 2)
 
 
 def _binomial_series_coeffs(alpha, n):
     """c_0..c_{n-1} of (1 + u)^alpha."""
-    out = [sp.Integer(1)]
+    out = [Fraction(1)]
     for k in range(1, n):
         out.append(out[-1] * (alpha - (k - 1)) / k)
     return out
@@ -52,17 +52,15 @@ def _poly_mul(a, b, prec):
     return out
 
 
-def _g_coeffs():
-    return [SurdExpression.of(s) for s in (A0, A1, A2, A3)]
+_G = (A0, A1, A2, A3)
 
 
 @lru_cache(maxsize=None)
 def expand_lhs(prec: int = 4):
     """t^0..t^(prec-1) coefficients of g(t)/sqrt(g(t)^2 + y1), expanded
     once per process."""
-    g = _g_coeffs()
-    g_sq = _poly_mul(g, g, prec)
-    r = SurdExpression.of(A0 ** 2 + Y1)
+    g_sq = _poly_mul(_G, _G, prec)
+    r = A0 ** 2 + Y1
     # u = (g^2 - a0^2)/r has no constant term
     u = [SurdExpression.of(0)] + [g_sq[i] / r for i in range(1, prec)]
     coeffs = _binomial_series_coeffs(-_HALF, prec)
@@ -74,13 +72,13 @@ def expand_lhs(prec: int = 4):
         for i in range(prec):
             inv_sqrt[i] = inv_sqrt[i] + c * upow[i]
     inv_s1 = SurdExpression.s1() / r  # 1/s1 = s1/(a0^2+y1)
-    return tuple(c * inv_s1 for c in _poly_mul(g, inv_sqrt, prec))
+    return tuple(c * inv_s1 for c in _poly_mul(_G, inv_sqrt, prec))
 
 
 def inner_series(prec: int = 4):
     """t^0..t^(prec-1) coefficients of t/sqrt(t^2 + y2)."""
     coeffs = _binomial_series_coeffs(-_HALF, prec)
-    inv_s2 = SurdExpression.s2() / SurdExpression.of(Y2)
+    inv_s2 = SurdExpression.s2() / Y2
     out = [SurdExpression.of(0) for _ in range(prec)]
     # (1 + t^2/y2)^(-1/2) has only even degrees; multiply by t * (1/s2).
     for k, c in enumerate(coeffs):
@@ -98,7 +96,7 @@ def expand_rhs(prec: int = 4):
     inner = inner_series(prec)
     out = [SurdExpression.of(0) for _ in range(prec)]
     power = [SurdExpression.of(1)] + [SurdExpression.of(0)] * (prec - 1)
-    for k, gk in enumerate(_g_coeffs()):
+    for k, gk in enumerate(_G):
         if k:
             power = _poly_mul(power, inner, prec)
         for i in range(prec):
@@ -110,36 +108,25 @@ def expand_rhs(prec: int = 4):
 
 def displayed_eq3():
     """a0/s1 = a0 as (LHS, RHS)."""
-    inv_s1 = SurdExpression.s1() / SurdExpression.of(A0 ** 2 + Y1)
-    return SurdExpression.of(A0) * inv_s1, SurdExpression.of(A0)
+    return A0 * (SurdExpression.s1() / (A0 ** 2 + Y1)), A0
 
 
 def displayed_eq4():
     """a1/s1 - a0^2*a1/s1^3 = a1/s2 as (LHS, RHS)."""
-    r = SurdExpression.of(A0 ** 2 + Y1)
-    inv_s1 = SurdExpression.s1() / r
-    inv_s1_cu = inv_s1 * inv_s1 * inv_s1
-    lhs = (SurdExpression.of(A1) * inv_s1
-           - SurdExpression.of(A0 ** 2 * A1) * inv_s1_cu)
-    rhs = SurdExpression.of(A1) * (SurdExpression.s2() / SurdExpression.of(Y2))
-    return lhs, rhs
+    inv_s1 = SurdExpression.s1() / (A0 ** 2 + Y1)
+    lhs = A1 * inv_s1 - A0 ** 2 * A1 * inv_s1 ** 3
+    return lhs, A1 * (SurdExpression.s2() / Y2)
 
 
 def displayed_third_order():
     """The third-order display as (LHS, RHS)."""
-    r = SurdExpression.of(A0 ** 2 + Y1)
+    r = A0 ** 2 + Y1
     inv_s1 = SurdExpression.s1() / r
-    inv_s1_cu = inv_s1 * inv_s1 * inv_s1
-    lhs = (SurdExpression.of(A0 * A1 ** 2) * inv_s1_cu
-           - SurdExpression.of(A0) * inv_s1
-           * (SurdExpression.of(A0 ** 2 * A1 ** 2 / (A0 ** 2 + Y1) ** 2)
-              + _HALF * (SurdExpression.of(A0 ** 2 * A1 ** 2
-                                           / (A0 ** 2 + Y1) ** 2)
-                         - SurdExpression.of((A1 ** 2 + 2 * A0 * A2)
-                                             / (A0 ** 2 + Y1)))))
-    rhs = (SurdExpression.of(A2) * inv_s1
-           - SurdExpression.of(A2 / Y2))
-    return lhs, rhs
+    lhs = (A0 * A1 ** 2 * inv_s1 ** 3
+           - A0 * inv_s1 * (A0 ** 2 * A1 ** 2 / r ** 2
+                            + _HALF * (A0 ** 2 * A1 ** 2 / r ** 2
+                                       - (A1 ** 2 + 2 * A0 * A2) / r)))
+    return lhs, A2 * inv_s1 - A2 / Y2
 
 
 def verify_displayed_equations():

@@ -1,62 +1,261 @@
-"""Exact rational expressions in a0, a1, a2, a3, y1, y2 with the two surds
-s1 = sqrt(a0^2 + y1) and s2 = sqrt(y2) adjoined.
+"""Exact expressions in a0, a1, a2, a3, y1, y2 with the two surds
+s1 = sqrt(r), r = a0^2 + y1, and s2 = sqrt(y2) adjoined.
 
 A SurdExpression is a rank-4 module element
 
     c00 + c10*s1 + c01*s2 + c11*s1*s2
 
-whose components lie in FIELD = QQ(a0, a1, a2, a3, y1, y2), sympy's sparse
-rational-function field of reduced fractions, so arithmetic and equality are
-exact and canonical.  Sympy input is converted once; anything but a rational
-function of the six symbols over Q raises SurdError.  The relations
-s1^2 = a0^2 + y1 and s2^2 = y2 are applied eagerly, so surd exponents never
-exceed 1.  Inversion rationalizes through the four sign-conjugates
-(s1 -> +-s1, s2 -> +-s2): an expression is invertible exactly when its
-algebra norm (the product of the conjugates, an element of FIELD) is nonzero.
-All coefficient arithmetic is characteristic 0.  evaluate() specializes to a
-finite catalog ring by one rule: each nonzero component is its numerator
-terms times the inverse of its denominator terms (here, up to a rational
-constant, a product of powers of a0^2 + y1 and y2, so a unit at every
-witness of the sample rings).  Rational constants have denominators prime
-to 5 and become integers modulo the characteristic.
+whose components lie in Q[a0, a1, a2, a3, y1, y2][1/r, 1/y2].  A component
+is one canonical triple (N, i, j) standing for N / (r^i * y2^j): N maps
+exponent tuples (a0, a1, a2, a3, y1, y2) to nonzero rational coefficients
+(int or Fraction), is not divisible by r when i > 0 and not by y2 when
+j > 0.  Division by r is exact division in y1, since r is monic of degree 1
+in y1; r and y2 are prime, so the form is unique without any gcd, and
+equality and hashing are structural.  The relations s1^2 = r and
+s2^2 = y2 are applied eagerly, so surd exponents never exceed 1.
+Constants are ints, Fractions or other numbers.Rational instances;
+anything else raises SurdError.
+
+Inversion rationalizes through the four sign-conjugates (s1 -> +-s1,
+s2 -> +-s2).  It is defined exactly when the algebra norm (their product,
+a component) is a unit of the coefficient ring, c * r^a * y2^b; otherwise
+it raises SurdError.
+
+canonical_str() prints a component as sympy's ``sstr(cancel(e),
+order="lex")`` does: numerator P and denominator Q = c * r^i * y2^j coprime
+over Z with c > 0, terms in lex order a0 > a1 > a2 > a3 > y1 > y2, and a
+constant denominator distributed over the terms of P.
+
+evaluate() specializes to a finite catalog ring by one rule: each nonzero
+component is its numerator terms times the inverse of its denominator
+r^i * y2^j (a unit at every witness of the sample rings).  Rational
+constants have denominators prime to 5 and become integers modulo the
+characteristic.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
 from numbers import Rational as _PyRational
+from operator import add
 
-import sympy as sp
-from sympy.polys.fields import FracElement
-
-A0, A1, A2, A3, Y1, Y2 = sp.symbols("a0 a1 a2 a3 y1 y2")
-SYMBOLS = (A0, A1, A2, A3, Y1, Y2)
-FIELD = sp.field("a0,a1,a2,a3,y1,y2", sp.QQ)[0]
-_NAMES = tuple(str(s) for s in SYMBOLS)
+_NAMES = ("a0", "a1", "a2", "a3", "y1", "y2")
+_UNIT = (0,) * 6
 
 
 class SurdError(ValueError):
     pass
 
 
+# -- polynomials: {exponent tuple: nonzero rational} ---------------------------
+
+def _padd(p, q, sign=1):
+    """p + sign*q."""
+    out = dict(p)
+    for m, c in q.items():
+        c = out.get(m, 0) + sign * c
+        if c:
+            out[m] = c
+        else:
+            del out[m]
+    return out
+
+
+def _pmul(p, q):
+    out = {}
+    get = out.get
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = tuple(map(add, m1, m2))
+            out[m] = get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _shift(p, k, var):
+    """p times the k-th power of variable number ``var``."""
+    return {m[:var] + (m[var] + k,) + m[var + 1:]: c for m, c in p.items()}
+
+
+def _r_power(k):
+    """(a0^2 + y1)^k."""
+    out = {_UNIT: 1}
+    for _ in range(k):
+        out = _pmul(out, {(2, 0, 0, 0, 0, 0): 1, (0, 0, 0, 0, 1, 0): 1})
+    return out
+
+
+def _div_r(n):
+    """n / r, or None when r does not divide n.  With n = sum_d n_d y1^d,
+    the quotient q = sum_d q_d y1^d has q_(d-1) = n_d - a0^2 q_d and
+    leaves the remainder n_0 - a0^2 q_0."""
+    by_degree = {}
+    for m, c in n.items():
+        by_degree.setdefault(m[4], {})[m[:4] + (0,) + m[5:]] = c
+    quotient, q = {}, {}
+    for d in range(max(by_degree, default=0), 0, -1):
+        q = _padd(by_degree.get(d, {}), _shift(q, 2, 0), -1)
+        quotient.update(_shift(q, d - 1, 4))
+    return quotient if by_degree.get(0, {}) == _shift(q, 2, 0) else None
+
+
+# -- components ------------------------------------------------------------------
+
+class Component:
+    """N / (r^i * y2^j) in canonical form; build one with ``_reduced``."""
+
+    __slots__ = ("num", "i", "j")
+
+    def __init__(self, num, i=0, j=0):
+        self.num, self.i, self.j = num, i, j
+
+    def __bool__(self):
+        return bool(self.num)
+
+    def __eq__(self, other):
+        return (self.i == other.i and self.j == other.j
+                and self.num == other.num)
+
+    def __hash__(self):
+        return hash((frozenset(self.num.items()), self.i, self.j))
+
+    def __neg__(self):
+        return Component({m: -c for m, c in self.num.items()}, self.i, self.j)
+
+    def _lifted(self, i, j):
+        """The numerator of self over r^i * y2^j (i >= self.i, j >= self.j)."""
+        num = self.num
+        if i > self.i:
+            num = _pmul(num, _r_power(i - self.i))
+        return _shift(num, j - self.j, 5) if j > self.j else num
+
+    def __add__(self, other):
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        i, j = max(self.i, other.i), max(self.j, other.j)
+        return _reduced(_padd(self._lifted(i, j), other._lifted(i, j)), i, j)
+
+    def __mul__(self, other):
+        if not self.num or not other.num:
+            return _ZERO
+        return _reduced(_pmul(self.num, other.num),
+                        self.i + other.i, self.j + other.j)
+
+    def unit_inverse(self):
+        """1/self if self is c * r^a * y2^b (a, b any integers), else None."""
+        num, a, b = self.num, -self.i, -self.j
+        if not num:
+            return None
+        k = min(m[5] for m in num)
+        num, b = _shift(num, -k, 5), b + k
+        while (q := _div_r(num)) is not None:
+            num, a = q, a + 1
+        if list(num) != [_UNIT]:
+            return None
+        inv = _pmul({_UNIT: 1 / Fraction(num[_UNIT])}, _r_power(max(-a, 0)))
+        return Component(_shift(inv, max(-b, 0), 5), max(a, 0), max(b, 0))
+
+    def __str__(self):
+        """sympy's ``sstr(cancel(self), order="lex")``."""
+        num, i, j = self.num, self.i, self.j
+        if not num:
+            return "0"
+        if not i and not j:
+            return _sum_str(num)
+        # P / Q with P = L*N over Z, Q = L * r^i * y2^j: the content of N is
+        # gcd(numerators)/L with L the lcm of the denominators, so P and Q
+        # are coprime.  sympy keeps L apart from a monomial Q.
+        den = lcm(*(c.denominator for c in num.values()))
+        p = {m: c.numerator * (den // c.denominator) for m, c in num.items()}
+        if i:
+            q = _shift(_pmul({_UNIT: den}, _r_power(i)), j, 5)
+            denom, den = [f"({_sum_str(q)})"], 1
+        else:
+            denom = ["y2" if j == 1 else f"y2**{j}"]
+        if len(p) > 1:
+            return _product("", [f"({_sum_str(p)})"],
+                            ([str(den)] if den != 1 else []) + denom)
+        (m, c), = p.items()
+        if m == _UNIT and c == den and not i and j > 1:  # sympy's Pow
+            return f"y2**(-{j})"
+        return _mul_str(Fraction(c, den), m, denom)
+
+
+def _reduced(num, i, j):
+    """The canonical component equal to num / (r^i * y2^j)."""
+    if not num:
+        return _ZERO
+    if j:
+        k = min(j, min(m[5] for m in num))
+        if k:
+            num, j = _shift(num, -k, 5), j - k
+    while i and (q := _div_r(num)) is not None:
+        num, i = q, i - 1
+    return Component(num, i, j)
+
+
+_ZERO = Component({})
+_R = Component(_r_power(1))  # r = a0^2 + y1 = s1^2
+_Y2 = Component({(0, 0, 0, 0, 0, 1): 1})
+
+
+def _product(sign, numer, denom):
+    """sign * prod(numer) / prod(denom) as sympy prints a Mul."""
+    out = sign + "*".join(numer or ["1"])
+    if not denom:
+        return out
+    return out + "/" + (denom[0] if len(denom) == 1
+                        else "(" + "*".join(denom) + ")")
+
+
+def _mul_str(coeff, m, denom=()):
+    """coeff * m / prod(denom) as sympy prints it."""
+    numer = [str(abs(coeff.numerator))] if abs(coeff.numerator) != 1 else []
+    numer += [n if e == 1 else f"{n}**{e}" for n, e in zip(_NAMES, m) if e]
+    denom = ([str(coeff.denominator)] if coeff.denominator != 1 else []) \
+        + list(denom)
+    return _product("-" if coeff < 0 else "", numer, denom)
+
+
+def _sum_str(poly):
+    """A polynomial as sympy prints an Add in lex order."""
+    out = ""
+    for m in sorted(poly, reverse=True):
+        term = _mul_str(poly[m], m)
+        if term[0] == "-":
+            out += (" - " if out else "-") + term[1:]
+        else:
+            out += (" + " if out else "") + term
+    return out
+
+
+def _constant(c):
+    return Component({_UNIT: Fraction(c)}) if c else _ZERO
+
+
 def _norm(e):
-    """``e`` as an element of FIELD."""
-    if isinstance(e, FracElement) and e.field is FIELD:
-        return e
-    try:
-        expr = sp.sympify(e, strict=True)
-        if not isinstance(expr, sp.Expr) or expr.has(sp.Float):
-            raise ValueError("not an exact scalar expression")
-        return FIELD.from_expr(expr)
-    except ValueError as exc:  # also sympy's SympifyError
-        raise SurdError(f"{e!r} is not a rational function of "
-                        f"{', '.join(_NAMES)} over Q") from exc
+    """``e`` as a component."""
+    if isinstance(e, SurdExpression):
+        if e.c10 or e.c01 or e.c11:
+            raise SurdError(f"{e} has a surd part")
+        return e.c00
+    if isinstance(e, _PyRational):
+        return _constant(e)
+    raise SurdError(f"{e!r} is not a rational function of "
+                    f"{', '.join(_NAMES)} over Q")
 
 
-_S1_SQ, _S2_SQ = _norm(A0 ** 2 + Y1), _norm(Y2)
+def _make(c00, c10, c01, c11):
+    out = object.__new__(SurdExpression)
+    out.c00, out.c10, out.c01, out.c11 = c00, c10, c01, c11
+    out._plans = None
+    return out
 
 
 class SurdExpression:
-    """c00 + c10*s1 + c01*s2 + c11*s1*s2 with components in FIELD."""
+    """c00 + c10*s1 + c01*s2 + c11*s1*s2 with canonical components."""
 
     __slots__ = ("c00", "c10", "c01", "c11", "_plans")
 
@@ -77,7 +276,7 @@ class SurdExpression:
 
     @classmethod
     def of(cls, expr):
-        """A surd-free expression (symbol, rational, or combination)."""
+        """A surd-free expression (generator, rational, or combination)."""
         return cls(expr, 0, 0, 0)
 
     # -- ring structure -------------------------------------------------------
@@ -101,13 +300,13 @@ class SurdExpression:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return SurdExpression(*(a + b for a, b in
-                                zip(self._components(), other._components())))
+        return _make(*(a + b for a, b in
+                       zip(self._components(), other._components())))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SurdExpression(*(-c for c in self._components()))
+        return _make(*(-c for c in self._components()))
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -124,8 +323,8 @@ class SurdExpression:
             return NotImplemented
         x00, x10, x01, x11 = self._components()
         y00, y10, y01, y11 = other._components()
-        r, s = _S1_SQ, _S2_SQ
-        return SurdExpression(
+        r, s = _R, _Y2
+        return _make(
             x00 * y00 + r * x10 * y10 + s * x01 * y01 + r * s * x11 * y11,
             x00 * y10 + x10 * y00 + s * (x01 * y11 + x11 * y01),
             x00 * y01 + x01 * y00 + r * (x10 * y11 + x11 * y10),
@@ -134,16 +333,27 @@ class SurdExpression:
 
     __rmul__ = __mul__
 
+    def __pow__(self, n):
+        if n < 0:
+            return self.inverse() ** -n
+        out, base = SurdExpression.of(1), self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
     # -- conjugates, norm, inversion -------------------------------------------
 
     def conj_s1(self):
-        return SurdExpression(self.c00, -self.c10, self.c01, -self.c11)
+        return _make(self.c00, -self.c10, self.c01, -self.c11)
 
     def conj_s2(self):
-        return SurdExpression(self.c00, self.c10, -self.c01, -self.c11)
+        return _make(self.c00, self.c10, -self.c01, -self.c11)
 
     def algebra_norm(self):
-        """Product of the four sign-conjugates; a plain rational function."""
+        """Product of the four sign-conjugates; a surd-free component."""
         z = self * self.conj_s1()
         w = z * z.conj_s2()
         if w.c10 or w.c01 or w.c11:
@@ -151,14 +361,18 @@ class SurdExpression:
         return w.c00
 
     def is_invertible(self):
-        return bool(self.algebra_norm())
+        return self.algebra_norm().unit_inverse() is not None
 
     def inverse(self):
         n = self.algebra_norm()
         if not n:
             raise SurdError(f"{self} is not invertible (zero norm)")
+        inv = n.unit_inverse()
+        if inv is None:
+            raise SurdError(f"{self} is not a unit: its norm ({n}) is not "
+                            f"c * (a0**2 + y1)**a * y2**b")
         z = self * self.conj_s1()
-        return self.conj_s1() * z.conj_s2() * SurdExpression(1 / n)
+        return self.conj_s1() * z.conj_s2() * _make(inv, _ZERO, _ZERO, _ZERO)
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -174,10 +388,8 @@ class SurdExpression:
     def canonical_str(self):
         parts = []
         for comp, tag in zip(self._components(), ("", "s1", "s2", "s1*s2")):
-            if not comp:
-                continue
-            body = sp.sstr(sp.cancel(comp.as_expr()), order="lex")
-            parts.append(f"({body})*{tag}" if tag else f"({body})")
+            if comp:
+                parts.append(f"({comp})*{tag}" if tag else f"({comp})")
         return " + ".join(parts) if parts else "(0)"
 
     def __repr__(self):
@@ -196,20 +408,23 @@ class SurdExpression:
         square roots of a0^2 + y1 and y2 (both must square correctly).
         Each denominator must evaluate to a unit (NotAUnitError otherwise)."""
         s1v, s2v = witness["s1"], witness["s2"]
-        if s1v * s1v != witness["a0"] * witness["a0"] + witness["y1"]:
+        r, y2 = witness["a0"] * witness["a0"] + witness["y1"], witness["y2"]
+        if s1v * s1v != r:
             raise SurdError("witness s1 is not a square root of a0^2 + y1")
-        if s2v * s2v != witness["y2"]:
+        if s2v * s2v != y2:
             raise SurdError("witness s2 is not a square root of y2")
         if self._plans is None:
-            self._plans = tuple((_terms(c.numer), _terms(c.denom)) if c
-                                else None for c in self._components())
+            self._plans = tuple(
+                (tuple((c.numerator, c.denominator, m)
+                       for m, c in comp.num.items()), comp.i, comp.j)
+                if comp else None for comp in self._components())
         pows = [[ring.one, witness[name]] for name in _NAMES]
         total = ring.zero
         for plan, surds in zip(self._plans, ((), (s1v,), (s2v,), (s1v, s2v))):
             if plan is not None:
-                numer, denom = plan
+                numer, i, j = plan
                 value = (_eval_terms(numer, ring, pows)
-                         * _eval_terms(denom, ring, pows).inv())
+                         * (r ** i * y2 ** j).inv())
                 for s in surds:
                     value = value * s
                 total = total + value
@@ -219,15 +434,17 @@ class SurdExpression:
 def _coerce(x):
     if isinstance(x, SurdExpression):
         return x
-    if isinstance(x, (int, _PyRational, sp.Expr)):
-        return SurdExpression.of(x)
+    if isinstance(x, _PyRational):
+        return _make(_constant(x), _ZERO, _ZERO, _ZERO)
     return NotImplemented
 
 
-def _terms(poly):
-    """((numerator, denominator, exponents), ...) of the terms of poly."""
-    return tuple((int(c.numerator), int(c.denominator), m)
-                 for m, c in poly.terms())
+def _generator(k):
+    return _make(Component({_UNIT[:k] + (1,) + _UNIT[k + 1:]: 1}),
+                 _ZERO, _ZERO, _ZERO)
+
+
+A0, A1, A2, A3, Y1, Y2 = SYMBOLS = tuple(map(_generator, range(6)))
 
 
 def _eval_terms(terms, ring, pows):

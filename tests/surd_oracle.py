@@ -1,11 +1,12 @@
-"""The sympy-``Expr`` SurdExpression and t-expansion used before the
-components moved to the rational-function field ``defo5.symbolic.surd.FIELD``:
-every component is a sympy expression kept in ``cancel(together(...))`` form,
-and ``evaluate`` converts each component to a fraction of ``Poly`` terms.
-Also the witness sampler of ``consistency_sample`` as it was, taking both
-square roots by ``sqrt`` and retrying on failure.  Kept as an independent
-test oracle; its expansions, displays, evaluations and witness draws must
-agree with the field implementation."""
+"""The sympy-``Expr`` SurdExpression and t-expansion: every component is a
+sympy expression kept in ``cancel(together(...))`` form, and ``evaluate``
+converts each component to a fraction of ``Poly`` terms.  Also the witness
+sampler of ``consistency_sample`` as it was, taking both square roots by
+``sqrt`` and retrying on failure, and ``to_expr``, the sympy image of a
+component N / (r^i * y2^j) of ``defo5.symbolic.surd``.  Kept as an
+independent test oracle, and the only place sympy does algebra: its
+expansions, displays, evaluations, printed strings and witness draws must
+agree with the package's sympy-free implementation."""
 
 from __future__ import annotations
 
@@ -23,6 +24,14 @@ _S2_SQ = Y2
 
 class SurdError(ValueError):
     pass
+
+
+def to_expr(component):
+    """The sympy expression N / ((a0**2 + y1)**i * y2**j) of a component."""
+    numer = sp.Add(*(sp.Rational(c.numerator, c.denominator)
+                     * sp.Mul(*(s ** e for s, e in zip(SYMBOLS, m)))
+                     for m, c in component.num.items()))
+    return numer / (_S1_SQ ** component.i * _S2_SQ ** component.j)
 
 
 def _norm(e):

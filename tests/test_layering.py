@@ -2,9 +2,12 @@
 ``artin`` stands alone, ``series`` rests on ``artin`` only, ``symbolic`` on
 ``artin`` and ``series`` only, ``deformation`` does not reach into
 ``symbolic``, and the ring-table cache has one home.
-Also: importing the CLI does not import sympy."""
+Also: no module of the package imports sympy (only the test oracles do),
+importing the CLI does not load ``defo5.symbolic``, and ``coeff-eqs`` runs
+and passes with sympy blocked."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -91,12 +94,50 @@ def test_one_table_cache():
                      "_table_cache": {"artin/tables.py"}}
 
 
-def test_cli_import_leaves_sympy_unloaded():
+def _run(code):
     path = os.environ.get("PYTHONPATH", "").split(os.pathsep)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent)] + path))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=120).stdout
+
+
+def test_cli_import_leaves_sympy_unloaded():
     code = ("import sys, defo5.cli; "
             "print(sorted(m for m in sys.modules "
             "if m == 'sympy' or m.startswith(('sympy.', 'defo5.symbolic'))))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=60).stdout
-    assert out.strip() == "[]"
+    assert _run(code).strip() == "[]"
+
+
+def test_no_module_imports_sympy():
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "sympy" for n in names), path
+
+
+_COEFF_EQS = """
+import io, json, sys
+from contextlib import redirect_stdout
+if {blocked}:
+    sys.modules["sympy"] = None  # any import of sympy raises ImportError
+from defo5 import cli
+out = io.StringIO()
+with redirect_stdout(out):
+    code = cli.main(["coeff-eqs", "--samples", "14"])
+print(json.dumps({{"code": code,
+                  "verdict": json.loads(out.getvalue())["verdict"],
+                  "sympy": sorted(m for m, mod in sys.modules.items()
+                                  if m.split(".")[0] == "sympy"
+                                  and mod is not None)}}))
+"""
+
+
+@pytest.mark.parametrize("blocked", [True, False])
+def test_coeff_eqs_runs_without_sympy(blocked):
+    result = json.loads(_run(_COEFF_EQS.format(blocked=blocked)))
+    assert result == {"code": 0, "verdict": "pass", "sympy": []}
