@@ -31,7 +31,11 @@ indices, and ``+ - * neg inv sqrt residue`` return interned elements.
 Larger rings multiply through the sparse structure constants and lift
 inverses and square roots from the residue field by Newton iteration.  At
 625 elements the list tables would cost 10-16 ms of ``tolist`` and about
-8 MB each, more than the scalar work they would save there.
+8 MB each, more than the scalar work they would save there.  The series
+helpers (``defo5.series``) bypass ``Element`` on both sides: on a kernel
+they chain the ``MUL``/``ADD``/``SUB`` rows on table indices, and on a
+larger ring they accumulate unreduced coordinate vectors through
+``_mul_rows`` and call ``reduce`` once per coefficient.
 """
 
 from __future__ import annotations

@@ -14,6 +14,18 @@ a result precision that is justified by what the inputs guarantee:
 Coefficient recurrences are used for division and square root, Horner for
 composition, and Newton iteration for the compositional inverse.  In debug
 builds every div/sqrt result is re-multiplied and checked exactly.
+
+Products, division, square root, composition and the compositional inverse
+run on coefficients in raw form and convert to ``Element`` only at the
+boundary.  In a ring with a table kernel (at most ``KERNEL_BOUND``
+elements) a raw coefficient is its table index, and every sum of products
+is a chain of ``MUL``/``ADD`` lookups.  In a larger ring it is its
+canonical coordinate tuple: a sum of products is accumulated as an
+unreduced integer vector through the sparse structure constants and reduced
+once, which is exact because coordinatewise reduction mod ``diag`` is a
+homomorphism from Z^dim.  The constant terms that division and square root
+invert go through ``Element.inv`` and ``Element.sqrt``, so both forms raise
+the same errors.
 """
 
 from __future__ import annotations
@@ -21,6 +33,7 @@ from __future__ import annotations
 import re
 import struct
 from itertools import zip_longest
+from operator import sub
 
 from .artin.literals import LiteralError, _Parser
 from .artin.rings import (Element, MismatchError, NotAUnitError, Ring,
@@ -156,15 +169,16 @@ class TruncatedSeries:
             return TruncatedSeries._of(self.ring, [a * c for a in self.coeffs])
         other, p = self._join(other)
         return TruncatedSeries._of(
-            self.ring, _mul_raw(self.ring, self.coeffs, other.coeffs, p))
+            self.ring, _mul(self.ring, self.coeffs, other.coeffs, p))
 
     __rmul__ = __mul__
 
     def div(self, other):
         """self / other, requiring a unit constant term in ``other``."""
         other, p = self._join(other)
-        result = TruncatedSeries._of(
-            self.ring, _div_raw(self.ring, self.coeffs, other.coeffs, p))
+        ring = self.ring
+        result = TruncatedSeries._of(ring, _elements(ring, _div_raw(
+            ring, _raw(ring, self.coeffs), _raw(ring, other.coeffs), p)))
         if __debug__:
             assert (result * other).agrees_with(self, p)
         return result
@@ -175,15 +189,13 @@ class TruncatedSeries:
     def sqrt(self, branch=None):
         """Square root with the given residue-field branch for the constant
         term; the result squares back to ``self`` exactly at this precision."""
+        ring = self.ring
         r0 = self.coeffs[0].sqrt(branch)
-        inv_2r0 = (r0 + r0).inv()
-        r = [r0]
-        for n in range(1, self.prec):
-            acc = self.coeffs[n]
-            for i in range(1, n):
-                acc = acc - r[i] * r[n - i]
-            r.append(acc * inv_2r0)
-        result = TruncatedSeries._of(self.ring, r)
+        u = (r0 + r0).inv()
+        r = _raw(ring, (r0,))
+        _recur(ring, _raw(ring, self.coeffs), r, _raw(ring, (u,))[0], r,
+               self.prec)
+        result = TruncatedSeries._of(ring, _elements(ring, r))
         if __debug__:
             assert (result * result).agrees_with(self)
         return result
@@ -210,8 +222,10 @@ class TruncatedSeries:
         prec_out = min(self.prec - loss, inner.prec)
         if prec_out < 1:
             raise PrecisionError("composition result would have precision < 1")
-        out = _compose_raw(self.ring, self.coeffs, inner.coeffs[:p], p)
-        return TruncatedSeries._of(self.ring, out[:prec_out])
+        ring = self.ring
+        out = _compose_raw(ring, _raw(ring, self.coeffs),
+                           _raw(ring, inner.coeffs[:p]), p)
+        return TruncatedSeries._of(ring, _elements(ring, out[:prec_out]))
 
     def comp_inverse(self):
         """Compositional inverse; needs nilpotent c0 and unit c1."""
@@ -226,22 +240,24 @@ class TruncatedSeries:
         if prec_out < 1:
             raise PrecisionError("compositional inverse would have precision < 1")
         P = self.prec
-        g = list(self.coeffs)
-        gp = _derivative_raw(ring, g, P)
+        g = _raw(ring, self.coeffs)
+        gp = _raw(ring, [c * i for i, c in enumerate(self.coeffs) if i]
+                  + [ring.zero])
         inv_c1 = c1.inv()
         # h0 = (t - c0)/c1 makes g(h0) = t + (higher filtration) exactly.
-        h = [(-c0) * inv_c1, inv_c1] + [ring.zero] * (P - 2)
-        tvec = [ring.zero, ring.one] + [ring.zero] * (P - 2)
+        zeros = [ring.zero] * (P - 2)
+        h = _raw(ring, [(-c0) * inv_c1, inv_c1] + zeros)
+        tvec = _raw(ring, [ring.zero, ring.one] + zeros)
+        zero = tvec[0]
         for _ in range(8 * (P + e)):
-            err = _sub_raw(_compose_raw(ring, g, h, P), tvec)
-            if all(c == ring.zero for c in err):
+            err = _sub_raw(ring, _compose_raw(ring, g, h, P), tvec)
+            if all(c == zero for c in err):
                 break
             denom = _compose_raw(ring, gp, h, P)
-            delta = _div_raw(ring, err, denom, P)
-            h = _sub_raw(h, delta)
+            h = _sub_raw(ring, h, _div_raw(ring, err, denom, P))
         else:
             raise RingError("compositional-inverse Newton iteration stalled")
-        result = TruncatedSeries._of(ring, h[:prec_out])
+        result = TruncatedSeries._of(ring, _elements(ring, h[:prec_out]))
         if __debug__:
             check = self.compose(result)
             assert check.agrees_with(TruncatedSeries.t(ring, check.prec))
@@ -322,55 +338,119 @@ class TruncatedSeries:
         return cls._of(ring, coeffs)
 
 
-# -- raw fixed-length helpers (no precision semantics) ---------------------------
+# -- raw form (module docstring) -------------------------------------------------
 
 
-def _mul_raw(ring, a, b, p):
-    # zero terms are skipped by comparing coordinate tuples, which costs no
-    # Python-level Element.__eq__ call
-    zero = ring.zero
-    z = zero.coords
-    out = [zero] * p
-    nonzero_b = [(j, bj) for j, bj in enumerate(b[:p]) if bj.coords != z]
-    for i, ai in enumerate(a[:p]):
-        if ai.coords == z:
-            continue
-        for j, bj in nonzero_b:
-            if i + j >= p:
-                break
-            out[i + j] = out[i + j] + ai * bj
-    return out
+def _raw(ring, coeffs):
+    """The raw form of some Elements of ``ring``."""
+    if ring._kernel is not None:
+        return [c._i for c in coeffs]
+    return [c.coords for c in coeffs]
 
 
-def _sub_raw(a, b):
-    return [x - y for x, y in zip(a, b)]
+def _elements(ring, raw):
+    """The Elements of ``ring`` with this raw form."""
+    kern = ring._kernel
+    if kern is not None:
+        return list(map(kern.els.__getitem__, raw))
+    return [Element(ring, c) for c in raw]
+
+
+def _mul(ring, a, b, p):
+    """The first p coefficients of a*b, as Elements."""
+    return _elements(ring, _mul_raw(ring, _raw(ring, a), _raw(ring, b), p))
+
+
+def _mac(ring, vec, x, y, sign=1):
+    """vec += sign*x*y on unreduced coordinate vectors."""
+    for xi, row in zip(x, ring._mul_rows):
+        if xi:
+            xi *= sign
+            for yj, terms in zip(y, row):
+                if yj:
+                    c = xi * yj
+                    for k, v in terms:
+                        vec[k] += c * v
+
+
+def _mul_raw(ring, a, b, p, c=None):
+    """The first p coefficients of a*b + c, with c a constant (default 0)."""
+    kern = ring._kernel
+    zero = 0 if kern is not None else ring.zero.coords
+    nonzero_b = [(j, y) for j, y in enumerate(b[:p]) if y != zero]
+    if kern is not None:  # index 0 is the zero element
+        MUL, ADD = kern.MUL, kern.ADD
+        out = [0] * p
+        if c is not None:
+            out[0] = c
+        for i, x in enumerate(a[:p]):
+            if x:
+                row = MUL[x]
+                for j, y in nonzero_b:
+                    k = i + j
+                    if k >= p:
+                        break
+                    out[k] = ADD[out[k]][row[y]]
+        return out
+    vecs = [[0] * ring.dim for _ in range(p)]
+    if c is not None:
+        vecs[0][:] = c
+    for i, x in enumerate(a[:p]):
+        if x != zero:
+            for j, y in nonzero_b:
+                if i + j >= p:
+                    break
+                _mac(ring, vecs[i + j], x, y)
+    return list(map(ring.reduce, vecs))
+
+
+def _sub_raw(ring, a, b):
+    kern = ring._kernel
+    if kern is not None:
+        SUB = kern.SUB
+        return [SUB[x][y] for x, y in zip(a, b)]
+    return [ring.reduce(map(sub, x, y)) for x, y in zip(a, b)]
 
 
 def _compose_raw(ring, g, f, p):
-    zero = ring.zero
-    out = [zero] * p
-    for gi in reversed(list(g)):
-        out = _mul_raw(ring, out, f, p)
-        out[0] = out[0] + gi
+    """g(f) to p terms, by Horner."""
+    out = _raw(ring, [ring.zero] * p)
+    for gk in reversed(g):
+        out = _mul_raw(ring, out, f, p, gk)
     return out
 
 
-def _derivative_raw(ring, g, p):
-    out = [g[i] * i for i in range(1, len(g))]
-    out = out + [ring.zero] * (p - len(out))
-    return out[:p]
+def _recur(ring, f, g, u, q, p):
+    """Extend q to p terms by q_n = u * (f_n - sum g_i*q_(n-i)) over
+    0 < i <= n with i < len(g).  Division passes q = [], square root passes
+    g = q itself, so that at step n the sum stops at i = n - 1."""
+    kern = ring._kernel
+    if kern is not None:
+        MUL, SUB, by_u = kern.MUL, kern.SUB, kern.MUL[u]
+        for n in range(len(q), p):
+            acc = f[n] if n < len(f) else 0
+            for i in range(1, min(n + 1, len(g))):
+                gi, qi = g[i], q[n - i]
+                if gi and qi:
+                    acc = SUB[acc][MUL[gi][qi]]
+            q.append(by_u[acc])
+        return q
+    zero = ring.zero.coords
+    for n in range(len(q), p):
+        vec = list(f[n] if n < len(f) else zero)
+        for i in range(1, min(n + 1, len(g))):
+            _mac(ring, vec, g[i], q[n - i], -1)
+        # reduction is a homomorphism, so vec is multiplied unreduced
+        out = [0] * ring.dim
+        _mac(ring, out, vec, u)
+        q.append(ring.reduce(out))
+    return q
 
 
 def _div_raw(ring, f, g, p):
-    inv_g0 = g[0].inv()
-    q = []
-    for n in range(p):
-        acc = f[n] if n < len(f) else ring.zero
-        for i in range(1, n + 1):
-            if i < len(g):
-                acc = acc - g[i] * q[n - i]
-        q.append(acc * inv_g0)
-    return q
+    """f/g to p terms; the constant term of g must be a unit."""
+    u = _elements(ring, g[:1])[0].inv()  # NotAUnitError otherwise
+    return _recur(ring, f, g, _raw(ring, (u,))[0], [], p)
 
 
 # -- series literal parsing -------------------------------------------------------
@@ -412,7 +492,7 @@ class _SeriesParser(_Parser):
         elif n > MAX_DEGREE + 1:
             raise LiteralError(
                 f"series literal without @prec has degree > {MAX_DEGREE}")
-        return _mul_raw(self.ring, a, b, n)
+        return _mul(self.ring, a, b, n)
 
 
 def _parse_series(ring, text):

@@ -9,9 +9,9 @@ the right side substitutes the inner series t * (1/s2) * (1 + t^2/y2)^(-1/2).
 Every t-coefficient is a SurdExpression with components in
 Q[a0, a1, a2, a3, y1, y2][1/r, 1/y2], r = a0^2 + y1; every binomial
 coefficient is a Fraction whose denominator is some 2^k, a unit in the
-catalog rings.  consistency_sample evaluates each coefficient at a
-witness (its numerator terms times the inverse of its denominator terms) and
-compares it with the series engine.
+catalog rings.  consistency_sample values every coefficient at a witness
+through one shared Specialization (numerator terms times the inverse of the
+denominator) and compares it with the series engine.
 
 g carries the extension symbol a3 even though the source writes
 g = a0 + a1*t + a2*t^2 + O(t^3): the raw t^3 coefficients do involve a3,
@@ -27,7 +27,7 @@ from functools import lru_cache
 
 from ..artin.rings import build_ring
 from ..series import TruncatedSeries
-from .surd import A0, A1, A2, A3, Y1, Y2, SurdExpression
+from .surd import A0, A1, A2, A3, Y1, Y2, Specialization, SurdExpression
 
 _HALF = Fraction(1, 2)
 
@@ -218,9 +218,10 @@ def consistency_sample(n: int = 1000, seed: int = 20260823, prec: int = 4):
         for _ in range(per_ring):
             w = _sample_witness(ring, rng, pools)
             lhs_eng, rhs_eng = _engine_coefficients(ring, w, prec)
+            at = Specialization(ring, w)
             for i in range(prec):
-                if (lhs_sym[i].evaluate(ring, w) != lhs_eng[i]
-                        or rhs_sym[i].evaluate(ring, w) != rhs_eng[i]):
+                if (at(lhs_sym[i]) != lhs_eng[i]
+                        or at(rhs_sym[i]) != rhs_eng[i]):
                     mismatches.append({"ring": desc, "t_power": i,
                                        "witness": {k: str(v)
                                                    for k, v in w.items()}})

@@ -26,11 +26,15 @@ order="lex")`` does: numerator P and denominator Q = c * r^i * y2^j coprime
 over Z with c > 0, terms in lex order a0 > a1 > a2 > a3 > y1 > y2, and a
 constant denominator distributed over the terms of P.
 
-evaluate() specializes to a finite catalog ring by one rule: each nonzero
-component is its numerator terms times the inverse of its denominator
-r^i * y2^j (a unit at every witness of the sample rings).  Rational
-constants have denominators prime to 5 and become integers modulo the
-characteristic.
+A Specialization values expressions in a finite catalog ring at one
+witness by one rule: each nonzero component is its numerator terms times
+the inverse of its denominator r^i * y2^j (a unit at every witness of the
+sample rings).  One specialization is shared by every expression valued at
+that witness: it checks s1^2 = r and s2^2 = y2 once, keeps one power table
+per symbol and inverts each distinct r^i * y2^j once, through Element.inv.
+In a ring with a table kernel it works on table indices.  evaluate() is its
+one-expression case.  Rational constants have denominators prime to 5 and
+become integers modulo the characteristic.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from numbers import Rational as _PyRational
-from operator import add
+from operator import add, attrgetter, mul
 
 _NAMES = ("a0", "a1", "a2", "a3", "y1", "y2")
 _UNIT = (0,) * 6
@@ -250,7 +254,7 @@ def _norm(e):
 def _make(c00, c10, c01, c11):
     out = object.__new__(SurdExpression)
     out.c00, out.c10, out.c01, out.c11 = c00, c10, c01, c11
-    out._plans = None
+    out._plans = {}
     return out
 
 
@@ -262,7 +266,7 @@ class SurdExpression:
     def __init__(self, c00=0, c10=0, c01=0, c11=0):
         comps = map(_norm, (c00, c10, c01, c11))
         self.c00, self.c10, self.c01, self.c11 = comps
-        self._plans = None
+        self._plans = {}
 
     # -- constructors ---------------------------------------------------------
 
@@ -403,32 +407,101 @@ class SurdExpression:
     # -- specialization -----------------------------------------------------------
 
     def evaluate(self, ring, witness):
-        """Exact value in a catalog ring.  ``witness`` maps the symbol names
-        a0, a1, a2, a3, y1, y2 to ring elements and s1, s2 to the chosen
-        square roots of a0^2 + y1 and y2 (both must square correctly).
-        Each denominator must evaluate to a unit (NotAUnitError otherwise)."""
-        s1v, s2v = witness["s1"], witness["s2"]
-        r, y2 = witness["a0"] * witness["a0"] + witness["y1"], witness["y2"]
-        if s1v * s1v != r:
-            raise SurdError("witness s1 is not a square root of a0^2 + y1")
-        if s2v * s2v != y2:
-            raise SurdError("witness s2 is not a square root of y2")
-        if self._plans is None:
-            self._plans = tuple(
-                (tuple((c.numerator, c.denominator, m)
-                       for m, c in comp.num.items()), comp.i, comp.j)
+        """Exact value in a catalog ring: the one-expression case of
+        ``Specialization(ring, witness)``."""
+        return Specialization(ring, witness)(self)
+
+    def _terms(self, char):
+        """Per component: None if it is zero, else (i, j, terms) with one
+        (coefficient mod char, ((symbol number, exponent), ...)) per
+        numerator term.  Rational constants have denominators prime to 5."""
+        plan = self._plans.get(char)
+        if plan is None:
+            plan = self._plans[char] = tuple(
+                (comp.i, comp.j, tuple(
+                    (c.numerator * pow(c.denominator, -1, char) % char,
+                     tuple((v, e) for v, e in enumerate(m) if e))
+                    for m, c in comp.num.items()))
                 if comp else None for comp in self._components())
-        pows = [[ring.one, witness[name]] for name in _NAMES]
-        total = ring.zero
-        for plan, surds in zip(self._plans, ((), (s1v,), (s2v,), (s1v, s2v))):
-            if plan is not None:
-                numer, i, j = plan
-                value = (_eval_terms(numer, ring, pows)
-                         * (r ** i * y2 ** j).inv())
-                for s in surds:
-                    value = value * s
-                total = total + value
-        return total
+        return plan
+
+
+class Specialization:
+    """One witness in one catalog ring, shared by every expression valued
+    there (module docstring).  ``witness`` maps the symbol names a0, a1, a2,
+    a3, y1, y2 to ring elements and s1, s2 to the chosen square roots of
+    a0^2 + y1 and y2, which must square correctly.  Values are computed on
+    table indices when the ring has a table kernel, else on Elements."""
+
+    def __init__(self, ring, witness):
+        s1, s2 = witness["s1"], witness["s2"]
+        r, y2 = witness["a0"] * witness["a0"] + witness["y1"], witness["y2"]
+        if s1 * s1 != r:
+            raise SurdError("witness s1 is not a square root of a0^2 + y1")
+        if s2 * s2 != y2:
+            raise SurdError("witness s2 is not a square root of y2")
+        self.ring = ring
+        kern = ring._kernel
+        if kern is None:
+            self._raw = self._element = _same
+            self._mul, self._add = mul, add
+        else:
+            MUL, ADD = kern.MUL, kern.ADD
+            self._raw, self._element = attrgetter("_i"), kern.els.__getitem__
+            self._mul = lambda x, y: MUL[x][y]
+            self._add = lambda x, y: ADD[x][y]
+        raw = self._raw
+        one, s1, s2 = raw(ring.one), raw(s1), raw(s2)
+        # powers of a0..y2, then of r and y2 for the denominators
+        self._pows = [[one, raw(x)] for x in
+                      [witness[name] for name in _NAMES] + [r, y2]]
+        self._surds = (one, s1, s2, self._mul(s1, s2))
+        self._inverses = {}
+
+    def _power(self, v, e):
+        """Power e of symbol v (6: r, 7: y2), from its table extended on
+        demand; ``__call__`` inlines this loop."""
+        seq = self._pows[v]
+        while len(seq) <= e:
+            seq.append(self._mul(seq[-1], seq[1]))
+        return seq[e]
+
+    def _inverse(self, i, j):
+        """The inverse of r^i * y2^j, taken once by Element.inv
+        (NotAUnitError if it is not a unit)."""
+        inv = self._inverses.get((i, j))
+        if inv is None:
+            den = self._element(self._mul(self._power(6, i),
+                                          self._power(7, j)))
+            inv = self._inverses[i, j] = self._raw(den.inv())
+        return inv
+
+    def __call__(self, expr):
+        """The value of ``expr`` here: each nonzero component is its
+        numerator terms times the inverse of its denominator r^i * y2^j."""
+        ring, mul, add, raw = self.ring, self._mul, self._add, self._raw
+        pows = self._pows
+        zero = raw(ring.zero)
+        total = zero
+        for plan, surd in zip(expr._terms(ring.char), self._surds):
+            if plan is None:
+                continue
+            i, j, terms = plan
+            numer = zero
+            for c, monom in terms:
+                term = raw(ring.from_int(c))
+                for v, e in monom:
+                    seq = pows[v]
+                    while len(seq) <= e:
+                        seq.append(mul(seq[-1], seq[1]))
+                    term = mul(term, seq[e])
+                numer = add(numer, term)
+            total = add(total, mul(mul(numer, self._inverse(i, j)), surd))
+        return self._element(total)
+
+
+def _same(x):
+    return x
 
 
 def _coerce(x):
@@ -445,18 +518,3 @@ def _generator(k):
 
 
 A0, A1, A2, A3, Y1, Y2 = SYMBOLS = tuple(map(_generator, range(6)))
-
-
-def _eval_terms(terms, ring, pows):
-    """The value of a term list; ``pows`` holds one list [1, x, x^2, ...]
-    per symbol, extended on demand."""
-    total = ring.zero
-    for num, den, monom in terms:
-        term = num * pow(den, -1, ring.char)  # an int until the first power
-        for seq, exp in zip(pows, monom):
-            if exp:
-                while len(seq) <= exp:
-                    seq.append(seq[-1] * seq[1])
-                term = seq[exp] * term
-        total = total + term
-    return total

@@ -2,15 +2,21 @@
 geometric series, binomial series (rational coefficients with 2-power
 denominators reduced into the ring), and Lagrange inversion."""
 
+import random
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+import series_oracle as oracle
 from defo5.artin.literals import LiteralError
-from defo5.artin.rings import Element, RingError, build_ring
+from defo5.artin.rings import (KERNEL_BOUND, Element, NoSquareRootError,
+                               NotAUnitError, RingError, build_ring)
+from defo5.deformation.proofchain import CATALOG
 from defo5.series import PrecisionError, TruncatedSeries
+from test_artin import structure_constants
 
 
 def frac_in(ring, q: Fraction):
@@ -111,6 +117,110 @@ def test_product_skips_zeros_without_element_eq(desc, monkeypatch):
     got = (a * b).coeffs
     monkeypatch.undo()
     assert calls == []
+    assert got == want
+
+
+# -- both raw forms against the Element-by-Element oracle ------------------------
+
+_SMALL = [d for d in CATALOG if build_ring(d).cardinality <= KERNEL_BOUND]
+_RAW_PATHS = ([(d, "index") for d in _SMALL] + [(d, "coords") for d in _SMALL]
+              + [("cyclo(4)", "coords")])
+_P = 24  # the longest precision the reports use (iterates --prec 24)
+
+
+@contextmanager
+def _raw_path(ring, path):
+    """Table indices (the ring's kernel), or unreduced coordinate vectors
+    (the ring run on its structure constants, as rings above the bound)."""
+    if path == "index":
+        assert ring._kernel is not None
+        yield
+    else:
+        with structure_constants(ring):
+            assert ring._kernel is None
+            yield
+
+
+def _sparse(ring, rng, c0, p=_P):
+    """c0, then p - 1 coefficients of which about 60 % are zero."""
+    els = list(ring.enumerate())
+    return [c0] + [rng.choice(els) if rng.random() < 0.4 else ring.zero
+                   for _ in range(p - 1)]
+
+
+def _coords(coeffs):
+    return [c.coords for c in coeffs]
+
+
+@pytest.mark.parametrize("desc,path", _RAW_PATHS)
+def test_raw_paths_agree_with_element_oracle(desc, path):
+    R = build_ring(desc)
+    rng = random.Random(20261018)
+    units = list(R.enumerate("units"))
+    nilpotent = [x for x in R.enumerate("maximal-ideal") if x != R.zero]
+    f = _sparse(R, rng, rng.choice(list(R.enumerate())))
+    g = _sparse(R, rng, rng.choice(units))
+    square = oracle.mul(R, g, g, _P)  # unit constant term, both roots exist
+    inner = _sparse(R, rng, rng.choice(nilpotent) if nilpotent else R.zero)
+    inner[1] = rng.choice(units)
+    branches = R.residue_square_roots[square[0].residue().coords]
+    assert len(branches) == 2
+    loss = (inner[0].nilpotency_order() - 1) if nilpotent else 0
+    want = {
+        "mul": oracle.mul(R, f, g, _P),
+        "div": oracle.div(R, f, g, _P),
+        "compose": oracle.compose(R, f, inner, _P)[:_P - loss],
+        "comp_inverse": oracle.comp_inverse(R, inner)[
+            :_P - 2 * (R.nilpotency_index - 1)],
+        **{("sqrt", b): oracle.sqrt(R, square, b) for b in branches},
+    }
+    with _raw_path(R, path):
+        F, G, S, inner_s = (TruncatedSeries(R, c)
+                            for c in (f, g, square, inner))
+        got = {
+            "mul": (F * G).coeffs,
+            "div": F.div(G).coeffs,
+            "compose": F.compose(inner_s).coeffs,
+            "comp_inverse": inner_s.comp_inverse().coeffs,
+            **{("sqrt", b): S.sqrt(b).coeffs for b in branches},
+        }
+    assert ({k: _coords(v) for k, v in got.items()}
+            == {k: _coords(v) for k, v in want.items()})
+
+
+def _error(fn):
+    try:
+        fn()
+    except RingError as exc:
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize("desc,path", _RAW_PATHS)
+def test_raw_paths_raise_the_oracle_errors(desc, path):
+    R = build_ring(desc)
+    nonunit = next((x for x in R.enumerate("maximal-ideal") if x != R.zero),
+                   R.zero)
+    nonsquare = next(u for u in R.enumerate("units")
+                     if u.residue().coords not in R.residue_square_roots)
+    p = 6
+    f = [R.one + R.one] + [R.one] * (p - 1)
+    bad = {c0: [c0] + [R.one] * (p - 1) for c0 in (nonunit, nonsquare)}
+    want = [_error(lambda: oracle.div(R, f, bad[nonunit], p)),
+            _error(lambda: oracle.sqrt(R, bad[nonunit])),
+            _error(lambda: oracle.sqrt(R, bad[nonsquare]))]
+    assert want == [NotAUnitError, NotAUnitError, NoSquareRootError]
+    with _raw_path(R, path):
+        F = TruncatedSeries(R, f)
+        got = [_error(lambda: F.div(TruncatedSeries(R, bad[nonunit]))),
+               _error(lambda: TruncatedSeries(R, bad[nonunit]).sqrt()),
+               _error(lambda: TruncatedSeries(R, bad[nonsquare]).sqrt())]
+        unit_c0 = TruncatedSeries(R, [R.one, R.one], prec=p)
+        assert _error(lambda: F.compose(unit_c0)) is RingError
+        if nonunit != R.zero:
+            short = TruncatedSeries(R, [R.one])  # nothing left after the loss
+            nil_c0 = TruncatedSeries(R, [nonunit, R.one], prec=p)
+            assert _error(lambda: short.compose(nil_c0)) is PrecisionError
     assert got == want
 
 

@@ -13,8 +13,9 @@ from defo5.symbolic.coefficients import (consistency_sample, displayed_eq3,
                                          displayed_eq4, displayed_third_order,
                                          expand_lhs, expand_rhs, inner_series,
                                          verify_displayed_equations)
-from defo5.symbolic.surd import (A0, A1, A2, A3, Y1, Y2, SurdError,
-                                 SurdExpression)
+from defo5.series import TruncatedSeries
+from defo5.symbolic.surd import (A0, A1, A2, A3, Y1, Y2, Specialization,
+                                 SurdError, SurdExpression)
 
 
 def s1():
@@ -247,8 +248,18 @@ def test_evaluation_inverts_one_denominator_per_component(monkeypatch):
     monkeypatch.setattr(Element, "inv",
                         lambda x: inverses.append(x) or real_inv(x))
     values = [c.evaluate(R, w) for c in coeffs]
-    assert len(inverses) == sum(map(bool, (comp for c in coeffs
-                                           for comp in c._components())))
+
+    def denominators(exprs):
+        return {(comp.i, comp.j) for c in exprs for comp in c._components()
+                if comp}
+
+    assert len(inverses) == sum(len(denominators([c])) for c in coeffs) == 8
+    # one specialization shared by all eight coefficients inverts each
+    # distinct r^i * y2^j once: r^1..r^4, y2, y2^2 and 1
+    inverses.clear()
+    at = Specialization(R, w)
+    assert [at(c) for c in coeffs] == values
+    assert len(inverses) == len(denominators(coeffs)) == 7
     # a zero component costs nothing: s1 * s2 has three
     inverses.clear()
     assert (s1() * s2()).evaluate(R, w) == w["s1"] * w["s2"]
@@ -256,6 +267,60 @@ def test_evaluation_inverts_one_denominator_per_component(monkeypatch):
     assert inverses == [R.one]
     # evaluation keeps no witness state: a second pass agrees
     assert [c.evaluate(R, w) for c in coeffs] == values
+
+
+def _replayed_witnesses(n, seed):
+    """The (ring descriptor, ring, witness) triples that
+    consistency_sample(n, seed) draws, in order."""
+    rng = random.Random(seed)
+    per_ring = -(-n // len(coefficients._SAMPLE_RINGS))
+    for desc in coefficients._SAMPLE_RINGS:
+        R = build_ring(desc)
+        pools = coefficients._witness_pools(R)
+        for _ in range(per_ring):
+            yield desc, R, coefficients._sample_witness(R, rng, pools)
+
+
+def _entry(desc, t_power, w):
+    return {"ring": desc, "t_power": t_power,
+            "witness": {k: str(v) for k, v in w.items()}}
+
+
+def test_sample_fails_on_a_perturbed_symbolic_term(monkeypatch):
+    """Bump the coefficient of a2*y1^2 in the t^2 coefficient of the left
+    side by one: the sample reports a mismatch at exactly the witnesses
+    where that term a2*y1^2/r^3 * s1 is nonzero."""
+    lhs = expand_lhs(4)
+    delta = s1() * SurdExpression.of(A2 * Y1 ** 2 / (A0 ** 2 + Y1) ** 3)
+    bumped = lhs[2] + delta
+    old, new = lhs[2].c10.num, bumped.c10.num
+    assert old.keys() == new.keys()
+    assert [m for m in old if old[m] != new[m]] == [(0, 0, 1, 0, 2, 0)]
+    monkeypatch.setattr(coefficients, "expand_lhs",
+                        lambda prec=4: lhs[:2] + (bumped,) + lhs[3:])
+    report = consistency_sample(70, seed=99)
+    want = [_entry(desc, 2, w) for desc, R, w in _replayed_witnesses(70, 99)
+            if delta.evaluate(R, w) != R.zero]
+    assert report["witnesses"] == 70 and not report["passed"]
+    assert report["mismatches"] == want
+    assert {m["ring"] for m in want} == set(coefficients._SAMPLE_RINGS)
+
+
+def test_sample_fails_on_a_perturbed_engine(monkeypatch):
+    """Add 1 to the t^1 coefficient of every engine square root: at every
+    witness the t^2 coefficients of both sides move by a unit."""
+    real_sqrt = TruncatedSeries.sqrt
+
+    def bent_sqrt(self, branch=None):
+        return real_sqrt(self, branch) + TruncatedSeries.t(self.ring, self.prec)
+
+    monkeypatch.setattr(TruncatedSeries, "sqrt", bent_sqrt)
+    report = consistency_sample(70, seed=99)
+    assert report["witnesses"] == 70 and not report["passed"]
+    for desc, R, w in _replayed_witnesses(70, 99):
+        assert _entry(desc, 2, w) in report["mismatches"]
+    assert {m["ring"] for m in report["mismatches"]} == \
+        set(coefficients._SAMPLE_RINGS)
 
 
 def test_evaluation_refuses_a_non_unit_denominator():
