@@ -31,11 +31,13 @@ indices, and ``+ - * neg inv sqrt residue`` return interned elements.
 Larger rings multiply through the sparse structure constants and lift
 inverses and square roots from the residue field by Newton iteration.  At
 625 elements the list tables would cost 10-16 ms of ``tolist`` and about
-8 MB each, more than the scalar work they would save there.  The series
-helpers (``defo5.series``) bypass ``Element`` on both sides: on a kernel
-they chain the ``MUL``/``ADD``/``SUB`` rows on table indices, and on a
-larger ring they accumulate unreduced coordinate vectors through
-``_mul_rows`` and call ``reduce`` once per coefficient.
+8 MB each, more than the scalar work they would save there.  Series
+(``defo5.series``) store raw coefficients and bypass ``Element``: on a
+kernel they chain the ``MUL``/``ADD``/``SUB`` rows on table indices, and on
+a larger ring they accumulate unreduced coordinate vectors through
+``_mul_rows`` and call ``reduce`` once per coefficient.  The unit, inverse,
+square-root and nilpotency tests inside ``Element`` compare coordinates,
+not ``Element``s, so the constant terms a series inverts cost no ``==``.
 """
 
 from __future__ import annotations
@@ -344,10 +346,10 @@ class Element:
         return self if ring.is_field else ring._residue(self.coords)
 
     def is_unit(self):
-        return self.residue() != self.ring.residue_ring.zero
+        return any(self.residue().coords)
 
     def in_maximal_ideal(self):
-        return self.residue() == self.ring.residue_ring.zero
+        return not self.is_unit()
 
     def nilpotency_order(self):
         """Least n with self**n == 0; raises for units."""
@@ -355,7 +357,7 @@ class Element:
             raise NotAUnitError("units are not nilpotent")
         x = self
         n = 1
-        while x != self.ring.zero:
+        while any(x.coords):
             x = x * self
             n += 1
             if n > self.ring.nilpotency_index + 1:
@@ -380,7 +382,7 @@ class Element:
         two = self.ring.from_int(2)
         for _ in range(64):
             prod = self * r
-            if prod == self.ring.one:
+            if prod.coords == self.ring.one.coords:
                 return r
             r = r * (two - prod)
         raise RingError("unit inversion did not converge")
@@ -397,7 +399,7 @@ class Element:
         k = self.ring.residue_ring
         res = self.residue()
         roots = self.ring.residue_square_roots.get(res.coords, ())
-        roots = [r for r in roots if r != k.zero]
+        roots = [r for r in roots if any(r.coords)]
         if not roots:
             raise NoSquareRootError(
                 f"residue {res} is not a nonzero square in {k.descriptor}")
@@ -408,18 +410,18 @@ class Element:
                 branch = k.from_int(branch)
             if branch.ring != k:
                 raise MismatchError("branch must live in the residue field")
-            if branch not in roots:
+            if branch.coords not in [r.coords for r in roots]:
                 raise NoSquareRootError(
                     f"{branch} is not a square root of residue {res}")
             pick = branch
         kern = self.ring._kernel
         if kern is not None:  # the one root on branch ``pick``, by Hensel
             return next(kern.els[j] for j in kern.roots[self._i]
-                        if kern.res[j] == pick)
+                        if kern.res[j].coords == pick.coords)
         r = self.ring.section(pick)
         half = self.ring._half
         for _ in range(64):
-            if r * r == self:
+            if (r * r).coords == self.coords:
                 return r
             r = (r + self * r.inv()) * half
         raise RingError("square-root Newton iteration did not converge")

@@ -116,9 +116,11 @@ def _cmd_iterates(args):
     results = []
     for p in pts:
         fam = versal_family(p, args.prec)
+        direct = power(fam, 0)
         for k in range(args.k_max + 1):
+            if k:  # direct = fam^k, built as power(fam, k) builds it
+                direct = fam(direct)
             closed = iterate_closed_form(p, k, args.prec)
-            direct = power(fam, k)
             agree = closed.series.agrees_with(direct.series, direct.prec)
             ok = ok and agree
             results.append({"y": str(p.y), "k": k, "agrees": agree,

@@ -73,8 +73,6 @@ consequence used downstream.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-
 import numpy as np
 
 from ..artin.rings import Ring, build_ring
@@ -380,6 +378,9 @@ def proof_chain_scan(max_cardinality: int = 5 ** 4, jobs: int = 1):
     results are merged in canonical catalog order."""
     rings = catalog_rings(max_cardinality)
     if jobs > 1:
+        # imported here, so that importing the package leaves multiprocessing
+        # unloaded (about 20 ms of every run)
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, len(rings))) as pool:
             reports = list(pool.map(proof_chain_check,
                                     [r.descriptor for r in rings]))

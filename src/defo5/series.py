@@ -13,19 +13,34 @@ a result precision that is justified by what the inputs guarantee:
 
 Coefficient recurrences are used for division and square root, Horner for
 composition, and Newton iteration for the compositional inverse.  In debug
-builds every div/sqrt result is re-multiplied and checked exactly.
+builds every div/sqrt/comp_inverse result is re-multiplied (re-composed) and
+checked exactly.
 
-Products, division, square root, composition and the compositional inverse
-run on coefficients in raw form and convert to ``Element`` only at the
-boundary.  In a ring with a table kernel (at most ``KERNEL_BOUND``
-elements) a raw coefficient is its table index, and every sum of products
-is a chain of ``MUL``/``ADD`` lookups.  In a larger ring it is its
-canonical coordinate tuple: a sum of products is accumulated as an
-unreduced integer vector through the sparse structure constants and reduced
-once, which is exact because coordinatewise reduction mod ``diag`` is a
-homomorphism from Z^dim.  The constant terms that division and square root
-invert go through ``Element.inv`` and ``Element.sqrt``, so both forms raise
+What is stored.  A series holds its coefficients in raw form only.  In a
+ring with a table kernel (at most ``KERNEL_BOUND`` elements) a raw
+coefficient is its table index, and every sum of products is a chain of
+``MUL``/``ADD`` lookups.  In a larger ring it is its canonical coordinate
+tuple: a sum of products is accumulated as an unreduced integer vector
+through the sparse structure constants and reduced once, which is exact
+because coordinatewise reduction mod ``diag`` is a homomorphism from Z^dim.
+Every operation, from ``+`` to ``comp_inverse``, ``==`` and ``t_order``,
+maps raw lists to raw lists.
+
+When ``Element``s appear.  Only at the API edge: the constructor coerces its
+arguments, and ``coeffs`` (also ``s[i]``, ``str``, ``to_bytes``) builds the
+tuple of ``Element``s on first use and caches it; on a kernel ring those
+are the interned elements.  The few constant terms that must be inverted,
+square-rooted or tested for nilpotency go through ``Element.inv``,
+``Element.sqrt`` and ``Element.nilpotency_order``, so both raw forms raise
 the same errors.
+
+Horner by valuation.  To compose g(f) to p terms when f has t-order v >= 1,
+the k-th Horner accumulator is multiplied by f^k = O(t^(v*k)), so only its
+first p - v*k terms matter, and only the g_k with v*k < p take part.  Step
+k then costs about (p - k)^2 / 2 coefficient products for v = 1, about
+P^3/6 over a composition at precision P instead of the P^3/2 of running
+every step at full width.  An inner series with a nonzero (nilpotent)
+constant term keeps the full-width Horner.
 """
 
 from __future__ import annotations
@@ -33,7 +48,7 @@ from __future__ import annotations
 import re
 import struct
 from itertools import zip_longest
-from operator import sub
+from operator import add, neg, sub
 
 from .artin.literals import LiteralError, _Parser
 from .artin.rings import (Element, MismatchError, NotAUnitError, Ring,
@@ -46,7 +61,7 @@ class PrecisionError(RingError):
 
 def _coerce(ring, c):
     if isinstance(c, Element):
-        if c.ring != ring:
+        if c.ring is not ring and c.ring != ring:
             raise MismatchError("coefficient from a different ring")
         return c
     if isinstance(c, int):
@@ -55,31 +70,40 @@ def _coerce(ring, c):
 
 
 class TruncatedSeries:
-    __slots__ = ("ring", "coeffs", "prec")
+    __slots__ = ("ring", "prec", "_raw", "_coeffs")
 
     def __init__(self, ring: Ring, coeffs, prec=None):
-        coeffs = tuple(_coerce(ring, c) for c in coeffs)
+        raw = _raw(ring, [_coerce(ring, c) for c in coeffs])
         if prec is not None:
-            if prec < len(coeffs):
-                coeffs = coeffs[:prec]
-            elif prec > len(coeffs):
-                coeffs = coeffs + tuple([ring.zero] * (prec - len(coeffs)))
-        self._set(ring, coeffs)
+            if prec < len(raw):
+                raw = raw[:prec]
+            elif prec > len(raw):
+                raw += [_zero(ring)] * (prec - len(raw))
+        self._set(ring, raw)
 
-    def _set(self, ring, coeffs):
-        if not coeffs:
+    def _set(self, ring, raw):
+        if not raw:
             raise PrecisionError("a series needs precision >= 1")
         self.ring = ring
-        self.coeffs = coeffs
-        self.prec = len(coeffs)
+        self.prec = len(raw)
+        self._raw = raw
+        self._coeffs = None
 
     @classmethod
-    def _of(cls, ring, coeffs):
-        """The series with these coefficients, already Elements of ``ring``
-        (results of this module's arithmetic), taken without coercion."""
+    def _of(cls, ring, raw):
+        """The series with this raw coefficient list (results of this
+        module's arithmetic), taken as it is: the caller hands it over."""
         self = cls.__new__(cls)
-        self._set(ring, tuple(coeffs))
+        self._set(ring, raw)
         return self
+
+    @property
+    def coeffs(self):
+        """The coefficients as a tuple of ``Element``s, built on first use."""
+        coeffs = self._coeffs
+        if coeffs is None:
+            coeffs = self._coeffs = tuple(_elements(self.ring, self._raw))
+        return coeffs
 
     # -- constructors ----------------------------------------------------------
 
@@ -103,7 +127,7 @@ class TruncatedSeries:
     def _join(self, other):
         if not isinstance(other, TruncatedSeries):
             other = TruncatedSeries.constant(self.ring, other, self.prec)
-        if other.ring != self.ring:
+        if other.ring is not self.ring and other.ring != self.ring:
             raise MismatchError("series over different rings")
         return other, min(self.prec, other.prec)
 
@@ -111,23 +135,24 @@ class TruncatedSeries:
         if prec > self.prec:
             raise PrecisionError(
                 f"cannot truncate a prec-{self.prec} series to prec {prec}")
-        return TruncatedSeries._of(self.ring, self.coeffs[:prec])
+        return TruncatedSeries._of(self.ring, self._raw[:prec])
 
     def exact_extension(self, prec):
         """Reinterpret the stored coefficients as the *whole* series and pad
         with zeros.  Only sound when the series is known to be a polynomial."""
         if prec < self.prec:
             return self.truncate(prec)
-        return TruncatedSeries(self.ring, self.coeffs, prec=prec)
+        return TruncatedSeries._of(
+            self.ring, self._raw + [_zero(self.ring)] * (prec - self.prec))
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return (self.ring == other.ring and self.prec == other.prec
-                and self.coeffs == other.coeffs)
+                and self._raw == other._raw)
 
     def __hash__(self):
-        return hash((self.ring.descriptor, self.coeffs))
+        return hash((self.ring.descriptor, tuple(self._raw)))
 
     def agrees_with(self, other, prec=None):
         """Coefficient-wise equality on the common guaranteed range."""
@@ -136,40 +161,46 @@ class TruncatedSeries:
             if prec > p:
                 raise PrecisionError(f"agreement check beyond precision {p}")
             p = prec
-        return self.coeffs[:p] == other.coeffs[:p]
+        return self._raw[:p] == other._raw[:p]
 
     def is_zero(self):
-        z = self.ring.zero
-        return all(c == z for c in self.coeffs)
+        return self.t_order() is None
 
     # -- ring operations ---------------------------------------------------------
 
     def __add__(self, other):
-        other, p = self._join(other)
-        return TruncatedSeries._of(self.ring, [
-            a + b for a, b in zip(self.coeffs[:p], other.coeffs[:p])])
+        other, _ = self._join(other)
+        return TruncatedSeries._of(
+            self.ring, _add_raw(self.ring, self._raw, other._raw))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other, p = self._join(other)
-        return TruncatedSeries._of(self.ring, [
-            a - b for a, b in zip(self.coeffs[:p], other.coeffs[:p])])
+        other, _ = self._join(other)
+        return TruncatedSeries._of(
+            self.ring, _sub_raw(self.ring, self._raw, other._raw))
 
     def __rsub__(self, other):
         other, _ = self._join(other)
         return other - self
 
     def __neg__(self):
-        return TruncatedSeries._of(self.ring, [-a for a in self.coeffs])
+        ring = self.ring
+        kern = ring._kernel
+        if kern is not None:
+            return TruncatedSeries._of(ring, list(map(kern.NEG.__getitem__,
+                                                      self._raw)))
+        return TruncatedSeries._of(
+            ring, [ring.reduce(map(neg, x)) for x in self._raw])
 
     def __mul__(self, other):
+        ring = self.ring
         if isinstance(other, Element) or isinstance(other, int):
-            c = _coerce(self.ring, other)
-            return TruncatedSeries._of(self.ring, [a * c for a in self.coeffs])
+            c = _raw(ring, [_coerce(ring, other)])
+            return TruncatedSeries._of(ring, _scale_raw(ring, self._raw, c[0]))
         other, p = self._join(other)
         return TruncatedSeries._of(
-            self.ring, _mul(self.ring, self.coeffs, other.coeffs, p))
+            ring, _mul_raw(ring, self._raw, other._raw, p))
 
     __rmul__ = __mul__
 
@@ -177,8 +208,8 @@ class TruncatedSeries:
         """self / other, requiring a unit constant term in ``other``."""
         other, p = self._join(other)
         ring = self.ring
-        result = TruncatedSeries._of(ring, _elements(ring, _div_raw(
-            ring, _raw(ring, self.coeffs), _raw(ring, other.coeffs), p)))
+        result = TruncatedSeries._of(
+            ring, _div_raw(ring, self._raw, other._raw, p))
         if __debug__:
             assert (result * other).agrees_with(self, p)
         return result
@@ -190,12 +221,11 @@ class TruncatedSeries:
         """Square root with the given residue-field branch for the constant
         term; the result squares back to ``self`` exactly at this precision."""
         ring = self.ring
-        r0 = self.coeffs[0].sqrt(branch)
+        r0 = _elements(ring, self._raw[:1])[0].sqrt(branch)
         u = (r0 + r0).inv()
         r = _raw(ring, (r0,))
-        _recur(ring, _raw(ring, self.coeffs), r, _raw(ring, (u,))[0], r,
-               self.prec)
-        result = TruncatedSeries._of(ring, _elements(ring, r))
+        _recur(ring, self._raw, r, _raw(ring, (u,))[0], r, self.prec)
+        result = TruncatedSeries._of(ring, r)
         if __debug__:
             assert (result * result).agrees_with(self)
         return result
@@ -205,16 +235,18 @@ class TruncatedSeries:
     def derivative(self):
         if self.prec < 2:
             raise PrecisionError("derivative needs precision >= 2")
-        return TruncatedSeries._of(
-            self.ring, [self.coeffs[i] * i for i in range(1, self.prec)])
+        return TruncatedSeries._of(self.ring,
+                                   _derivative_raw(self.ring, self._raw))
 
     def compose(self, inner):
         """self(inner(t)); the constant term of ``inner`` must be nilpotent."""
         inner, p = self._join(inner)
-        c0 = inner.coeffs[0]
-        if c0 == self.ring.zero:
+        ring = self.ring
+        f = inner._raw
+        if f[0] == _zero(ring):
             loss = 0
         else:
+            c0 = _elements(ring, f[:1])[0]
             if c0.is_unit():
                 raise RingError(
                     "composition needs a nilpotent constant term in the inner series")
@@ -222,15 +254,14 @@ class TruncatedSeries:
         prec_out = min(self.prec - loss, inner.prec)
         if prec_out < 1:
             raise PrecisionError("composition result would have precision < 1")
-        ring = self.ring
-        out = _compose_raw(ring, _raw(ring, self.coeffs),
-                           _raw(ring, inner.coeffs[:p]), p)
-        return TruncatedSeries._of(ring, _elements(ring, out[:prec_out]))
+        out = _compose_raw(ring, self._raw, f[:p], p)
+        return TruncatedSeries._of(ring, out[:prec_out])
 
     def comp_inverse(self):
         """Compositional inverse; needs nilpotent c0 and unit c1."""
         ring = self.ring
-        c0, c1 = self.coeffs[0], self.coeffs[1]
+        g = self._raw
+        c0, c1 = _elements(ring, (g[0], g[1]))
         if c0.is_unit():
             raise RingError("compositional inverse needs nilpotent constant term")
         if not c1.is_unit():
@@ -240,15 +271,13 @@ class TruncatedSeries:
         if prec_out < 1:
             raise PrecisionError("compositional inverse would have precision < 1")
         P = self.prec
-        g = _raw(ring, self.coeffs)
-        gp = _raw(ring, [c * i for i, c in enumerate(self.coeffs) if i]
-                  + [ring.zero])
+        zero = _zero(ring)
+        gp = _derivative_raw(ring, g) + [zero]
         inv_c1 = c1.inv()
         # h0 = (t - c0)/c1 makes g(h0) = t + (higher filtration) exactly.
-        zeros = [ring.zero] * (P - 2)
-        h = _raw(ring, [(-c0) * inv_c1, inv_c1] + zeros)
-        tvec = _raw(ring, [ring.zero, ring.one] + zeros)
-        zero = tvec[0]
+        zeros = [zero] * (P - 2)
+        h = _raw(ring, [(-c0) * inv_c1, inv_c1]) + zeros
+        tvec = [zero] + _raw(ring, [ring.one]) + zeros
         for _ in range(8 * (P + e)):
             err = _sub_raw(ring, _compose_raw(ring, g, h, P), tvec)
             if all(c == zero for c in err):
@@ -257,7 +286,7 @@ class TruncatedSeries:
             h = _sub_raw(ring, h, _div_raw(ring, err, denom, P))
         else:
             raise RingError("compositional-inverse Newton iteration stalled")
-        result = TruncatedSeries._of(ring, _elements(ring, h[:prec_out]))
+        result = TruncatedSeries._of(ring, h[:prec_out])
         if __debug__:
             check = self.compose(result)
             assert check.agrees_with(TruncatedSeries.t(ring, check.prec))
@@ -266,20 +295,16 @@ class TruncatedSeries:
     def t_order(self):
         """Least i with a nonzero coefficient, or None when the series
         vanishes at this precision (read: t-order >= prec)."""
-        z = self.ring.zero
-        for i, c in enumerate(self.coeffs):
-            if c != z:
-                return i
-        return None
+        return _t_order(self._raw, _zero(self.ring))
 
     def shift_down(self, k=1):
         """Divide by t^k; the dropped coefficients must vanish."""
-        z = self.ring.zero
-        if any(c != z for c in self.coeffs[:k]):
+        zero = _zero(self.ring)
+        if any(c != zero for c in self._raw[:k]):
             raise RingError(f"series is not divisible by t^{k}")
         if self.prec - k < 1:
             raise PrecisionError("shift would drop below precision 1")
-        return TruncatedSeries._of(self.ring, self.coeffs[k:])
+        return TruncatedSeries._of(self.ring, self._raw[k:])
 
     # -- text and binary forms -------------------------------------------------
 
@@ -335,14 +360,14 @@ class TruncatedSeries:
             coords = struct.unpack_from("<%dQ" % dim, data, off)
             off += 8 * dim
             coeffs.append(Element(ring, ring.reduce(coords)))
-        return cls._of(ring, coeffs)
+        return cls._of(ring, _raw(ring, coeffs))
 
 
 # -- raw form (module docstring) -------------------------------------------------
 
 
 def _raw(ring, coeffs):
-    """The raw form of some Elements of ``ring``."""
+    """The raw form of some Elements of ``ring``, as a new list."""
     if ring._kernel is not None:
         return [c._i for c in coeffs]
     return [c.coords for c in coeffs]
@@ -354,6 +379,16 @@ def _elements(ring, raw):
     if kern is not None:
         return list(map(kern.els.__getitem__, raw))
     return [Element(ring, c) for c in raw]
+
+
+def _zero(ring):
+    """The raw zero: index 0 on a kernel, else the zero coordinate tuple."""
+    return 0 if ring._kernel is not None else ring.zero.coords
+
+
+def _t_order(raw, zero):
+    """The index of the first nonzero raw coefficient, or None."""
+    return next((i for i, c in enumerate(raw) if c != zero), None)
 
 
 def _mul(ring, a, b, p):
@@ -371,6 +406,44 @@ def _mac(ring, vec, x, y, sign=1):
                     c = xi * yj
                     for k, v in terms:
                         vec[k] += c * v
+
+
+def _add_raw(ring, a, b):
+    kern = ring._kernel
+    if kern is not None:
+        ADD = kern.ADD
+        return [ADD[x][y] for x, y in zip(a, b)]
+    return [ring.reduce(map(add, x, y)) for x, y in zip(a, b)]
+
+
+def _sub_raw(ring, a, b):
+    kern = ring._kernel
+    if kern is not None:
+        SUB = kern.SUB
+        return [SUB[x][y] for x, y in zip(a, b)]
+    return [ring.reduce(map(sub, x, y)) for x, y in zip(a, b)]
+
+
+def _scale_raw(ring, a, c):
+    """Each coefficient of a times the raw scalar c."""
+    kern = ring._kernel
+    if kern is not None:
+        return list(map(kern.MUL[c].__getitem__, a))
+    out = []
+    for x in a:
+        vec = [0] * ring.dim
+        _mac(ring, vec, x, c)
+        out.append(ring.reduce(vec))
+    return out
+
+
+def _derivative_raw(ring, a):
+    """The coefficients i*a_i for i >= 1."""
+    kern = ring._kernel
+    if kern is not None:
+        MUL = kern.MUL
+        return [MUL[x][ring.from_int(i)._i] for i, x in enumerate(a) if i]
+    return [ring.reduce([c * i for c in x]) for i, x in enumerate(a) if i]
 
 
 def _mul_raw(ring, a, b, p, c=None):
@@ -404,20 +477,23 @@ def _mul_raw(ring, a, b, p, c=None):
     return list(map(ring.reduce, vecs))
 
 
-def _sub_raw(ring, a, b):
-    kern = ring._kernel
-    if kern is not None:
-        SUB = kern.SUB
-        return [SUB[x][y] for x, y in zip(a, b)]
-    return [ring.reduce(map(sub, x, y)) for x, y in zip(a, b)]
-
-
 def _compose_raw(ring, g, f, p):
-    """g(f) to p terms, by Horner."""
-    out = _raw(ring, [ring.zero] * p)
-    for gk in reversed(g):
-        out = _mul_raw(ring, out, f, p, gk)
-    return out
+    """g(f) to p terms, by Horner; truncated by the t-order v of f when
+    f[0] = 0 (module docstring), at full width otherwise."""
+    zero = _zero(ring)
+    v = _t_order(f[:p], zero)
+    if v is None:  # f = 0 to p terms: g(f) = g[0]
+        return [g[0]] + [zero] * (p - 1)
+    if v == 0:
+        out = [zero] * p
+        for gk in reversed(g):
+            out = _mul_raw(ring, out, f, p, gk)
+        return out
+    top = min(len(g) - 1, (p - 1) // v)
+    out = [g[top]]
+    for k in range(top - 1, -1, -1):
+        out = _mul_raw(ring, out, f, p - v * k, g[k])
+    return out + [zero] * (p - len(out))
 
 
 def _recur(ring, f, g, u, q, p):

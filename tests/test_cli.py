@@ -7,9 +7,13 @@ import time
 import pytest
 
 from defo5 import __version__
+from defo5.artin.rings import build_ring
 from defo5.artin.tables import RingTable
 from defo5.deformation import equivalence
+from defo5.deformation.versal import (hom_points, iterate_closed_form,
+                                      versal_family)
 from defo5.cli import main
+from defo5.nottingham import Automorphism, power
 from defo5.reports import Report
 
 SCHEMA_KEYS = {"command", "params", "verdict", "details", "witnesses",
@@ -248,6 +252,38 @@ def test_normal_form_recovers_conjugator(capsys):
     assert report["verdict"] == "pass"
     assert report["details"]["conjugator_found"]
     assert report["witnesses"][0].startswith("t + t^2")
+
+
+def test_iterates_chain_each_direct_iterate(capsys, monkeypatch):
+    """``iterates`` builds the direct iterates of a versal point as one
+    chain fam^k = fam(fam^(k-1)) from power(fam, 0): five compositions per
+    point for k <= 5, each link the series and precision of power(fam, k)."""
+    links = {}
+    call = Automorphism.__call__
+
+    def recording_call(self, other):
+        out = call(self, other)
+        links.setdefault(id(self), (self, []))[1].append(out)
+        return out
+
+    monkeypatch.setattr(Automorphism, "__call__", recording_call)
+    code, report, _ = run(capsys, "iterates", "--ring", "cyclo(3)",
+                          "--prec", "12")
+    monkeypatch.undo()
+    assert code == 0
+    points = hom_points(build_ring("cyclo(3)"))
+    assert len(points) == len(links) == 25
+    rows = iter(report["details"]["results"])
+    for p, (fam, chain) in zip(points, links.values()):
+        assert fam == versal_family(p, 12) and len(chain) == 5
+        for k, direct in enumerate([power(fam, 0)] + chain):
+            want = power(fam, k)
+            assert direct == want and direct.prec == want.prec
+            closed = iterate_closed_form(p, k, 12)
+            assert next(rows) == {
+                "y": str(p.y), "k": k, "precision": want.prec,
+                "agrees": closed.series.agrees_with(want.series, want.prec)}
+    assert next(rows, None) is None
 
 
 def test_versal_check_tautological(capsys):

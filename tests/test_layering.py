@@ -3,7 +3,8 @@
 ``artin`` and ``series`` only, ``deformation`` does not reach into
 ``symbolic``, and the ring-table cache has one home.
 Also: no module of the package imports sympy (only the test oracles do),
-importing the CLI does not load ``defo5.symbolic``, and ``coeff-eqs`` runs
+importing the CLI loads neither ``defo5.symbolic`` nor the process pool
+(``multiprocessing``, ``concurrent.futures.process``), and ``coeff-eqs`` runs
 and passes with sympy blocked."""
 
 import ast
@@ -105,6 +106,13 @@ def test_cli_import_leaves_sympy_unloaded():
     code = ("import sys, defo5.cli; "
             "print(sorted(m for m in sys.modules "
             "if m == 'sympy' or m.startswith(('sympy.', 'defo5.symbolic'))))")
+    assert _run(code).strip() == "[]"
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    code = ("import sys, defo5.cli; "
+            "print(sorted(m for m in ('multiprocessing', "
+            "'concurrent.futures.process') if m in sys.modules))")
     assert _run(code).strip() == "[]"
 
 

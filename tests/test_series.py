@@ -97,15 +97,29 @@ def test_division_examples():
 
 @pytest.mark.parametrize("desc", ["F5[e]/(e^3)", "cyclo(4)"])
 def test_product_skips_zeros_without_element_eq(desc, monkeypatch):
-    """The product skips zero coefficients by comparing coordinate tuples:
-    no Element.__eq__ call, on the table kernel (125 elements) and on the
-    structure constants (625), and the schoolbook product's coefficients."""
+    """Products, division, square roots and composition (with a zero and
+    with a nilpotent constant term inside) test coefficients for zero on the
+    raw form, and the constant terms they invert or take roots of compare
+    coordinates: no Element.__eq__ call, on the table kernel (125 elements)
+    and on the structure constants (625)."""
     R = build_ring(desc)
     x, y = R.element([1] * R.dim), R.element(list(range(R.dim)))
+    m = R.generator("e" if "e" in R._generator_vecs else "u")
     a = TruncatedSeries(R, [0, 1, 0, 3, x, 0, 2], prec=8)
     b = TruncatedSeries(R, [2, 0, y, 0, 0, 1, 0, x], prec=8)
-    want = tuple(sum((a.coeffs[i] * b.coeffs[k - i] for i in range(k + 1)),
-                     R.zero) for k in range(8))
+    square = b * b
+    inner = TruncatedSeries(R, [0, 1, 0, x, 0, 0, y], prec=8)
+    nil_inner = TruncatedSeries(R, [m, 3, 0, x], prec=8)
+    loss = m.nilpotency_order() - 1
+    want = {
+        "mul": tuple(sum((a.coeffs[i] * b.coeffs[k - i] for i in range(k + 1)),
+                         R.zero) for k in range(8)),
+        "div": tuple(oracle.div(R, a.coeffs, b.coeffs, 8)),
+        "sqrt": tuple(oracle.sqrt(R, square.coeffs)),
+        "compose": tuple(oracle.compose(R, a.coeffs, inner.coeffs, 8)),
+        "compose nilpotent": tuple(
+            oracle.compose(R, a.coeffs, nil_inner.coeffs, 8)[:8 - loss]),
+    }
     calls = []
     eq = Element.__eq__
 
@@ -114,7 +128,9 @@ def test_product_skips_zeros_without_element_eq(desc, monkeypatch):
         return eq(self, other)
 
     monkeypatch.setattr(Element, "__eq__", counting_eq)
-    got = (a * b).coeffs
+    got = {"mul": (a * b).coeffs, "div": a.div(b).coeffs,
+           "sqrt": square.sqrt().coeffs, "compose": a.compose(inner).coeffs,
+           "compose nilpotent": a.compose(nil_inner).coeffs}
     monkeypatch.undo()
     assert calls == []
     assert got == want
@@ -222,6 +238,166 @@ def test_raw_paths_raise_the_oracle_errors(desc, path):
             nil_c0 = TruncatedSeries(R, [nonunit, R.one], prec=p)
             assert _error(lambda: short.compose(nil_c0)) is PrecisionError
     assert got == want
+
+
+_HORNER_PRECS = (1, 2, 3, 8, 16)
+
+
+def _inner_series(ring, rng, units, c0, v):
+    """c0, then zeros up to t^v, a unit at t^v and sparse terms after it."""
+    f = _sparse(ring, rng, c0)
+    f[1:v] = [ring.zero] * (v - 1)
+    f[v] = rng.choice(units)
+    return f
+
+
+@pytest.mark.parametrize("desc,path", _RAW_PATHS)
+def test_truncated_horner_agrees_with_element_oracle(desc, path):
+    """Horner cut by the t-order of the inner series (and at full width
+    for a nonzero constant term), through ``compose`` and ``comp_inverse``,
+    against the full-width Element oracle: inner series of t-order 1 and 2
+    with zero constant term and of t-order 1 behind a nilpotent constant
+    term, outer series longer and shorter than the inner one, and
+    precisions down to 1 and 2 (where the inner series may vanish)."""
+    R = build_ring(desc)
+    rng = random.Random(20261019)
+    units = list(R.enumerate("units"))
+    nilpotent = [x for x in R.enumerate("maximal-ideal") if x != R.zero]
+    inners = {"order 1": _inner_series(R, rng, units, R.zero, 1),
+              "order 2": _inner_series(R, rng, units, R.zero, 2)}
+    if nilpotent:
+        inners["nilpotent c0"] = _inner_series(
+            R, rng, units, rng.choice(nilpotent), 1)
+    g = _sparse(R, rng, rng.choice(list(R.enumerate())), _P + 5)
+    e = R.nilpotency_index
+    want, got = {}, {}
+    for kind, f in inners.items():
+        loss = (f[0].nilpotency_order() - 1) if f[0] != R.zero else 0
+        for p in _HORNER_PRECS:
+            for m in (p + 5, max(1, p - 1)):  # len(g) > p, and len(g) < p
+                q = min(m, p)
+                cut = min(m - loss, p)
+                want["compose", kind, p, m] = (
+                    oracle.compose(R, g[:m], f[:q], q)[:cut] if cut >= 1
+                    else PrecisionError)
+            if kind != "order 2" and p >= 2 and p - 2 * (e - 1) >= 1:
+                want["comp_inverse", kind, p] = oracle.comp_inverse(
+                    R, f[:p])[:p - 2 * (e - 1)]
+    with _raw_path(R, path):
+        series = {kind: TruncatedSeries(R, f) for kind, f in inners.items()}
+        outer = TruncatedSeries(R, g)
+        for key in want:
+            kind, p = key[1], key[2]
+            f = series[kind].truncate(p)
+            if key[0] == "comp_inverse":
+                got[key] = f.comp_inverse().coeffs
+                continue
+            try:
+                got[key] = outer.truncate(key[3]).compose(f).coeffs
+            except PrecisionError:
+                got[key] = PrecisionError
+    assert len(got) == len(want) >= 24
+
+    def shown(v):
+        return v if v is PrecisionError else _coords(v)
+
+    assert ({k: shown(v) for k, v in got.items()}
+            == {k: shown(v) for k, v in want.items()})
+
+
+@pytest.mark.parametrize("desc,path", _RAW_PATHS)
+def test_coeffs_are_the_oracle_elements(desc, path):
+    """``coeffs`` is built from the raw form on first use: the oracle's
+    Elements, and on a table kernel the interned ones, also when the
+    constructor was given Elements built elsewhere."""
+    R = build_ring(desc)
+    rng = random.Random(20261020)
+    units = list(R.enumerate("units"))
+    f = _sparse(R, rng, rng.choice(units))
+    g = _sparse(R, rng, rng.choice(units))
+    x = rng.choice(units)
+    want = {"init": f, "mul": oracle.mul(R, f, g, _P),
+            "div": oracle.div(R, f, g, _P),
+            "add": [a + b for a, b in zip(f, g)],
+            "sub": oracle.sub(f, g), "neg": [-a for a in f],
+            "scale": [a * x for a in f], "scale int": [a * 7 for a in f],
+            "derivative": oracle.derivative(R, f, _P - 1)}
+    with _raw_path(R, path):
+        F, G = TruncatedSeries(R, f), TruncatedSeries(R, g)
+        got = {"init": F.coeffs, "mul": (F * G).coeffs,
+               "div": F.div(G).coeffs, "add": (F + G).coeffs,
+               "sub": (F - G).coeffs, "neg": (-F).coeffs,
+               "scale": (F * x).coeffs, "scale int": (7 * F).coeffs,
+               "derivative": F.derivative().coeffs}
+        assert all(type(c) is Element and c.ring is R
+                   for cs in got.values() for c in cs)
+        kern = R._kernel
+        if kern is not None:
+            assert all(c is kern.els[c._i] for cs in got.values() for c in cs)
+        assert F.coeffs is F.coeffs  # cached
+        assert [F[i] for i in range(_P)] == list(F.coeffs)
+    assert ({k: _coords(v) for k, v in got.items()}
+            == {k: _coords(v) for k, v in want.items()})
+
+
+@pytest.mark.parametrize("desc", ["F5[e]/(e^3)", "cyclo(3)", "cyclo(4)"])
+def test_equal_series_hash_equal(desc):
+    R = build_ring(desc)
+    x = R.element([1] * R.dim)
+    t = TruncatedSeries.t(R, 5)
+    s = TruncatedSeries(R, [1, 2, 0, x], prec=5)
+    same = [
+        TruncatedSeries(R, [R.one, R.from_int(2), R.zero, x, R.zero]),
+        TruncatedSeries.from_literal(R, str(s)),
+        (s + t) - t,
+        s * 1,
+        -(-s),
+        TruncatedSeries.from_bytes(s.to_bytes()),
+        TruncatedSeries(R, [1, 2, 0, x, 0, 3], prec=7).truncate(5),
+        s.truncate(4).exact_extension(5),
+        (s * t).shift_down(1).exact_extension(5),
+    ]
+    assert all(u == s and hash(u) == hash(s) for u in same)
+    assert len({s, *same}) == 1
+    assert s + t * t * t * t != s and s.truncate(4) != s
+
+
+@pytest.mark.parametrize("desc,path", _RAW_PATHS)
+def test_binary_and_literal_round_trips(desc, path):
+    R = build_ring(desc)
+    rng = random.Random(20261021)
+    f = _sparse(R, rng, rng.choice(list(R.enumerate())))
+    with _raw_path(R, path):
+        F = TruncatedSeries(R, f)
+        back = [TruncatedSeries.from_bytes(F.to_bytes()),
+                TruncatedSeries.from_literal(R, str(F))]
+        assert all(b == F and b.prec == _P for b in back)
+        assert all(_coords(b.coeffs) == _coords(f) for b in back)
+
+
+@pytest.mark.parametrize("desc,path", _RAW_PATHS)
+def test_operations_leave_their_operands_alone(desc, path):
+    """No operation writes into the stored coefficients of an operand, and
+    no result shares its coefficient list with one."""
+    R = build_ring(desc)
+    rng = random.Random(20261022)
+    units = list(R.enumerate("units"))
+    f = _sparse(R, rng, rng.choice(units))
+    g = _sparse(R, rng, rng.choice(units))
+    inner = _inner_series(R, rng, units, R.zero, 1)
+    with _raw_path(R, path):
+        F, G, inner_s = (TruncatedSeries(R, c) for c in (f, g, inner))
+        S = G * G
+        operands = (F, G, S, inner_s)
+        before = [(s._raw, list(s._raw), s.coeffs) for s in operands]
+        results = [F * G, F.div(G), S.sqrt(), F.compose(inner_s),
+                   inner_s.comp_inverse(), F.truncate(5),
+                   inner_s.shift_down(1), F * units[-1], F + G, F - G, -F,
+                   F.derivative(), F.exact_extension(_P + 3), F.truncate(_P)]
+        for s, (raw, copy, coeffs) in zip(operands, before):
+            assert s._raw is raw and s._raw == copy and s.coeffs is coeffs
+        assert not {id(r._raw) for r in results} & {id(s._raw)
+                                                    for s in operands}
 
 
 # -- precision tracking ---------------------------------------------------------------
