@@ -38,6 +38,15 @@ a larger ring they accumulate unreduced coordinate vectors through
 ``_mul_rows`` and call ``reduce`` once per coefficient.  The unit, inverse,
 square-root and nilpotency tests inside ``Element`` compare coordinates,
 not ``Element``s, so the constant terms a series inverts cost no ``==``.
+
+The residue field, F5 or F25, is just another table.  Every ring, a field
+being its own residue field, reads residue inverses from the ``INV`` and
+residue square roots from the ``roots`` of its residue field's
+``RingTable`` (through ``ring_table``, the one table cache), by residue
+index.  A table index is the mixed-radix rank of the canonical coordinates,
+first coordinate most significant, so ascending index order is the
+lexicographic order of coordinates: the first entry of ``roots[i]`` is the
+root with the lexicographically smallest coordinates, the principal branch.
 """
 
 from __future__ import annotations
@@ -130,7 +139,6 @@ class Ring:
         from a finished ring."""
         if not self._indexed:
             return None
-        from .tables import ring_table  # tables imports this module
         return _Kernel(self, ring_table(self))
 
     # -- canonical form --------------------------------------------------------
@@ -149,10 +157,6 @@ class Ring:
     @property
     def residue_ring(self):
         return self._residue_ring if self._residue_ring is not None else self
-
-    @property
-    def is_field(self):
-        return self._residue_ring is None
 
     def element(self, coords):
         if len(coords) != self.dim:
@@ -200,23 +204,6 @@ class Ring:
             if which == "units" and el.residue() == rzero:
                 continue
             yield el
-
-    # -- residue-field data ----------------------------------------------------
-
-    @cached_property
-    def residue_square_roots(self):
-        """Map residue-field element -> tuple of its square roots there."""
-        table = {}
-        for x in self.residue_ring.enumerate():
-            table.setdefault((x * x).coords, []).append(x)
-        return {c: tuple(v) for c, v in table.items()}
-
-    @cached_property
-    def _field_inverses(self):
-        """Map coords -> inverse over the nonzero elements of a field:
-        x^-1 = x^(q-2)."""
-        return {x.coords: x ** (self.cardinality - 2)
-                for x in self.enumerate() if x != self.zero}
 
     @cached_property
     def _half(self):
@@ -343,7 +330,7 @@ class Element:
         kern = ring._kernel
         if kern is not None:
             return kern.res[self._i]
-        return self if ring.is_field else ring._residue(self.coords)
+        return ring._residue(self.coords)
 
     def is_unit(self):
         return any(self.residue().coords)
@@ -366,23 +353,23 @@ class Element:
 
     def inv(self):
         """Exact inverse of a unit: a table lookup, or a Newton lift of the
-        residue inverse."""
-        kern = self.ring._kernel
+        residue inverse from the residue field's table."""
+        ring = self.ring
+        kern = ring._kernel
         if kern is not None:
             j = kern.INV[self._i]
             if j < 0:
                 raise NotAUnitError(f"{self} is not a unit")
             return kern.els[j]
-        rinv = self.ring.residue_ring._field_inverses.get(self.residue().coords)
-        if rinv is None:
+        rtab = ring_table(ring.residue_ring)
+        j = rtab.INV[self.residue()._i]
+        if j < 0:
             raise NotAUnitError(f"{self} is not a unit")
-        if self.ring.is_field:
-            return rinv
-        r = self.ring.section(rinv)
-        two = self.ring.from_int(2)
+        r = ring.section(rtab.element(j))
+        two = ring.from_int(2)
         for _ in range(64):
             prod = self * r
-            if prod.coords == self.ring.one.coords:
+            if prod.coords == ring.one.coords:
                 return r
             r = r * (two - prod)
         raise RingError("unit inversion did not converge")
@@ -391,35 +378,40 @@ class Element:
         """Exact square root of a unit whose residue is a nonzero square.
 
         ``branch`` selects the residue-field root (an Element of the residue
-        field, or an int for F5).  Default: the principal branch, i.e. the
-        root with the lexicographically smallest canonical coordinates.
+        field, or an int for F5).  Default: the principal branch, the root
+        whose residue has the lexicographically smallest canonical
+        coordinates: the first of the residue's roots in the residue field's
+        table (module docstring).  A kernel ring returns its root on that
+        branch by residue index; a larger ring lifts the section of the
+        residue root by Newton iteration.
         """
-        if not self.is_unit():
-            raise NotAUnitError("square roots are only taken of units")
-        k = self.ring.residue_ring
+        ring = self.ring
+        k = ring.residue_ring
         res = self.residue()
-        roots = self.ring.residue_square_roots.get(res.coords, ())
-        roots = [r for r in roots if any(r.coords)]
+        if not res._i:  # index 0 is the zero element
+            raise NotAUnitError("square roots are only taken of units")
+        rtab = ring_table(k)
+        roots = rtab.roots[res._i]  # no zero root: res is a unit
         if not roots:
             raise NoSquareRootError(
                 f"residue {res} is not a nonzero square in {k.descriptor}")
         if branch is None:
-            pick = min(roots, key=lambda r: r.coords)
+            pick = roots[0]
         else:
             if isinstance(branch, int):
                 branch = k.from_int(branch)
             if branch.ring != k:
                 raise MismatchError("branch must live in the residue field")
-            if branch.coords not in [r.coords for r in roots]:
+            pick = branch._i
+            if pick not in roots:
                 raise NoSquareRootError(
                     f"{branch} is not a square root of residue {res}")
-            pick = branch
-        kern = self.ring._kernel
+        kern = ring._kernel
         if kern is not None:  # the one root on branch ``pick``, by Hensel
             return next(kern.els[j] for j in kern.roots[self._i]
-                        if kern.res[j].coords == pick.coords)
-        r = self.ring.section(pick)
-        half = self.ring._half
+                        if kern.res[j]._i == pick)
+        r = ring.section(rtab.element(pick))
+        half = ring._half
         for _ in range(64):
             if (r * r).coords == self.coords:
                 return r
@@ -453,8 +445,7 @@ class _Kernel:
 
     def __init__(self, ring, table):
         self.els = els = [Element(ring, c) for c in table.coords.tolist()]
-        self.res = els if ring.is_field else [ring._residue(x.coords)
-                                              for x in els]
+        self.res = [ring._residue(x.coords) for x in els]
         self.ADD = table.ADD.tolist()
         self.SUB = table.ADD[:, table.NEG].tolist()
         self.MUL = table.MUL.tolist()
@@ -673,3 +664,6 @@ def build_ring(descriptor: str) -> Ring:
 _F5 = _make_f5()
 _F25 = _make_f25()
 _RINGS = {"F5": _F5, "F25": _F25}  # canonical descriptor -> the ring
+
+# tables imports this module, so the one table cache is bound last
+from .tables import ring_table  # noqa: E402

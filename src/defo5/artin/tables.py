@@ -129,7 +129,7 @@ class RingTable:
         if not 0 <= idx < self.n:
             raise RingError(f"{self.ring.descriptor}: no element with table "
                             f"index {idx} (0 <= index < {self.n})")
-        return Element(self.ring, tuple(int(c) for c in self.coords[idx]))
+        return Element(self.ring, tuple(self.coords[idx].tolist()))
 
     def from_int(self, k: int) -> int:
         return self.index(self.ring.from_int(k))

@@ -116,7 +116,7 @@ def order(a: Automorphism, cap: int):
 def hasse_conductor(a: Automorphism):
     """ord_t(a(t)/t - 1) of the residue-field reduction; also returns the
     leading coefficient.  Undefined for the identity."""
-    red = a if a.ring.is_field else a.reduce_residue()
+    red = a.reduce_residue()
     one = TruncatedSeries.constant(red.ring, 1, red.prec - 1)
     ratio = red.series.shift_down(1) - one
     m = ratio.t_order()
@@ -172,7 +172,7 @@ def normal_form_o5c2(a: Automorphism, prec: int):
         for c in choices:
             cand = coeffs + [c]
             lhs, rhs = both_sides(cand, k + 1)
-            if lhs.coeffs[k] == rhs.coeffs[k] and lhs.agrees_with(rhs):
+            if lhs.agrees_with(rhs):
                 hit = dfs(cand)
                 if hit is not None:
                     return hit

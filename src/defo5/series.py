@@ -48,7 +48,7 @@ from __future__ import annotations
 import re
 import struct
 from itertools import zip_longest
-from operator import add, neg, sub
+from operator import add, sub
 
 from .artin.literals import LiteralError, _Parser
 from .artin.rings import (Element, MismatchError, NotAUnitError, Ring,
@@ -186,18 +186,15 @@ class TruncatedSeries:
 
     def __neg__(self):
         ring = self.ring
-        kern = ring._kernel
-        if kern is not None:
-            return TruncatedSeries._of(ring, list(map(kern.NEG.__getitem__,
-                                                      self._raw)))
         return TruncatedSeries._of(
-            ring, [ring.reduce(map(neg, x)) for x in self._raw])
+            ring, _sub_raw(ring, [_zero(ring)] * self.prec, self._raw))
 
     def __mul__(self, other):
         ring = self.ring
         if isinstance(other, Element) or isinstance(other, int):
             c = _raw(ring, [_coerce(ring, other)])
-            return TruncatedSeries._of(ring, _scale_raw(ring, self._raw, c[0]))
+            return TruncatedSeries._of(ring, _mul_raw(ring, self._raw, c,
+                                                      self.prec))
         other, p = self._join(other)
         return TruncatedSeries._of(
             ring, _mul_raw(ring, self._raw, other._raw, p))
@@ -422,19 +419,6 @@ def _sub_raw(ring, a, b):
         SUB = kern.SUB
         return [SUB[x][y] for x, y in zip(a, b)]
     return [ring.reduce(map(sub, x, y)) for x, y in zip(a, b)]
-
-
-def _scale_raw(ring, a, c):
-    """Each coefficient of a times the raw scalar c."""
-    kern = ring._kernel
-    if kern is not None:
-        return list(map(kern.MUL[c].__getitem__, a))
-    out = []
-    for x in a:
-        vec = [0] * ring.dim
-        _mac(ring, vec, x, c)
-        out.append(ring.reduce(vec))
-    return out
 
 
 def _derivative_raw(ring, a):

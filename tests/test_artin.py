@@ -3,7 +3,7 @@
 import random
 import time
 import tracemalloc
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 import pytest
@@ -165,6 +165,50 @@ def test_principal_branch_defaults_to_residue_one():
     # (principal) branch is the residue-1 root
     assert R.from_int(16).sqrt() == R.from_int(21)
     assert R.from_int(16).sqrt(R.residue_ring.from_int(4)) == R.from_int(4)
+
+
+@pytest.mark.parametrize("desc,path", [
+    ("F25", "table"), ("F25", "structure constants"),
+    ("cyclo(3)", "table"), ("cyclo(3)", "structure constants"),
+    ("F25[e]/(e^2)", "structure constants"),
+])
+def test_principal_branch_is_the_least_residue_root(desc, path):
+    """For every unit with a square residue, the default root lies over the
+    residue root with the lexicographically smallest coordinates, found by
+    brute force over the residue field."""
+    R = build_ring(desc)
+    k = R.residue_ring
+    on_table = path == "table"
+    with nullcontext() if on_table else structure_constants(R):
+        assert (R._kernel is not None) == on_table
+        squares = 0
+        for u in R.enumerate("units"):
+            res = u.residue()
+            roots = [x.coords for x in k.enumerate() if x * x == res]
+            if roots:
+                assert u.sqrt().residue().coords == min(roots)
+                squares += 1
+    # (q - 1)/2 residues are nonzero squares, each the residue of |A|/q units
+    assert squares == (k.cardinality - 1) // 2 * (R.cardinality
+                                                  // k.cardinality)
+
+
+@pytest.mark.parametrize("desc", ["cyclo(3)", "cyclo(4)"])
+def test_explicit_branch_must_be_a_residue_root(desc):
+    R = build_ring(desc)
+    k = R.residue_ring
+    assert (R._kernel is None) == (R.cardinality > KERNEL_BOUND)
+    x = R.from_int(4) + R.generator("u")  # residue 4, roots 2 and 3
+    for b in (2, 3):
+        r = x.sqrt(b)
+        assert r * r == x and r.residue() == k.from_int(b)
+    for foreign in (build_ring("F25").one, build_ring("Z/25").from_int(2),
+                    R.from_int(2)):
+        with pytest.raises(MismatchError):
+            x.sqrt(foreign)
+    for not_a_root in (1, 4, k.zero, k.from_int(1)):
+        with pytest.raises(NoSquareRootError):
+            x.sqrt(not_a_root)
 
 
 def test_cyclo2_isomorphic_to_dual_numbers():
@@ -511,7 +555,8 @@ def test_scalar_kernel_against_reference(desc):
                 R, [x + y for x, y in zip(a.coords, b.coords)])
     for u in R.enumerate("units"):
         assert u * u.inv() == R.one
-        roots = R.residue_square_roots.get(u.residue().coords, ())
+        roots = tuple(x for x in R.residue_ring.enumerate()
+                      if x * x == u.residue())
         if not roots:
             with pytest.raises(NoSquareRootError):
                 u.sqrt()
