@@ -383,7 +383,8 @@ class Element:
         coordinates: the first of the residue's roots in the residue field's
         table (module docstring).  A kernel ring returns its root on that
         branch by residue index; a larger ring lifts the section of the
-        residue root by Newton iteration.
+        residue root's inverse to 1/sqrt(self) by Newton iteration, which
+        needs no inversion, and returns self times it.
         """
         ring = self.ring
         k = ring.residue_ring
@@ -410,12 +411,14 @@ class Element:
         if kern is not None:  # the one root on branch ``pick``, by Hensel
             return next(kern.els[j] for j in kern.roots[self._i]
                         if kern.res[j]._i == pick)
-        r = ring.section(rtab.element(pick))
-        half = ring._half
+        # r -> r(3 - x r^2)/2 keeps r = 1/pick mod m, so x r is on branch
+        r = ring.section(rtab.element(rtab.INV[pick]))
+        half, three = ring._half, ring.from_int(3)
         for _ in range(64):
-            if (r * r).coords == self.coords:
-                return r
-            r = (r + self * r.inv()) * half
+            root = self * r
+            if (root * root).coords == self.coords:
+                return root
+            r = r * (three - root * r) * half
         raise RingError("square-root Newton iteration did not converge")
 
     def __repr__(self):

@@ -9,7 +9,8 @@ candidate lift over Z/25 is sigma_W + 5*d with sigma_W the principal-branch
 t/sqrt(t^2+1) over Z/25 and d over F5, and since (5d)^2 = 0 the order-5
 condition is the inhomogeneous linear system Z*d = -(sigma_W^5 - t)/5 over
 F5, with Z the tangent-space cocycle matrix.  The system is certified
-inconsistent by exact row reduction.
+inconsistent by one echelon of Z's columns over GF(5): it is consistent
+exactly when the right-hand side's normal form modulo that span is empty.
 """
 
 from __future__ import annotations
@@ -64,8 +65,10 @@ def obstruction_check(descriptor: str, prec: int):
         rows = prec + COCYCLE_SHIFT
         defect = defect_vector(rows)
         lead = next((i for i, v in enumerate(defect) if v), None)
-        Z = cocycle_matrix(prec)
-        consistent = gf5.solvable(Z, [(-v) % 5 for v in defect])
+        # last column first: column t^j starts at row j + COCYCLE_SHIFT or
+        # later, so pivots come mostly in descending order, rarely clearing
+        span = gf5.Echelon(reversed(list(zip(*cocycle_matrix(prec)))))
+        consistent = not span.reduce([-v for v in defect])
         report.update({
             "defect_leading_order": lead,
             "defect_leading_coeff": defect[lead] if lead is not None else None,

@@ -3,19 +3,22 @@
 A first-order lift is sigma + eps*d(t) with d over F5; the order-5 condition
 is linear in d because eps^2 = 0 (the cocycle map Z), and first-order
 conjugation xi = t + eps*c acts by d -> d + c(sigma) - sigma' * c (the
-coboundary map B).  The tangent space is ker Z / (im B  intersect  ker Z),
-computed by exact linear algebra over GF(5) on truncated coefficient
-vectors, at several precisions with a stabilization check.
+coboundary map B).  Coboundaries are cocycles (im B lies in ker Z, checked
+exactly), so the tangent space ker Z / im B has dimension
+prec - rank Z - rank B over GF(5), from one echelon of Z's rows and one of
+B's columns; two cocycles are equivalent exactly when their normal forms
+modulo im B agree.  All of this runs on truncated coefficient vectors, at
+several precisions with a stabilization check.
 
-Z is built over F5 by the chain rule (``cocycle_matrix``); the 5-fold
-composition over F5[e]/(e^2) is kept as the test oracle ``cocycle_defect``.
+Z is built over F5 by the chain rule (``cocycle_matrix``); the tests check
+it against the 5-fold composition over F5[e]/(e^2).
 """
 
 from __future__ import annotations
 
 from .. import gf5
 from ..artin.rings import RingError, build_ring
-from ..nottingham import Automorphism, base_sigma, power
+from ..nottingham import Automorphism, base_sigma
 from ..series import TruncatedSeries
 from .versal import VersalPoint, versal_family
 
@@ -35,7 +38,9 @@ def _eps_part(coeff):
 # therefore loses exactly the equations that constrain the top unknowns, so
 # the cocycle system is built rectangular: unknowns d_0..d_{prec-1}, equations
 # through t^(prec+SHIFT-1).  Soundness needs every direction t^j with
-# j >= prec to stay out of those rows, which the constructor asserts.
+# j >= prec to stay out of those rows; the constructor asserts that every
+# column t^j it computes is 0 below t^(j+SHIFT), which also makes the
+# top-left corner of Z at a larger precision the matrix at a smaller one.
 COCYCLE_SHIFT = 8
 
 
@@ -65,27 +70,11 @@ def cocycle_matrix(prec):
         col = sum(terms[1:], terms[0])
         cols.append([col.coeffs[i].coords[0] for i in range(rows)])
         terms = [w * it.series for w, it in zip(terms, iterates)]
-    for j in range(prec, rows):
-        if any(cols[j]):
+    for j, col in enumerate(cols):
+        if any(col[:j + COCYCLE_SHIFT]):
             raise RingError(
                 f"cocycle degree-shift hypothesis fails at direction t^{j}")
     return [[cols[j][i] for j in range(prec)] for i in range(rows)]
-
-
-def cocycle_defect(d_vec, prec):
-    """Brute-force ((sigma + eps*d)^5 - t)/eps for an arbitrary d over F5;
-    used to validate linearity of the cocycle map."""
-    ring = build_ring(_DUAL)
-    rows = prec + COCYCLE_SHIFT
-    internal = rows + 4
-    sigma = base_sigma(ring, internal)
-    eps = ring.generator("e")
-    t = TruncatedSeries.t(ring, internal)
-    pert = [eps * int(d_vec[j]) if j < len(d_vec) else ring.zero
-            for j in range(internal)]
-    tilted = Automorphism(sigma.series + TruncatedSeries(ring, pert))
-    defect = power(tilted, 5).series - t
-    return [_eps_part(defect.coeffs[i]) for i in range(rows)]
 
 
 def coboundary_matrix(prec):
@@ -104,16 +93,6 @@ def coboundary_matrix(prec):
     return [[cols[j][i] for j in range(prec)] for i in range(prec)]
 
 
-def coboundary_apply(c_vec, prec):
-    """c(sigma) - sigma' * c for an arbitrary c over F5, truncated."""
-    f5 = build_ring("F5")
-    internal = prec + 2
-    sigma = base_sigma(f5, internal).series
-    c = TruncatedSeries(f5, list(c_vec), prec=internal)
-    out = c.compose(sigma) - sigma.derivative() * c
-    return [int(out.coeffs[i].coords[0]) for i in range(prec)]
-
-
 def hom_point_directions(prec):
     """The first-order directions (sigma_{1+c*eps} - sigma)/eps for c in F5."""
     ring = build_ring(_DUAL)
@@ -129,40 +108,59 @@ def hom_point_directions(prec):
     return out
 
 
-def _tangent_data(prec):
-    """(dimension, Z, kernel basis of Z, columns of B) at one precision."""
-    Z = cocycle_matrix(prec)
-    B = coboundary_matrix(prec)
-    ker = gf5.nullspace(Z, prec)
-    im_b = [[row[j] for row in B] for j in range(prec)]  # columns of B
-    dim = len(ker) - gf5.intersect_dim(im_b, ker)
-    return dim, Z, ker, im_b
+def _is_cocycle(z_cols, vec):
+    """Whether Z @ vec = 0, from the sparse columns [(row, value), ...] of Z
+    at precision len(vec)."""
+    acc = [0] * (len(vec) + COCYCLE_SHIFT)
+    for k, v in enumerate(vec):
+        if v:
+            for i, z in z_cols[k]:
+                acc[i] += z * v
+    return not any(x % 5 for x in acc)
+
+
+def _tangent_data(Z, B, prec):
+    """(dimension, echelon of Z's rows, echelon of im B, sparse columns of Z)
+    at ``prec``, from Z and B built at ``prec`` or above: their top-left
+    corners are the matrices at ``prec``, because cocycle_matrix checks that
+    column t^j of Z is 0 above t^(j + COCYCLE_SHIFT)."""
+    z = [row[:prec] for row in Z[:prec + COCYCLE_SHIFT]]
+    z_cols = [[(i, v) for i, v in enumerate(col) if v] for col in zip(*z)]
+    b_cols = list(zip(*B[:prec]))[:prec]
+    if not all(_is_cocycle(z_cols, b) for b in b_cols):
+        raise RingError(f"a coboundary is not a cocycle at precision {prec}")
+    rows_z = gf5.Echelon(z)
+    # last column first: column t^j starts at t^(j+2) or later, so pivots
+    # come mostly in descending order, rarely clearing a stored row
+    im_b = gf5.Echelon(reversed(b_cols))
+    # im B lies in ker Z, so ker Z / im B has dimension prec - rank Z - rank B
+    return prec - rows_z.rank - im_b.rank, rows_z, im_b, z_cols
 
 
 def tangent_space(prec):
     """(dimension, class_count, kernel_basis) at one precision."""
-    dim, _, ker, _ = _tangent_data(prec)
-    return dim, 5 ** dim, ker
+    dim, rows_z, _, _ = _tangent_data(cocycle_matrix(prec),
+                                      coboundary_matrix(prec), prec)
+    return dim, 5 ** dim, rows_z.nullspace(prec)
 
 
 def tangent_report(prec_sweep=(8, 12, 16)):
     """Tangent-space dimension across a precision sweep, with the check that
-    the five hom-point directions are cocycles, pairwise inequivalent, and
-    exhaust the classes."""
+    the five hom-point directions are cocycles, pairwise inequivalent (their
+    normal forms modulo im B differ), and exhaust the classes.  Z, B and the
+    directions are built once, at the largest precision of the sweep."""
+    top = max(prec_sweep)
+    Z, B = cocycle_matrix(top), coboundary_matrix(top)
+    dirs = hom_point_directions(top)
     dims = {}
     details = {}
-    for prec in prec_sweep:
-        dim, Z, _, im_b = _tangent_data(prec)
+    for prec in dict.fromkeys(prec_sweep):  # a repeated entry adds nothing
+        dim, _, im_b, z_cols = _tangent_data(Z, B, prec)
         dims[prec] = dim
-        dirs = hom_point_directions(prec)
-        all_cocycles = all(
-            all(v % 5 == 0 for v in gf5.matvec(Z, vec)) for _, vec in dirs)
-        distinct = True
-        for i in range(len(dirs)):
-            for j in range(i + 1, len(dirs)):
-                diff = [(a - b) % 5 for a, b in zip(dirs[i][1], dirs[j][1])]
-                if gf5.in_span(im_b, diff):
-                    distinct = False
+        vecs = [vec[:prec] for _, vec in dirs]
+        all_cocycles = all(_is_cocycle(z_cols, vec) for vec in vecs)
+        forms = {tuple(im_b.reduce(vec).items()) for vec in vecs}
+        distinct = len(forms) == len(vecs)
         exhaust = (5 ** dim == len(dirs)) and distinct
         details[prec] = {
             "dimension": dim,

@@ -10,7 +10,7 @@ import pytest
 
 from defo5.artin.literals import LiteralError, format_element, parse_element
 from defo5.artin.rings import (KERNEL_BOUND, MAX_DIGITS, MAX_DIM,
-                               MAX_ZMOD_EXPONENT, DescriptorError,
+                               MAX_ZMOD_EXPONENT, DescriptorError, Element,
                                MismatchError, NoSquareRootError,
                                NotAUnitError, Ring, RingError, build_ring)
 from defo5.artin.tables import TABLE_BOUND, RingTable, ring_table
@@ -209,6 +209,25 @@ def test_explicit_branch_must_be_a_residue_root(desc):
     for not_a_root in (1, 4, k.zero, k.from_int(1)):
         with pytest.raises(NoSquareRootError):
             x.sqrt(not_a_root)
+
+
+@pytest.mark.parametrize("desc", ["cyclo(4)", "Z/5^40", "F25[e]/(e^3)"])
+def test_sqrt_above_kernel_bound_needs_no_inversion(desc, monkeypatch):
+    """Above KERNEL_BOUND the root is x times a Newton lift of 1/sqrt(x),
+    so no step inverts; each branch gives the root over that residue."""
+    R = build_ring(desc)
+    assert R._kernel is None
+    rng = random.Random(desc)
+    units = [u for u in (R.element([rng.randrange(d) for d in R.diag])
+                         for _ in range(40)) if u.is_unit()][:8]
+    assert R._half * 2 == R.one  # 1/2, inverted once per ring and cached
+    monkeypatch.setattr(Element, "inv", None)
+    for u in units:
+        sq = u * u
+        for b in (u.residue(), (-u).residue()):
+            r = sq.sqrt(b)
+            assert r * r == sq and r.residue() == b
+            assert r in (u, -u)
 
 
 def test_cyclo2_isomorphic_to_dual_numbers():

@@ -5,13 +5,14 @@ import random
 
 import pytest
 
+import gf5_oracle as oracle
 from defo5 import gf5
-from defo5.artin.rings import build_ring
+from defo5.artin.rings import RingError, build_ring
 from defo5.deformation import tangent
-from defo5.deformation.tangent import (COCYCLE_SHIFT, coboundary_apply,
-                                       coboundary_matrix, cocycle_defect,
+from defo5.deformation.tangent import (COCYCLE_SHIFT, coboundary_matrix,
                                        cocycle_matrix, hom_point_directions,
                                        tangent_report, tangent_space)
+from tangent_oracle import coboundary_apply, cocycle_defect
 
 
 def test_cocycle_matrix_shape_and_shift():
@@ -53,7 +54,36 @@ def test_tangent_report_builds_each_matrix_once(monkeypatch):
     monkeypatch.setattr(tangent, "coboundary_matrix",
                         lambda p: calls["B"].append(p) or real_b(p))
     tangent_report((8, 12))
-    assert calls == {"Z": [8, 12], "B": [8, 12]}
+    assert calls == {"Z": [12], "B": [12]}
+
+
+def test_sweep_corners_equal_direct_builds():
+    """A sweep builds Z, B and the hom directions once, at its largest
+    precision; their top-left corners are the matrices at each smaller one."""
+    P = 16
+    Z, B = cocycle_matrix(P), coboundary_matrix(P)
+    dirs = hom_point_directions(P)
+    for p in (8, 12):
+        assert [row[:p] for row in Z[:p + COCYCLE_SHIFT]] == cocycle_matrix(p)
+        assert [row[:p] for row in B[:p]] == coboundary_matrix(p)
+        assert [(c, v[:p]) for c, v in dirs] == hom_point_directions(p)
+    sweep = tangent_report((8, 12, 16, 12))["per_precision"]
+    for p in (8, 12, 16):
+        assert sweep[str(p)] == tangent_report((p,))["per_precision"][str(p)]
+
+
+def test_coboundary_outside_kernel_raises(monkeypatch):
+    """im B must lie in ker Z for dim = prec - rank Z - rank B; a coboundary
+    matrix with a column outside ker Z is refused, not counted."""
+    real_b = tangent.coboundary_matrix
+
+    def tampered(p):
+        B = real_b(p)
+        B[0][0] = (B[0][0] + 1) % 5
+        return B
+    monkeypatch.setattr(tangent, "coboundary_matrix", tampered)
+    with pytest.raises(RingError, match="not a cocycle at precision 8"):
+        tangent_report((8,))
 
 
 def test_coboundary_matrix_against_direct_application():
@@ -94,7 +124,7 @@ def test_hom_directions_are_cocycles_and_distinct():
     for i in range(5):
         for j in range(i + 1, 5):
             diff = [(a - b) % 5 for a, b in zip(dirs[i][1], dirs[j][1])]
-            assert not gf5.in_span(im_b, diff)
+            assert not oracle.in_span(im_b, diff)
 
 
 def test_tangent_report_stable():
@@ -107,10 +137,15 @@ def test_tangent_report_stable():
 
 
 def test_gf5_linear_algebra():
-    assert gf5.rank([[1, 2], [2, 4]]) == 1
+    ech = gf5.Echelon([[1, 2], [2, 4]])
+    assert ech.rank == 1
     ns = gf5.nullspace([[1, 2], [2, 4]], 2)
     assert len(ns) == 1 and gf5.matvec([[1, 2]], ns[0]) == [0]
-    assert gf5.intersect_dim([[1, 0]], [[0, 1]]) == 0
-    assert gf5.intersect_dim([[1, 0], [0, 1]], [[1, 1]]) == 1
-    assert gf5.solvable([[1, 1], [2, 2]], [1, 2])
-    assert not gf5.solvable([[1, 1], [2, 2]], [1, 3])
+    # a vector is in the span exactly when its normal form is empty
+    assert gf5.Echelon([[1, 0]]).reduce([0, 1]) == {1: 1}
+    assert gf5.Echelon([[1, 0], [0, 1]]).reduce([1, 1]) == {}
+    # rows @ x = rhs is solvable exactly when rhs reduces to 0 modulo the
+    # span of the columns
+    cols = gf5.Echelon(zip(*[[1, 1], [2, 2]]))
+    assert cols.reduce([1, 2]) == {}
+    assert cols.reduce([1, 3]) != {}
