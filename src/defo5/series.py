@@ -20,9 +20,13 @@ What is stored.  A series holds its coefficients in raw form only.  In a
 ring with a table kernel (at most ``KERNEL_BOUND`` elements) a raw
 coefficient is its table index, and every sum of products is a chain of
 ``MUL``/``ADD`` lookups.  In a larger ring it is its canonical coordinate
-tuple: a sum of products is accumulated as an unreduced integer vector
-through the sparse structure constants and reduced once, which is exact
-because coordinatewise reduction mod ``diag`` is a homomorphism from Z^dim.
+tuple: a sum of products is accumulated as an unreduced integer vector and
+reduced once, which is exact because coordinatewise reduction mod ``diag``
+is a homomorphism from Z^dim.  The multiplication matrix of one factor's
+coefficients is expanded once from the sparse structure constants (per
+product, per composition for the inner series, per division or square root
+for the divisor), so each pair of coefficients costs one pass over the
+other factor's nonzero coordinates.
 Every operation, from ``+`` to ``comp_inverse``, ``==`` and ``t_order``,
 maps raw lists to raw lists.
 
@@ -393,16 +397,32 @@ def _mul(ring, a, b, p):
     return _elements(ring, _mul_raw(ring, _raw(ring, a), _raw(ring, b), p))
 
 
-def _mac(ring, vec, x, y, sign=1):
-    """vec += sign*x*y on unreduced coordinate vectors."""
+def _matrix(ring, x, sign=1):
+    """The multiplication matrix of sign*x on coordinate vectors: for each
+    basis vector b_j, the nonzero (k, v) of sign*x*b_j, unreduced."""
+    cols = [[0] * ring.dim for _ in range(ring.dim)]
     for xi, row in zip(x, ring._mul_rows):
         if xi:
             xi *= sign
-            for yj, terms in zip(y, row):
-                if yj:
-                    c = xi * yj
-                    for k, v in terms:
-                        vec[k] += c * v
+            for col, terms in zip(cols, row):
+                for k, v in terms:
+                    col[k] += xi * v
+    return [[(k, v) for k, v in enumerate(col) if v] for col in cols]
+
+
+def _matrices(ring, b, p):
+    """(j, _matrix of b_j) for the nonzero b_j with j < p."""
+    zero = ring.zero.coords
+    return [(j, _matrix(ring, y)) for j, y in enumerate(b[:p]) if y != zero]
+
+
+def _mac(vec, mx, y):
+    """vec += x*y on unreduced coordinate vectors, given mx = _matrix of x:
+    one pass over the nonzero coordinates of y."""
+    for yj, terms in zip(y, mx):
+        if yj:
+            for k, v in terms:
+                vec[k] += yj * v
 
 
 def _add_raw(ring, a, b):
@@ -430,13 +450,13 @@ def _derivative_raw(ring, a):
     return [ring.reduce([c * i for c in x]) for i, x in enumerate(a) if i]
 
 
-def _mul_raw(ring, a, b, p, c=None):
-    """The first p coefficients of a*b + c, with c a constant (default 0)."""
+def _mul_raw(ring, a, b, p, c=None, b_mats=None):
+    """The first p coefficients of a*b + c, with c a constant (default 0).
+    On coordinate vectors ``b_mats`` may pass ``_matrices(ring, b, p)``."""
     kern = ring._kernel
-    zero = 0 if kern is not None else ring.zero.coords
-    nonzero_b = [(j, y) for j, y in enumerate(b[:p]) if y != zero]
     if kern is not None:  # index 0 is the zero element
         MUL, ADD = kern.MUL, kern.ADD
+        nonzero_b = [(j, y) for j, y in enumerate(b[:p]) if y]
         out = [0] * p
         if c is not None:
             out[0] = c
@@ -449,15 +469,18 @@ def _mul_raw(ring, a, b, p, c=None):
                         break
                     out[k] = ADD[out[k]][row[y]]
         return out
+    if b_mats is None:  # the rings are commutative: expand each b_j once
+        b_mats = _matrices(ring, b, p)
+    zero = ring.zero.coords
     vecs = [[0] * ring.dim for _ in range(p)]
     if c is not None:
         vecs[0][:] = c
     for i, x in enumerate(a[:p]):
         if x != zero:
-            for j, y in nonzero_b:
+            for j, mx in b_mats:
                 if i + j >= p:
                     break
-                _mac(ring, vecs[i + j], x, y)
+                _mac(vecs[i + j], mx, x)
     return list(map(ring.reduce, vecs))
 
 
@@ -468,15 +491,17 @@ def _compose_raw(ring, g, f, p):
     v = _t_order(f[:p], zero)
     if v is None:  # f = 0 to p terms: g(f) = g[0]
         return [g[0]] + [zero] * (p - 1)
+    # on coordinate vectors, f's matrices are expanded once for every step
+    f_mats = _matrices(ring, f, p) if ring._kernel is None else None
     if v == 0:
         out = [zero] * p
         for gk in reversed(g):
-            out = _mul_raw(ring, out, f, p, gk)
+            out = _mul_raw(ring, out, f, p, gk, f_mats)
         return out
     top = min(len(g) - 1, (p - 1) // v)
     out = [g[top]]
     for k in range(top - 1, -1, -1):
-        out = _mul_raw(ring, out, f, p - v * k, g[k])
+        out = _mul_raw(ring, out, f, p - v * k, g[k], f_mats)
     return out + [zero] * (p - len(out))
 
 
@@ -496,13 +521,20 @@ def _recur(ring, f, g, u, q, p):
             q.append(by_u[acc])
         return q
     zero = ring.zero.coords
+    by_u = _matrix(ring, u)
+    minus_g = [None]  # the matrix of -g_i, expanded once (None when zero)
     for n in range(len(q), p):
         vec = list(f[n] if n < len(f) else zero)
-        for i in range(1, min(n + 1, len(g))):
-            _mac(ring, vec, g[i], q[n - i], -1)
+        top = min(n + 1, len(g))
+        while len(minus_g) < top:  # g grows with q for a square root
+            gi = g[len(minus_g)]
+            minus_g.append(_matrix(ring, gi, -1) if gi != zero else None)
+        for i in range(1, top):
+            if minus_g[i] is not None:
+                _mac(vec, minus_g[i], q[n - i])
         # reduction is a homomorphism, so vec is multiplied unreduced
         out = [0] * ring.dim
-        _mac(ring, out, vec, u)
+        _mac(out, by_u, vec)
         q.append(ring.reduce(out))
     return q
 

@@ -26,15 +26,19 @@ order="lex")`` does: numerator P and denominator Q = c * r^i * y2^j coprime
 over Z with c > 0, terms in lex order a0 > a1 > a2 > a3 > y1 > y2, and a
 constant denominator distributed over the terms of P.
 
-A Specialization values expressions in a finite catalog ring at one
-witness by one rule: each nonzero component is its numerator terms times
-the inverse of its denominator r^i * y2^j (a unit at every witness of the
-sample rings).  One specialization is shared by every expression valued at
-that witness: it checks s1^2 = r and s2^2 = y2 once, keeps one power table
-per symbol and inverts each distinct r^i * y2^j once, through Element.inv.
-In a ring with a table kernel it works on table indices.  evaluate() is its
-one-expression case.  Rational constants have denominators prime to 5 and
-become integers modulo the characteristic.
+A Specialization values expressions at a batch of witnesses in one catalog
+ring of at most TABLE_BOUND elements, by one rule: each nonzero component
+is its numerator terms times the inverse of its denominator r^i * y2^j (a
+unit at every witness of the sample rings).  It works on numpy arrays of
+indices into the ring's RingTable, one entry per witness, and is shared by
+every expression valued at that batch: it checks s1^2 = r and s2^2 = y2
+once for all witnesses (SurdError), keeps one power table per symbol,
+gathers the inverse of each distinct r^i * y2^j once from INV
+(NotAUnitError if it is not a unit at some witness) and none for a zero
+component.  A larger ring is refused with EnumerationBoundError before any
+table is built.  evaluate() is the batch-of-one case, on Elements.
+Rational constants have denominators prime to 5 and become integers modulo
+the characteristic.
 """
 
 from __future__ import annotations
@@ -42,9 +46,15 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from numbers import Rational as _PyRational
-from operator import add, attrgetter, mul
+from operator import add
+
+import numpy as np
+
+from ..artin.rings import MismatchError, NotAUnitError
+from ..artin.tables import ring_table
 
 _NAMES = ("a0", "a1", "a2", "a3", "y1", "y2")
+_WITNESS_NAMES = _NAMES + ("s1", "s2")  # the keys of a witness
 _UNIT = (0,) * 6
 
 
@@ -407,9 +417,14 @@ class SurdExpression:
     # -- specialization -----------------------------------------------------------
 
     def evaluate(self, ring, witness):
-        """Exact value in a catalog ring: the one-expression case of
-        ``Specialization(ring, witness)``."""
-        return Specialization(ring, witness)(self)
+        """Exact value in a catalog ring of at most ``TABLE_BOUND`` elements
+        at one witness of ``Element``s: the batch-of-one case of
+        ``Specialization``."""
+        tab = ring_table(ring)  # EnumerationBoundError before any work
+        if any(witness[name].ring != ring for name in _WITNESS_NAMES):
+            raise MismatchError(f"a witness is not in {ring.descriptor}")
+        batch = {name: [tab.index(witness[name])] for name in _WITNESS_NAMES}
+        return tab.element(int(Specialization(ring, batch)(self)[0]))
 
     def _terms(self, char):
         """Per component: None if it is zero, else (i, j, terms) with one
@@ -427,81 +442,71 @@ class SurdExpression:
 
 
 class Specialization:
-    """One witness in one catalog ring, shared by every expression valued
-    there (module docstring).  ``witness`` maps the symbol names a0, a1, a2,
-    a3, y1, y2 to ring elements and s1, s2 to the chosen square roots of
-    a0^2 + y1 and y2, which must square correctly.  Values are computed on
-    table indices when the ring has a table kernel, else on Elements."""
+    """A batch of witnesses in one catalog ring of at most ``TABLE_BOUND``
+    elements, shared by every expression valued there (module docstring).
+    ``witness`` maps the symbol names a0, a1, a2, a3, y1, y2, and s1, s2 for
+    the chosen square roots of a0^2 + y1 and y2, to equal-length sequences
+    of indices in the ring's ``RingTable``.  A call returns the values as a
+    numpy index array, one entry per witness."""
 
     def __init__(self, ring, witness):
-        s1, s2 = witness["s1"], witness["s2"]
-        r, y2 = witness["a0"] * witness["a0"] + witness["y1"], witness["y2"]
-        if s1 * s1 != r:
+        tab = self._table = ring_table(ring)  # EnumerationBoundError first
+        self._char = ring.char
+        MUL, SQ = tab.MUL, tab.SQ
+        a0, a1, a2, a3, y1, y2, s1, s2 = (
+            np.asarray(witness[name], dtype=np.int16)
+            for name in _WITNESS_NAMES)
+        r = tab.ADD[SQ[a0], y1]
+        if (SQ[s1] != r).any():
             raise SurdError("witness s1 is not a square root of a0^2 + y1")
-        if s2 * s2 != y2:
+        if (SQ[s2] != y2).any():
             raise SurdError("witness s2 is not a square root of y2")
-        self.ring = ring
-        kern = ring._kernel
-        if kern is None:
-            self._raw = self._element = _same
-            self._mul, self._add = mul, add
-        else:
-            MUL, ADD = kern.MUL, kern.ADD
-            self._raw, self._element = attrgetter("_i"), kern.els.__getitem__
-            self._mul = lambda x, y: MUL[x][y]
-            self._add = lambda x, y: ADD[x][y]
-        raw = self._raw
-        one, s1, s2 = raw(ring.one), raw(s1), raw(s2)
+        one = np.full_like(r, tab.one)
         # powers of a0..y2, then of r and y2 for the denominators
-        self._pows = [[one, raw(x)] for x in
-                      [witness[name] for name in _NAMES] + [r, y2]]
-        self._surds = (one, s1, s2, self._mul(s1, s2))
+        self._pows = [[one, x] for x in (a0, a1, a2, a3, y1, y2, r, y2)]
+        self._surds = (one, s1, s2, MUL[s1, s2])
         self._inverses = {}
 
     def _power(self, v, e):
         """Power e of symbol v (6: r, 7: y2), from its table extended on
-        demand; ``__call__`` inlines this loop."""
+        demand."""
         seq = self._pows[v]
         while len(seq) <= e:
-            seq.append(self._mul(seq[-1], seq[1]))
+            seq.append(self._table.MUL[seq[-1], seq[1]])
         return seq[e]
 
     def _inverse(self, i, j):
-        """The inverse of r^i * y2^j, taken once by Element.inv
-        (NotAUnitError if it is not a unit)."""
+        """The inverse of r^i * y2^j, one ``INV`` gather per (i, j)
+        (NotAUnitError if it is not a unit at some witness)."""
         inv = self._inverses.get((i, j))
         if inv is None:
-            den = self._element(self._mul(self._power(6, i),
-                                          self._power(7, j)))
-            inv = self._inverses[i, j] = self._raw(den.inv())
+            tab = self._table
+            inv = tab.INV[tab.MUL[self._power(6, i), self._power(7, j)]]
+            if (inv < 0).any():
+                raise NotAUnitError(f"r^{i} * y2^{j} is not a unit at every "
+                                    f"witness of {tab.ring.descriptor}")
+            self._inverses[i, j] = inv
         return inv
 
     def __call__(self, expr):
-        """The value of ``expr`` here: each nonzero component is its
+        """The values of ``expr`` here: each nonzero component is its
         numerator terms times the inverse of its denominator r^i * y2^j."""
-        ring, mul, add, raw = self.ring, self._mul, self._add, self._raw
-        pows = self._pows
-        zero = raw(ring.zero)
-        total = zero
-        for plan, surd in zip(expr._terms(ring.char), self._surds):
+        tab = self._table
+        MUL, ADD = tab.MUL, tab.ADD
+        one = self._surds[0]
+        total = np.zeros_like(one)  # index 0 is the zero element
+        for plan, surd in zip(expr._terms(self._char), self._surds):
             if plan is None:
                 continue
             i, j, terms = plan
-            numer = zero
+            numer = np.zeros_like(one)
             for c, monom in terms:
-                term = raw(ring.from_int(c))
+                term = np.full_like(one, tab.from_int(c))
                 for v, e in monom:
-                    seq = pows[v]
-                    while len(seq) <= e:
-                        seq.append(mul(seq[-1], seq[1]))
-                    term = mul(term, seq[e])
-                numer = add(numer, term)
-            total = add(total, mul(mul(numer, self._inverse(i, j)), surd))
-        return self._element(total)
-
-
-def _same(x):
-    return x
+                    term = MUL[term, self._power(v, e)]
+                numer = ADD[numer, term]
+            total = ADD[total, MUL[MUL[numer, self._inverse(i, j)], surd]]
+        return total
 
 
 def _coerce(x):

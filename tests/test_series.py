@@ -168,27 +168,26 @@ def _coords(coeffs):
     return [c.coords for c in coeffs]
 
 
-@pytest.mark.parametrize("desc,path", _RAW_PATHS)
-def test_raw_paths_agree_with_element_oracle(desc, path):
+def _assert_raw_path_agrees_with_element_oracle(desc, path, p):
     R = build_ring(desc)
     rng = random.Random(20261018)
     units = list(R.enumerate("units"))
     nilpotent = [x for x in R.enumerate("maximal-ideal") if x != R.zero]
-    f = _sparse(R, rng, rng.choice(list(R.enumerate())))
-    g = _sparse(R, rng, rng.choice(units))
-    square = oracle.mul(R, g, g, _P)  # unit constant term, both roots exist
-    inner = _sparse(R, rng, rng.choice(nilpotent) if nilpotent else R.zero)
+    f = _sparse(R, rng, rng.choice(list(R.enumerate())), p)
+    g = _sparse(R, rng, rng.choice(units), p)
+    square = oracle.mul(R, g, g, p)  # unit constant term, both roots exist
+    inner = _sparse(R, rng, rng.choice(nilpotent) if nilpotent else R.zero, p)
     inner[1] = rng.choice(units)
     branches = tuple(x for x in R.residue_ring.enumerate()
                      if x * x == square[0].residue())
     assert len(branches) == 2
     loss = (inner[0].nilpotency_order() - 1) if nilpotent else 0
     want = {
-        "mul": oracle.mul(R, f, g, _P),
-        "div": oracle.div(R, f, g, _P),
-        "compose": oracle.compose(R, f, inner, _P)[:_P - loss],
+        "mul": oracle.mul(R, f, g, p),
+        "div": oracle.div(R, f, g, p),
+        "compose": oracle.compose(R, f, inner, p)[:p - loss],
         "comp_inverse": oracle.comp_inverse(R, inner)[
-            :_P - 2 * (R.nilpotency_index - 1)],
+            :p - 2 * (R.nilpotency_index - 1)],
         **{("sqrt", b): oracle.sqrt(R, square, b) for b in branches},
     }
     with _raw_path(R, path):
@@ -203,6 +202,19 @@ def test_raw_paths_agree_with_element_oracle(desc, path):
         }
     assert ({k: _coords(v) for k, v in got.items()}
             == {k: _coords(v) for k, v in want.items()})
+
+
+@pytest.mark.parametrize("desc,path", _RAW_PATHS)
+def test_raw_paths_agree_with_element_oracle(desc, path):
+    _assert_raw_path_agrees_with_element_oracle(desc, path, _P)
+
+
+@pytest.mark.parametrize("desc", ["cyclo(4)", "cyclo(5)"])
+def test_coordinate_path_at_prec_16_agrees_with_element_oracle(desc):
+    """Every multiplication matrix expanded once, on the 625- and
+    3125-element rings."""
+    assert build_ring(desc).cardinality > KERNEL_BOUND
+    _assert_raw_path_agrees_with_element_oracle(desc, "coords", 16)
 
 
 def _error(fn):

@@ -3,11 +3,16 @@ cross-validation of the factored forms used by the proof-chain scans."""
 
 import random
 
+import numpy as np
 import sympy as sp
 import pytest
 
+import consistency_oracle
 import surd_oracle
-from defo5.artin.rings import Element, NotAUnitError, build_ring
+from defo5.artin import tables
+from defo5.artin.rings import (EnumerationBoundError, MismatchError,
+                               NotAUnitError, build_ring)
+from defo5.artin.tables import TABLE_BOUND, ring_table
 from defo5.symbolic import coefficients
 from defo5.symbolic.coefficients import (consistency_sample, displayed_eq3,
                                          displayed_eq4, displayed_third_order,
@@ -243,29 +248,36 @@ def test_evaluation_inverts_one_denominator_per_component(monkeypatch):
                            sp.factor_list(den, *surd_oracle.SYMBOLS)[1])
     assert factors == {surd_oracle.A0 ** 2 + surd_oracle.Y1, surd_oracle.Y2}
     R, w = _witness("F5[e]/(e^3)")
-    inverses = []
-    real_inv = Element.inv
-    monkeypatch.setattr(Element, "inv",
-                        lambda x: inverses.append(x) or real_inv(x))
     values = [c.evaluate(R, w) for c in coeffs]
+    tab = ring_table(R)
+    gathers = []
+
+    class CountingINV(np.ndarray):
+        def __getitem__(self, key):
+            gathers.append(np.asarray(key).tolist())
+            return np.asarray(self)[key]
+
+    monkeypatch.setattr(tab, "INV", tab.INV.view(CountingINV))
+    assert [c.evaluate(R, w) for c in coeffs] == values
 
     def denominators(exprs):
         return {(comp.i, comp.j) for c in exprs for comp in c._components()
                 if comp}
 
-    assert len(inverses) == sum(len(denominators([c])) for c in coeffs) == 8
-    # one specialization shared by all eight coefficients inverts each
-    # distinct r^i * y2^j once: r^1..r^4, y2, y2^2 and 1
-    inverses.clear()
-    at = Specialization(R, w)
-    assert [at(c) for c in coeffs] == values
-    assert len(inverses) == len(denominators(coeffs)) == 7
+    assert len(gathers) == sum(len(denominators([c])) for c in coeffs) == 8
+    # one specialization shared by all eight coefficients gathers the
+    # inverse of each distinct r^i * y2^j once: r^1..r^4, y2, y2^2 and 1
+    gathers.clear()
+    at = Specialization(R, {name: [tab.index(x)] for name, x in w.items()})
+    assert [tab.element(int(at(c)[0])) for c in coeffs] == values
+    assert len(gathers) == len(denominators(coeffs)) == 7
     # a zero component costs nothing: s1 * s2 has three
-    inverses.clear()
+    gathers.clear()
     assert (s1() * s2()).evaluate(R, w) == w["s1"] * w["s2"]
     assert SurdExpression.of(0).evaluate(R, w) == R.zero
-    assert inverses == [R.one]
+    assert gathers == [[tab.one]]
     # evaluation keeps no witness state: a second pass agrees
+    monkeypatch.undo()
     assert [c.evaluate(R, w) for c in coeffs] == values
 
 
@@ -286,10 +298,9 @@ def _entry(desc, t_power, w):
             "witness": {k: str(v) for k, v in w.items()}}
 
 
-def test_sample_fails_on_a_perturbed_symbolic_term(monkeypatch):
-    """Bump the coefficient of a2*y1^2 in the t^2 coefficient of the left
-    side by one: the sample reports a mismatch at exactly the witnesses
-    where that term a2*y1^2/r^3 * s1 is nonzero."""
+def _bump_a2_y1_squared(monkeypatch):
+    """Patch expand_lhs so that the coefficient of a2*y1^2 in its t^2
+    coefficient is one larger; returns the added term a2*y1^2/r^3 * s1."""
     lhs = expand_lhs(4)
     delta = s1() * SurdExpression.of(A2 * Y1 ** 2 / (A0 ** 2 + Y1) ** 3)
     bumped = lhs[2] + delta
@@ -298,6 +309,14 @@ def test_sample_fails_on_a_perturbed_symbolic_term(monkeypatch):
     assert [m for m in old if old[m] != new[m]] == [(0, 0, 1, 0, 2, 0)]
     monkeypatch.setattr(coefficients, "expand_lhs",
                         lambda prec=4: lhs[:2] + (bumped,) + lhs[3:])
+    return delta
+
+
+def test_sample_fails_on_a_perturbed_symbolic_term(monkeypatch):
+    """Bump the coefficient of a2*y1^2 in the t^2 coefficient of the left
+    side by one: the sample reports a mismatch at exactly the witnesses
+    where that term a2*y1^2/r^3 * s1 is nonzero."""
+    delta = _bump_a2_y1_squared(monkeypatch)
     report = consistency_sample(70, seed=99)
     want = [_entry(desc, 2, w) for desc, R, w in _replayed_witnesses(70, 99)
             if delta.evaluate(R, w) != R.zero]
@@ -341,6 +360,101 @@ def test_witness_draws_match_retrying_sampler(desc):
     for _ in range(40):
         assert (coefficients._sample_witness(R, new, pools)
                 == surd_oracle._sample_witness(R, old, pools))
+
+
+# -- the batched sample against the per-witness oracle -------------------------
+
+@pytest.mark.parametrize("seed", [20260823, 1, 99])
+@pytest.mark.parametrize("n", [7, 70, 1000])
+def test_sample_matches_per_witness_oracle(n, seed):
+    assert consistency_sample(n, seed) == \
+        consistency_oracle.consistency_sample(n, seed)
+
+
+@pytest.mark.parametrize("n,seed", [(70, 99), (1000, 20260823)])
+def test_perturbed_sample_matches_per_witness_oracle(monkeypatch, n, seed):
+    _bump_a2_y1_squared(monkeypatch)
+    report = consistency_sample(n, seed)
+    assert not report["passed"]
+    assert report == consistency_oracle.consistency_sample(n, seed)
+
+
+def test_sample_builds_one_inner_series_per_y2_and_root(monkeypatch):
+    """The engine composes with one t/sqrt(t^2 + y2) per distinct (y2, s2)
+    of a ring's witnesses, and takes one more series square root per
+    witness (the left side's)."""
+    inners, roots = {}, {}
+    real_compose, real_sqrt = TruncatedSeries.compose, TruncatedSeries.sqrt
+
+    def compose(self, inner):
+        inners.setdefault(self.ring, []).append(inner)
+        return real_compose(self, inner)
+
+    def sqrt(self, branch=None):
+        roots[self.ring] = roots.get(self.ring, 0) + 1
+        return real_sqrt(self, branch)
+
+    monkeypatch.setattr(TruncatedSeries, "compose", compose)
+    monkeypatch.setattr(TruncatedSeries, "sqrt", sqrt)
+    assert consistency_sample(1000)["passed"]
+    monkeypatch.undo()
+    pairs = {}
+    for desc, R, w in _replayed_witnesses(1000, 20260823):
+        pairs.setdefault(R, set()).add((w["y2"], w["s2"]))
+    per_ring = -(-1000 // len(coefficients._SAMPLE_RINGS))
+    assert set(inners) == set(roots) == set(pairs)
+    for R in pairs:
+        assert len(inners[R]) == per_ring
+        assert len({id(x) for x in inners[R]}) == len(pairs[R])
+        assert roots[R] == per_ring + len(pairs[R])
+    assert sum(map(len, pairs.values())) < 1001
+
+
+def _batch(R, witnesses):
+    tab = ring_table(R)
+    return {name: [tab.index(w[name]) for w in witnesses]
+            for name in witnesses[0]}
+
+
+def test_batch_refuses_a_wrong_root_or_a_non_unit_at_any_witness():
+    R = build_ring("F5[e]/(e^2)")
+    e = R.generator("e")
+    good = dict(a0=e, a1=R.one, a2=e, a3=R.zero, y1=R.one + e, y2=R.one - e)
+    good["s1"] = (good["a0"] * good["a0"] + good["y1"]).sqrt()
+    good["s2"] = good["y2"].sqrt()
+    at = Specialization(R, _batch(R, [good, good]))
+    assert list(at(1 / s2())) == [ring_table(R).index(good["s2"].inv())] * 2
+    for bad in (dict(good, s1=-good["a0"]), dict(good, s2=good["y2"])):
+        with pytest.raises(SurdError):
+            Specialization(R, _batch(R, [good, bad, good]))
+    nonunit = dict(good, y2=R.zero, s2=R.zero)
+    at = Specialization(R, _batch(R, [good, nonunit]))
+    assert list(at(s2())) == [ring_table(R).index(good["s2"]), 0]
+    with pytest.raises(NotAUnitError):
+        at(1 / s2())
+    with pytest.raises(NotAUnitError):
+        (1 / s2()).evaluate(R, nonunit)
+    with pytest.raises(SurdError):
+        s1().evaluate(R, dict(good, s1=R.one + e))
+    with pytest.raises(MismatchError):
+        s1().evaluate(R, dict(good, a2=build_ring("F5").one))
+
+
+def test_evaluate_refuses_a_ring_above_the_table_bound(monkeypatch):
+    R = build_ring("F5[e]/(e^6)")
+    assert R.cardinality > TABLE_BOUND
+    w = dict(a0=R.zero, a1=R.one, a2=R.one, a3=R.one, y1=R.one, y2=R.one,
+             s1=R.one, s2=R.one)
+
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(tables, "_sum_table", no_table)
+    with pytest.raises(EnumerationBoundError):
+        s1().evaluate(R, w)
+    with pytest.raises(EnumerationBoundError):
+        Specialization(R, {name: [0] for name in w})
+    assert R.descriptor not in tables._table_cache
 
 
 # -- typed failure and canonical hashing --------------------------------------------
