@@ -229,15 +229,14 @@ def consistency_sample(n: int = 1000, seed: int = 20260823, prec: int = 4):
     for desc in _SAMPLE_RINGS:
         ring = build_ring(desc)
         pools = _witness_pools(ring)
-        inners, witnesses, engine = {}, [], []
-        for _ in range(per_ring):
+        inners = {}
+        witnesses = np.empty((per_ring, len(_WITNESS_NAMES)), dtype=np.int16)
+        engine = np.empty((per_ring, 2 * prec), dtype=np.int16)
+        for k in range(per_ring):
             w = _sample_witness(ring, rng, pools)
-            witnesses.append([w[name]._i for name in _WITNESS_NAMES])
-            engine.append(_engine_values(ring, w, prec, inners))
-        checked += len(engine)
-        witnesses = np.array(witnesses, dtype=np.int16).reshape(
-            -1, len(_WITNESS_NAMES))
-        engine = np.array(engine, dtype=np.int16).reshape(-1, 2 * prec)
+            witnesses[k] = [w[name]._i for name in _WITNESS_NAMES]
+            engine[k] = _engine_values(ring, w, prec, inners)
+        checked += per_ring
         at = Specialization(ring, dict(zip(_WITNESS_NAMES, witnesses.T)))
         differs = engine != np.stack([at(c) for c in coeffs], axis=1)
         tab = ring_table(ring)
