@@ -9,16 +9,26 @@ from table values must be widened first.  For a ring of at most
 ``rings.KERNEL_BOUND`` elements the same table, copied to Python lists, is
 also the scalar kernel of ``Element`` (see ``rings``).
 
-``ADD`` and ``MUL`` are built by split columns.  Every modulus ``diag[k]`` is
-a power of 5, so the ranks are base-5 numerals in which coordinate k owns a
-run of digits.  For n2 = 5^a dividing n, a column j = j1 * n2 + j2 with
-j2 < n2 has the coordinate vector of j1 * n2 plus that of j2 with no carry:
-the two summands occupy disjoint base-5 digits.  Both sums and products are
-additive in y, x + y = (x + y1) + y2 and x * y = x * y1 + x * y2, so
-coordinate k of either table is U_k[i, j1] + V_k[i, j2] mod diag[k] for two
-narrow blocks, n x n1 and n x n2 with n1, n2 about sqrt(n), that are already
-reduced.  One broadcast add ranks the unreduced sums, and each coordinate
-then needs one conditional subtraction of diag[k] * weight[k], where
+``ADD`` is the Kronecker sum of the cyclic tables Z/diag[k]: as an abelian
+group the ring is the product of the Z/diag[k], and ranking puts coordinate
+k above all later ones, so folding the coordinates from the last one, the
+table of coordinates k.. is (diag[k] x diag[k] cyclic table) * weight[k]
+broadcast-added to the table of coordinates k+1.., with no carry to resolve.
+Each cyclic table is a sliding window over two periods of 0..diag[k]-1.
+
+``MUL`` is built by split columns.  Every modulus ``diag[k]`` is a power of
+5, so the ranks are base-5 numerals in which coordinate k owns a run of
+digits.  For n2 = 5^a dividing n, a column j = j1 * n2 + j2 with j2 < n2 has
+the coordinate vector of j1 * n2 plus that of j2 with no carry: the two
+summands occupy disjoint base-5 digits.  Products are additive in y,
+x * y = x * y1 + x * y2, so coordinate k of the table is
+U_k[i, j1] + V_k[i, j2] mod diag[k] for two narrow blocks, n x n1 and
+n x n2 with n1, n2 about sqrt(n), that are already reduced.  The blocks are
+products of the reduced x-side structure constants with coordinate vectors,
+sums of d terms each below (max diag - 1)^2, so they are formed in int16
+whenever d * (max diag - 1)^2 < 2^15 and in int64 otherwise (``Z/5^5``).
+One broadcast add ranks the unreduced sums, and each coordinate then needs
+one conditional subtraction of diag[k] * weight[k], where
 U_k >= diag[k] - V_k.  Products come from the structure constants, so
 nothing here uses ``Element`` arithmetic and a table can be built before its
 ring's kernel exists.  ``ring_table`` keeps one table per ring and process.
@@ -27,6 +37,7 @@ ring's kernel exists.  ``ring_table`` keeps one table per ring and process.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .rings import EnumerationBoundError, Element, Ring, RingError
 
@@ -37,27 +48,44 @@ TABLE_BOUND = 5 ** 5
 _BLOCK = 1 << 17
 
 
+def _kronecker_sum(diag):
+    """The addition table of Z/diag[0] x ... x Z/diag[-1] on ranks: with
+    the coordinates from k on folded into a table of order w, coordinate
+    k - 1 contributes its cyclic table times w."""
+    w = 1
+    out = np.zeros((1, 1), dtype=np.int16)
+    for m in reversed(diag):
+        cyclic = sliding_window_view(np.arange(2 * m, dtype=np.int16) % m * w,
+                                     m)[:m]
+        out = (cyclic[:, None, :, None] + out[None, :, None, :]).reshape(
+            m * w, m * w)
+        w *= m
+    return out
+
+
+def _block_dtype(diag):
+    """int16 when every entry of the MUL blocks, a sum of len(diag) products
+    of reduced coordinates, stays below 2^15; int64 otherwise."""
+    return np.int16 if len(diag) * (max(diag) - 1) ** 2 < 2 ** 15 \
+        else np.int64
+
+
 def _sum_table(U, V, diag, weights):
     """The n x n1*n2 index table whose entry [i, j1 * n2 + j2] ranks the
     vector with coordinate k = (U[k, i, j1] + V[k, i, j2]) mod diag[k].
 
-    ``U`` (d x n x n1) and ``V`` (d x n x n2, or d x 1 x n2 for blocks that do
-    not depend on the row) are reduced mod ``diag``, so each coordinate sum is
-    below 2 * diag[k] and carries at most once, and each rank below 2n."""
-    U = U.astype(np.int16)
-    V = V.astype(np.int16)
+    ``U`` (d x n x n1) and ``V`` (d x n x n2) are reduced mod ``diag``, so
+    each coordinate sum is below 2 * diag[k] and carries at most once, and
+    each rank below 2n."""
+    U = U.astype(np.int16, copy=False)
+    V = V.astype(np.int16, copy=False)
     _, n, n1 = U.shape
-    n2 = V.shape[2]
-
-    def cols(v):  # v[i, j2] as an n x 1 x n2 view
-        return np.broadcast_to(v[:, None, :], (n, 1, n2))
-
     w = np.array(weights, dtype=np.int16)
-    lo = np.tensordot(w, U, 1)[:, :, None]
-    hi = cols(np.tensordot(w, V, 1))
-    out = np.empty((n, n1, n2), dtype=np.int16)
+    lo = np.einsum("k,kij->ij", w, U)[:, :, None]
+    hi = np.einsum("k,kij->ij", w, V)[:, None, :]
+    out = np.empty((n, n1, V.shape[2]), dtype=np.int16)
     # coordinate k carries where U_k >= diag[k] - V_k; never if it cannot
-    carries = [(U[k][:, :, None], cols(m - V[k]), np.int16(m * wk))
+    carries = [(U[k][:, :, None], (m - V[k])[:, None, :], np.int16(m * wk))
                for k, (m, wk) in enumerate(zip(diag, weights))
                if U[k].max() + V[k].max() >= m]
     rows = max(1, _BLOCK // out[0].size)
@@ -82,19 +110,25 @@ class RingTable:
         weights = self._weights = ring._weights
         coords = self.coords = np.indices(ring.diag).reshape(d, -1).T.astype(np.int64)
 
+        self.ADD = _kronecker_sum(ring.diag)
         # n2, the least power of 5 with n2^2 >= n, divides n; column
-        # j = j1 * n2 + j2 has coordinates y1s[:, j1] + y2s[:, j2]
+        # j = j1 * n2 + j2 has coordinates ys[:, j1] + ys[:, n1 + j2]
         n2 = 1
         while n2 * n2 < n:
             n2 *= 5
-        y1s, y2s = coords[::n2].T, coords[:n2].T
-        mods = np.array(ring.diag, dtype=np.int64)[:, None, None]
-        self.ADD = _sum_table((coords.T[:, :, None] + y1s[:, None, :]) % mods,
-                              y2s[:, None, :], ring.diag, weights)
-        # xs[k, i, b] = sum_a x_a S[a, b, k]: coordinate k of x * y is xs[k, i] . y
+        n1 = n // n2
+        dtype = _block_dtype(ring.diag)
+        ys = np.concatenate([coords[::n2], coords[:n2]]).T.astype(dtype)
+        mods = np.array(ring.diag, dtype=dtype)[:, None, None]
+        # xs[k, i, b] = sum_a x_a S[a, b, k] mod diag[k]: coordinate k of
+        # x * y is xs[k, i] . y mod diag[k]
         xs = np.einsum("ia,abk->kib", coords,
                        np.array(ring.mul_basis, dtype=np.int64))
-        mul = self.MUL = _sum_table(xs @ y1s % mods, xs @ y2s % mods,
+        xs = (xs % mods).astype(dtype)
+        blocks = np.einsum("kib,bj->kij", xs, ys)
+        for k, m in enumerate(ring.diag):  # % m, as a division by a scalar
+            blocks[k] -= blocks[k] // m * m
+        mul = self.MUL = _sum_table(blocks[:, :, :n1], blocks[:, :, n1:],
                                     ring.diag, weights)
         self.NEG = ((-coords % ring.diag) @ weights).astype(np.int16)
         self.SQ = mul.diagonal().copy()
@@ -116,8 +150,8 @@ class RingTable:
         self.INV = np.full(n, -1, dtype=np.int16)
         self.INV[self.units] = acc
         roots = [[] for _ in range(n)]
-        for i in range(n):
-            roots[self.SQ[i]].append(i)
+        for i, sq in enumerate(self.SQ.tolist()):
+            roots[sq].append(i)
         self.roots = [tuple(r) for r in roots]
 
     # -- conversions ------------------------------------------------------------

@@ -184,9 +184,14 @@ def _cmd_coeff_eqs(args):
     t0 = time.perf_counter()
     sym = verify_displayed_equations()
     # Eq5, Eq6 and the third-order display: checked on finite rings by the
-    # proof chain, not derived symbolically
-    oracle = {d: proof_chain_check(build_ring(d))["passed"]
-              for d in _ORACLE_RINGS}
+    # proof chain, not derived symbolically; verify-all hands over the
+    # per-ring verdicts of its own proof-chain step
+    known = getattr(args, "proof_chain_passed", {})
+    oracle = {}
+    for d in _ORACLE_RINGS:
+        ring = build_ring(d)
+        oracle[d] = known[ring.descriptor] if ring.descriptor in known \
+            else proof_chain_check(ring)["passed"]
     sym.update(downstream_verification="oracle-verified",
                oracle_proof_chain_passed=oracle,
                passed=sym["passed"] and all(oracle.values()))
@@ -228,13 +233,16 @@ def _cmd_verify_all(args):
     steps.append(("proof-chain", _cmd_proof_chain,
                   ns(ring=None, max_cardinality=125 if quick else 625)))
     steps.append(("obstruction", _cmd_obstruction, ns(n=2, prec=8)))
-    steps.append(("coeff-eqs", _cmd_coeff_eqs,
-                  ns(samples=200 if quick else 1000)))
+    coeff_eqs = ns(samples=200 if quick else 1000)
+    steps.append(("coeff-eqs", _cmd_coeff_eqs, coeff_eqs))
 
     results = []
     ok = True
     for name, fn, sub_args in steps:
         rep = fn(sub_args)
+        if fn is _cmd_proof_chain:  # its rings include coeff-eqs' oracle rings
+            coeff_eqs.proof_chain_passed = {
+                r["ring"]: r["passed"] for r in rep.details["reports"]}
         ok = ok and rep.passed
         results.append({"step": name, "verdict": rep.verdict,
                         "elapsed_ms": rep.elapsed_ms})

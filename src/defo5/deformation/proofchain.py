@@ -39,15 +39,22 @@ Two exact reductions keep the scans tractable without weakening them:
     which is plain ring algebra (2 is a unit); the tests re-check the
     factored forms against the literal displays on sampled witnesses.
 
-Three evaluation shortcuts then decide each step's predicate over exactly
-the witnesses that a pass per s2 pair, or per (a2, u), would visit:
+Four evaluation shortcuts then decide each step's predicate over exactly
+the witnesses that a pass per s2 pair, per (a2, u) or per a0 would visit:
 
  *  steps (i) and (vi) range over every (a0, y1, s1) row and every pair
     (y2, s2).  Eq4 forces 1/s2 = 1/s1 - a0^2/s1^3 and Eq5 forces
     1/s2 = 1/s1 - a0^2, and distinct pairs have distinct s2, so on each row
     the premise holds for at most one pair: the one that a table from 1/s2
     to its pair index names.  Every other pair fails the premise, so it is
-    still counted in ``checked`` but cannot be a counterexample.
+    still counted in ``checked`` but cannot be a counterexample; and a row
+    without Eq3 (step (i)) or with a0^2 != 0 (step (vi)) is never looked
+    up.
+ *  steps (ii) and (iv) assume Eq3 and Eq5, which pin s2 on each row, so
+    they are evaluated on the survivors only: the rows with Eq3 whose s2
+    from Eq5 squares to a versal point (1 750 of the 31 250 rows of
+    F5[e]/(e^4)).  The survivors, 1/s1, a0^2 and the pair table are
+    computed once per scan, on first use.
  *  the unit square u = a1^2 factors out of steps (ii) and (iii).  In (ii),
     a2 = u*b turns "some a2 has a2*N = u*K, a2*P != u*Q" into "some b has
     b*N = K, b*P != Q" for every u.  In (iii), P = (1/s2)*z with the unit
@@ -59,9 +66,11 @@ the witnesses that a pass per s2 pair, or per (a2, u), would visit:
     every quad is a lookup: the same (a2, u) set, |A| * |U^2| per quad,
     without building the |A| x |U^2| matrix.
 
-Witnesses are the ones the loop forms pick: the lowest pair index, then the
-lowest row; in step (ii) the lexicographically first bad quad, its first
-row, then the lowest a2 and u, found by one broadcast on that quad only.
+Step (v) tests a0^2 in a0^3*A for every a0 in m at once, on the rows of
+``MUL`` at the cubes.  Witnesses are the ones the loop forms pick: the
+lowest pair index, then the lowest row; in step (ii) the lexicographically
+first bad quad, its first row, then the lowest a2 and u, found by one
+broadcast on that quad only; in step (v) the lowest a0.
 
 Step (iv) is stated with the sign that the algebra forces: multiplying Eq5
 by a0 and applying Eq3 gives a0*(1 - 1/s2) = a0^3.  The source display has
@@ -72,6 +81,8 @@ consequence used downstream.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -105,7 +116,12 @@ def catalog_rings(max_cardinality: int = 5 ** 4):
 
 
 class _Scan:
-    """Index-table arithmetic shared by the six steps, over one ring."""
+    """Index-table arithmetic shared by the six steps, over one ring.
+
+    The row quantities that several steps share (1/s1, a0^2, the Eq5
+    survivors and the pair lookup) are derived on first use from the
+    attributes set here, so a copy with an attribute replaced derives them
+    from the replacement."""
 
     def __init__(self, ring: Ring):
         self.ring = ring
@@ -114,7 +130,8 @@ class _Scan:
         self.NEG, self.SQ = T.NEG, T.SQ
         self.zero, self.one = T.zero, T.one
         self.all_idx = np.arange(T.n, dtype=np.int32)
-        self.unit_squares = np.unique(T.SQ[T.units])
+        self.unit_squares = np.flatnonzero(
+            np.bincount(T.SQ[T.units], minlength=T.n))
         self.threehalf = self.MUL[T.from_int(3), self.INV[T.from_int(2)]]
         y, phi = self.ADD[T.one, T.mideal], T.one
         for _ in range(4):  # Phi5(y) = 1 + y(1 + y(1 + y(1 + y)))
@@ -144,21 +161,38 @@ class _Scan:
     def el(self, idx):
         return str(self.T.element(int(idx)))
 
-    # -- factored coefficient expressions ------------------------------------
+    # -- row quantities shared by the steps ----------------------------------
 
-    def _knq(self):
-        """K, N (3rd-order) and Q (Eq6) along the (A0, Y1, S1) arrays; N needs
-        y2, supplied by the caller as the determined value from Eq5."""
-        MUL, ADD, NEG, SQ, INV = self.MUL, self.ADD, self.NEG, self.SQ, self.INV
-        inv_s1 = INV[self.S1]
-        inv_s1_sq = SQ[inv_s1]
-        inv_s1_cu = MUL[inv_s1, inv_s1_sq]
-        a0sq = SQ[self.A0]
-        K = MUL[self.threehalf,
-                MUL[MUL[self.A0, inv_s1_cu],
-                    ADD[self.one, NEG[MUL[a0sq, inv_s1_sq]]]]]
-        Q = MUL[self.threehalf, MUL[ADD[a0sq, NEG[self.one]], self.A0]]
-        return inv_s1, inv_s1_cu, a0sq, K, Q
+    @cached_property
+    def inv_s1(self):
+        return self.INV[self.S1]
+
+    @cached_property
+    def a0sq(self):
+        return self.SQ[self.A0]
+
+    @cached_property
+    def survivors(self):
+        """(rows, 1/s2, s2, y2): the rows with Eq3 whose s2 determined by
+        Eq5 (1/s2 = 1/s1 - a0^2) squares to a versal point, and that s2;
+        these are exactly the witnesses of Eq3 and Eq5."""
+        rows = np.flatnonzero(self.EQ3)
+        inv_s2 = self.ADD[self.inv_s1[rows], self.NEG[self.a0sq[rows]]]
+        s2 = self.INV[inv_s2]
+        y2 = self.SQ[s2]
+        keep = self.y_mask[y2]
+        return rows[keep], inv_s2[keep], s2[keep], y2[keep]
+
+    @cached_property
+    def pair_of(self):
+        """For every element v, the index of the s2 pair with 1/s2 = v, or
+        -1.  Distinct pairs have distinct s2, so at most one pair has it;
+        Eq4 and Eq5 each pin 1/s2 to one value per (a0, y1, s1) row, so a
+        row meets at most that one pair."""
+        lookup = np.full(self.T.n, -1, dtype=np.int64)
+        s2 = np.array([s2 for _, s2 in self.s2_pairs], dtype=np.int64)
+        lookup[self.INV[s2]] = np.arange(len(s2))
+        return lookup
 
 
 def _witness(scan, **elts):
@@ -177,53 +211,30 @@ def _step_report(name, statement, checked, witness=None, **extra):
     return rep
 
 
-def _pair_lookup(scan):
-    """For every element v, the index of the first s2 pair with 1/s2 = v, or
-    -1.  Eq4 and Eq5 each pin 1/s2 to one value per (a0, y1, s1) row, and
-    distinct pairs have distinct s2, so a row meets at most that one pair."""
-    lookup = np.full(scan.T.n, -1, dtype=np.int64)
-    for p in range(len(scan.s2_pairs) - 1, -1, -1):
-        lookup[scan.INV[scan.s2_pairs[p][1]]] = p
-    return lookup
-
-
-def _first_bad(scan, bad, pair):
-    """The witness of the lowest bad pair index, then the lowest row."""
-    rows = np.flatnonzero(bad)
+def _first_bad(scan, rows, pair):
+    """The witness of the lowest bad pair index, then the lowest row, among
+    the bad ``rows`` (ascending) and their pair indices."""
     if not rows.size:
         return None
-    i = int(rows[np.argmin(pair[rows])])
-    y2, s2 = scan.s2_pairs[int(pair[i])]
+    k = int(np.argmin(pair))
+    i = rows[k]
+    y2, s2 = scan.s2_pairs[int(pair[k])]
     return _witness(scan, a0=scan.A0[i], y1=scan.Y1[i], s1=scan.S1[i],
                     y2=y2, s2=s2)
 
 
 def _step_i(scan):
     """Eq3 and Eq4 imply Eq5 (a1 eliminated as a unit factor)."""
-    MUL, ADD, NEG, SQ, INV = scan.MUL, scan.ADD, scan.NEG, scan.SQ, scan.INV
-    inv_s1 = INV[scan.S1]
-    a0sq = SQ[scan.A0]
+    MUL, ADD, NEG, SQ = scan.MUL, scan.ADD, scan.NEG, scan.SQ
+    rows = np.flatnonzero(scan.EQ3)
+    inv_s1, a0sq = scan.inv_s1[rows], scan.a0sq[rows]
     # Eq4 pins 1/s2 = core, and Eq5 then fails iff core != 1/s1 - a0^2
     core = ADD[inv_s1, NEG[MUL[a0sq, MUL[inv_s1, SQ[inv_s1]]]]]
-    pair = _pair_lookup(scan)[core]
-    bad = scan.EQ3 & (pair >= 0) & (core != ADD[inv_s1, NEG[a0sq]])
+    pair = scan.pair_of[core]
+    bad = (pair >= 0) & (core != ADD[inv_s1, NEG[a0sq]])
     return _step_report("i", "Eq3 and Eq4 imply Eq5",
                         len(scan.s2_pairs) * len(scan.A0),
-                        _first_bad(scan, bad, pair))
-
-
-def _eq5_survivors(scan):
-    """Among (A0, Y1, S1) with Eq3, the s2 determined by Eq5
-    (1/s2 = 1/s1 - a0^2) whenever its square is a versal point; these are
-    exactly the witnesses of Eq3 and Eq5."""
-    MUL, ADD, NEG, SQ, INV = scan.MUL, scan.ADD, scan.NEG, scan.SQ, scan.INV
-    inv_s1 = INV[scan.S1]
-    a0sq = SQ[scan.A0]
-    inv_s2 = ADD[inv_s1, NEG[a0sq]]
-    s2 = INV[inv_s2]
-    y2 = SQ[s2]
-    ok = scan.EQ3 & scan.y_mask[y2]
-    return ok, inv_s2, s2, y2
+                        _first_bad(scan, rows[bad], pair[bad]))
 
 
 def _bad_quads(scan, K, N, P, Q):
@@ -248,20 +259,24 @@ def _bad_quads(scan, K, N, P, Q):
 def _step_ii(scan):
     """Eq3, Eq5 and the 3rd-order equation imply Eq6, quantified over unit
     squares u = a1^2 and all a2 with the factored forms u*K = a2*N and
-    a2*P = u*Q."""
-    MUL, ADD, NEG, INV = scan.MUL, scan.ADD, scan.NEG, scan.INV
-    ok, inv_s2, s2, y2 = _eq5_survivors(scan)
-    inv_s1, inv_s1_cu, a0sq, K, Q = scan._knq()
+    a2*P = u*Q, on the Eq3 and Eq5 survivors only."""
+    MUL, ADD, NEG, SQ, INV = scan.MUL, scan.ADD, scan.NEG, scan.SQ, scan.INV
+    rows, inv_s2, s2, y2 = scan.survivors
+    a0, inv_s1, a0sq = scan.A0[rows], scan.inv_s1[rows], scan.a0sq[rows]
+    inv_s1_sq = SQ[inv_s1]
+    inv_s1_cu = MUL[inv_s1, inv_s1_sq]
+    K = MUL[scan.threehalf,
+            MUL[MUL[a0, inv_s1_cu], ADD[scan.one, NEG[MUL[a0sq, inv_s1_sq]]]]]
     N = ADD[ADD[inv_s1, NEG[INV[y2]]], NEG[MUL[a0sq, inv_s1_cu]]]
     P = MUL[inv_s2, ADD[inv_s2, NEG[scan.one]]]
+    Q = MUL[scan.threehalf, MUL[ADD[a0sq, NEG[scan.one]], a0]]
     U, n = scan.unit_squares, scan.T.n
-    sel = np.flatnonzero(ok)
     witness = None
     # distinct quads (K, N, P, Q) in lexicographic order, as one int64 key
     # (n^4 < 2^63 for every n <= TABLE_BOUND)
-    key = K[sel].astype(np.int64)
+    key = K.astype(np.int64)
     for col in (N, P, Q):
-        key = key * n + col[sel]
+        key = key * n + col
     quads, first = np.unique(key, return_index=True)
     k, nn, p, q = (quads // n ** e % n for e in (3, 2, 1, 0))
     bad_quad = _bad_quads(scan, k, nn, p, q)
@@ -273,12 +288,13 @@ def _step_ii(scan):
         a2_i, u_i = np.argwhere(bad)[0]
         u = int(U[u_i])
         a1 = int(scan.T.units[np.flatnonzero(scan.SQ[scan.T.units] == u)[0]])
-        i = int(sel[first[j]])
+        f = first[j]
+        i = rows[f]
         witness = _witness(
             scan, a0=scan.A0[i], a1=a1, a2=scan.all_idx[a2_i],
-            y1=scan.Y1[i], s1=scan.S1[i], y2=y2[i], s2=s2[i])
+            y1=scan.Y1[i], s1=scan.S1[i], y2=y2[f], s2=s2[f])
     return _step_report("ii", "Eq3, Eq5 and the 3rd-order equation imply Eq6",
-                        sel.size * len(U) * n, witness)
+                        rows.size * len(U) * n, witness)
 
 
 def _ideal_members(scan, s2):
@@ -311,49 +327,49 @@ def _step_iii(scan):
 
 
 def _step_iv(scan):
-    """Eq3 and Eq5 imply a0*(1 - 1/s2) = a0^3."""
-    MUL, ADD, NEG, SQ = scan.MUL, scan.ADD, scan.NEG, scan.SQ
-    ok, inv_s2, s2, y2 = _eq5_survivors(scan)
-    a0cu = MUL[scan.A0, SQ[scan.A0]]
-    lhs = MUL[scan.A0, ADD[scan.one, NEG[inv_s2]]]
-    good = lhs == a0cu
-    displayed = MUL[scan.A0, ADD[inv_s2, NEG[scan.one]]] == a0cu
-    bad = ok & ~good
+    """Eq3 and Eq5 imply a0*(1 - 1/s2) = a0^3, on the survivors only."""
+    MUL, ADD, NEG = scan.MUL, scan.ADD, scan.NEG
+    rows, inv_s2, s2, y2 = scan.survivors
+    a0 = scan.A0[rows]
+    a0cu = MUL[a0, scan.a0sq[rows]]
+    good = MUL[a0, ADD[scan.one, NEG[inv_s2]]] == a0cu
+    displayed = MUL[a0, ADD[inv_s2, NEG[scan.one]]] == a0cu
     witness = None
-    if bad.any():
-        i = int(np.flatnonzero(bad)[0])
+    if not good.all():
+        f = int(np.argmin(good))
+        i = rows[f]
         witness = _witness(scan, a0=scan.A0[i], y1=scan.Y1[i], s1=scan.S1[i],
-                           y2=y2[i], s2=s2[i])
+                           y2=y2[f], s2=s2[f])
     return _step_report(
-        "iv", "Eq3 and Eq5 imply a0*(1 - 1/s2) = a0^3", int(ok.sum()), witness,
-        displayed_sign_holds=bool((ok & ~displayed).sum() == 0))
+        "iv", "Eq3 and Eq5 imply a0*(1 - 1/s2) = a0^3", rows.size, witness,
+        displayed_sign_holds=bool(displayed.all()))
 
 
 def _step_v(scan):
     """a0^2 in a0^3*A implies a0^2 = 0 (locality)."""
-    MUL, SQ = scan.MUL, scan.SQ
+    MUL = scan.MUL
+    a0 = scan.T.mideal
+    sq = scan.SQ[a0]
+    # MUL is symmetric, so row a0^3 of MUL is a0^3*A
+    bad = (MUL[MUL[a0, sq]] == sq[:, None]).any(axis=1) & (sq != scan.zero)
     witness = None
-    for a0 in scan.T.mideal:
-        sq = int(SQ[a0])
-        cube = int(MUL[a0, sq])
-        if (MUL[scan.all_idx, cube] == sq).any() and sq != scan.zero:
-            witness = _witness(scan, a0=a0)
-            break
+    if bad.any():
+        witness = _witness(scan, a0=a0[np.argmax(bad)])
     return _step_report("v", "a0^2 in a0^3*A implies a0^2 = 0",
-                        len(scan.T.mideal), witness)
+                        len(a0), witness)
 
 
 def _step_vi(scan):
     """Eq5 and a0^2 = 0 imply y1 = y2."""
-    ADD, NEG, SQ, INV = scan.ADD, scan.NEG, scan.SQ, scan.INV
-    sel = SQ[scan.A0] == scan.zero
+    ADD, NEG = scan.ADD, scan.NEG
+    rows = np.flatnonzero(scan.a0sq == scan.zero)
     # Eq5 pins 1/s2 = 1/s1 - a0^2
-    pair = _pair_lookup(scan)[ADD[INV[scan.S1], NEG[SQ[scan.A0]]]]
+    pair = scan.pair_of[ADD[scan.inv_s1[rows], NEG[scan.a0sq[rows]]]]
     pair_y2 = np.array([y2 for y2, _ in scan.s2_pairs] + [-1])
-    bad = sel & (pair >= 0) & (scan.Y1 != pair_y2[pair])
+    bad = (pair >= 0) & (scan.Y1[rows] != pair_y2[pair])
     return _step_report("vi", "Eq5 and a0^2 = 0 imply y1 = y2",
-                        len(scan.s2_pairs) * int(sel.sum()),
-                        _first_bad(scan, bad, pair))
+                        len(scan.s2_pairs) * rows.size,
+                        _first_bad(scan, rows[bad], pair[bad]))
 
 
 def proof_chain_check(ring: Ring | str):

@@ -13,7 +13,8 @@ from defo5.artin.rings import (KERNEL_BOUND, MAX_DIGITS, MAX_DIM,
                                MAX_ZMOD_EXPONENT, DescriptorError, Element,
                                MismatchError, NoSquareRootError,
                                NotAUnitError, Ring, RingError, build_ring)
-from defo5.artin.tables import TABLE_BOUND, RingTable, ring_table
+from defo5.artin.tables import (TABLE_BOUND, RingTable, _block_dtype,
+                                ring_table)
 from defo5.deformation.proofchain import CATALOG
 from defo5.series import TruncatedSeries
 
@@ -276,18 +277,41 @@ def test_ring_table_matches_generic_build(desc):
             assert got == want, name
 
 
-# the 3125-element rings; then rings whose column split falls inside one
-# coordinate (Z/5^n) or on a coordinate boundary (Z/25[e]/(e^2)), or leaves
-# a single wide block (F5: n1 = 1)
+# the 3125-element rings, with mixed moduli (cyclo(5)), five equal ones
+# and int16 blocks (F5[e]/(e^5)) and int64 blocks (Z/5^5); then rings whose
+# column split falls inside one coordinate (Z/5^n) or on a coordinate
+# boundary (Z/25[e]/(e^2)), or leaves a single wide block (F5: n1 = 1); and
+# the rest of the catalog
 @pytest.mark.parametrize("desc", [
     "cyclo(5)", "F5[e]/(e^5)", "Z/5^5",
-    "F5", "Z/25", "Z/125", "Z/625", "Z/25[e]/(e^2)"])
+    "F5", "Z/25", "Z/125", "Z/625", "Z/25[e]/(e^2)",
+    *(d for d in CATALOG if d not in ("F5", "Z/25", "Z/125", "Z/625"))])
 def test_ring_table_matches_per_coordinate_build(desc):
     T = RingTable(build_ring(desc))
     for name, want in zip(("ADD", "MUL"), per_coordinate_tables(T.ring)):
         got = getattr(T, name)
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("desc,dtype", [
+    ("F5[e]/(e^5)", np.int16), ("cyclo(5)", np.int16),
+    ("Z/125", np.int16),  # 1 * 124^2 = 15376, the widest int16 ring
+    ("Z/625", np.int64),  # 1 * 624^2 = 389376, the narrowest int64 ring
+    ("Z/5^5", np.int64)])
+def test_mul_blocks_dtype_follows_the_ring_bound(desc, dtype):
+    assert _block_dtype(build_ring(desc).diag) is dtype
+
+
+def test_mul_blocks_dtype_bound_is_strict():
+    """A block entry is a sum of d products below (max diag - 1)^2; at
+    d * (max diag - 1)^2 = 2^15 the largest of them wraps in int16."""
+    d = 2 ** 15 // 4 ** 2
+    assert _block_dtype((5,) * (d - 1)) is np.int16
+    assert _block_dtype((5,) * d) is np.int64
+    fours = np.full(d, 4, dtype=np.int16)
+    assert int(fours @ fours) == -2 ** 15
+    assert int(fours[1:] @ fours[1:]) == 2 ** 15 - 16
 
 
 @pytest.mark.parametrize("desc", ["F5", "cyclo(4)", "Z/5^5"])

@@ -304,6 +304,34 @@ def test_coeff_eqs_checks_downstream_equations_by_proof_chain(capsys):
         "cyclo(2)": True, "cyclo(3)": True}
 
 
+def test_verify_all_hands_proof_chain_verdicts_to_coeff_eqs(capsys,
+                                                           monkeypatch):
+    """coeff-eqs alone checks its four oracle rings; inside verify-all it
+    reads their verdicts off the proof-chain step, and reports the same."""
+    from defo5 import cli
+    checked, reports = [], []
+    check, coeff_eqs = cli.proof_chain_check, cli._cmd_coeff_eqs
+
+    def counting_check(ring):
+        checked.append(ring.descriptor)
+        return check(ring)
+
+    def keep(args):
+        reports.append(coeff_eqs(args))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "proof_chain_check", counting_check)
+    monkeypatch.setattr(cli, "_cmd_coeff_eqs", keep)
+    code, alone, _ = run(capsys, "coeff-eqs", "--samples", "7")
+    assert code == 0 and len(checked) == 4
+    checked.clear()
+    code, _, _ = run(capsys, "verify-all", "--profile", "quick")
+    assert code == 0 and checked == []
+    handed = reports[-1].details["symbolic"]["oracle_proof_chain_passed"]
+    assert json.dumps(handed) == json.dumps(
+        alone["details"]["symbolic"]["oracle_proof_chain_passed"])
+
+
 def test_verify_all_quick(capsys):
     code, report, _ = run(capsys, "verify-all", "--profile", "quick")
     assert code == 0

@@ -244,11 +244,18 @@ STEP_PAIRS = {
 }
 
 
-def _oracle_counterexamples(scan):
+ALL_STEP_PAIRS = {
+    **STEP_PAIRS,
+    "iv": (proofchain._step_iv, proofchain_oracle.step_iv),
+    "v": (proofchain._step_v, proofchain_oracle.step_v),
+}
+
+
+def _oracle_counterexamples(scan, pairs=STEP_PAIRS):
     """Step reports against the loop-form oracle; the steps that found a
     counterexample."""
     found = set()
-    for name, (fast, oracle) in STEP_PAIRS.items():
+    for name, (fast, oracle) in pairs.items():
         rep = oracle(scan)
         assert fast(scan) == rep, name
         if rep["counterexamples"]:
@@ -259,6 +266,14 @@ def _oracle_counterexamples(scan):
 @pytest.mark.parametrize("desc", CATALOG)
 def test_proof_chain_steps_match_loop_oracle(desc):
     assert _oracle_counterexamples(proofchain._Scan(build_ring(desc))) == set()
+
+
+@pytest.mark.parametrize("desc", CATALOG)
+def test_survivor_and_locality_steps_match_loop_oracle(desc):
+    """Steps (iv) and (v) on the Eq3 and Eq5 survivor rows and vectorised
+    over m, against every row and one a0 at a time."""
+    scan = proofchain._Scan(build_ring(desc))
+    assert _oracle_counterexamples(scan, ALL_STEP_PAIRS) == set()
 
 
 @pytest.mark.parametrize("desc", ["F5", "F25", "Z/25", "F5[e]/(e^2)",
@@ -336,6 +351,42 @@ def test_proof_chain_witnesses_match_loop_oracle(desc, tamper):
     scan = copy.copy(proofchain._Scan(build_ring(desc)))
     scan.__dict__.update(attrs(scan))
     assert _oracle_counterexamples(scan) == expected
+
+
+def _units_in_m(scan):
+    """The scan with the units 2 and 3 listed among the elements of m."""
+    T = copy.copy(scan.T)
+    T.mideal = np.append(T.mideal, [T.from_int(2), T.from_int(3)]).astype(
+        T.mideal.dtype)
+    return {"T": T}
+
+
+# Tampers reaching steps (iv) and (v), compared over all six steps.  No
+# tamper that keeps the tables consistent breaks (iv) alone: (iv) fails on a
+# survivor row exactly where Eq3 fails there, and (ii) rests on Eq3 too.
+LATE_TAMPERS = {
+    # a0 + e^2 (u^2 in cyclo(3): rank 1, which annihilates m) keeps a0^2,
+    # and Eq3 wherever s1 = 1 mod m; the stale Eq3 flag of a0 = 0 with
+    # s1 = -1 mod m now lets a0 = e^2 through, where Eq3 fails.  Shifted on
+    # the rows of the last y1 only, so that the first bad row is far from
+    # the first bad survivor's position among the survivors
+    "a0_shifted_by_e2": (lambda s: {"A0": np.where(
+        s.Y1 == s.ys[-1], s.ADD[s.A0, s.T.mideal[1]], s.A0)}, {"ii", "iv"}),
+    # u^2 is in u^3*A and is nonzero for a unit u; step (iii) still holds at
+    # a0 = 2 and 3, since Q is then a unit times a0^2 - 1, also a unit
+    "units_in_m": (_units_in_m, {"v"}),
+}
+
+
+@pytest.mark.parametrize("tamper", sorted(LATE_TAMPERS))
+@pytest.mark.parametrize("desc", ["F5[e]/(e^3)", "cyclo(3)"])
+def test_survivor_and_locality_witnesses_match_loop_oracle(desc, tamper):
+    """Scans with counterexamples in (iv) or (v): the survivor-row and
+    vectorised steps pick the oracle's witness (lowest row, lowest a0)."""
+    attrs, expected = LATE_TAMPERS[tamper]
+    scan = copy.copy(proofchain._Scan(build_ring(desc)))
+    scan.__dict__.update(attrs(scan))
+    assert _oracle_counterexamples(scan, ALL_STEP_PAIRS) == expected
 
 
 def test_proof_chain_brute_force_cross_check():

@@ -4,8 +4,9 @@
 ``symbolic``, and the ring-table cache has one home.
 Also: no module of the package imports sympy (only the test oracles do),
 importing the CLI loads neither ``defo5.symbolic`` nor the process pool
-(``multiprocessing``, ``concurrent.futures.process``), and ``coeff-eqs`` runs
-and passes with sympy blocked."""
+(``multiprocessing``, ``concurrent.futures.process``), the catalog proof
+chain leaves ``numpy.ma`` unloaded, and ``coeff-eqs`` runs and passes with
+sympy blocked."""
 
 import ast
 import json
@@ -114,6 +115,16 @@ def test_cli_import_leaves_the_process_pool_unloaded():
             "print(sorted(m for m in ('multiprocessing', "
             "'concurrent.futures.process') if m in sys.modules))")
     assert _run(code).strip() == "[]"
+
+
+def test_proof_chain_scan_leaves_numpy_ma_unloaded():
+    """numpy's masked arrays (about 1 MB and 10-20 ms to import) come with a
+    plain ``np.unique``; the catalog scan does without them."""
+    code = ("import sys, defo5.cli; "
+            "from defo5.deformation.proofchain import proof_chain_scan; "
+            "assert proof_chain_scan(625)['passed']; "
+            "print('numpy.ma' in sys.modules)")
+    assert _run(code).strip() == "False"
 
 
 def test_no_module_imports_sympy():
