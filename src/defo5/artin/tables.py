@@ -126,8 +126,13 @@ class RingTable:
                        np.array(ring.mul_basis, dtype=np.int64))
         xs = (xs % mods).astype(dtype)
         blocks = np.einsum("kib,bj->kij", xs, ys)
-        for k, m in enumerate(ring.diag):  # % m, as a division by a scalar
-            blocks[k] -= blocks[k] // m * m
+        # % m in place, as a division by a scalar (numpy divides by an array
+        # element by element)
+        q = np.empty_like(blocks[0])
+        for k, m in enumerate(ring.diag):
+            np.floor_divide(blocks[k], m, out=q)
+            q *= m
+            blocks[k] -= q
         mul = self.MUL = _sum_table(blocks[:, :, :n1], blocks[:, :, n1:],
                                     ring.diag, weights)
         self.NEG = ((-coords % ring.diag) @ weights).astype(np.int16)
