@@ -70,6 +70,16 @@ def _block_dtype(diag):
         else np.int64
 
 
+def _reduce(blocks, diag):
+    """blocks[k] %= diag[k] in place, by a division by a scalar (numpy
+    divides by an array element by element), with one quotient buffer."""
+    q = np.empty_like(blocks[0])
+    for k, m in enumerate(diag):
+        np.floor_divide(blocks[k], m, out=q)
+        q *= m
+        blocks[k] -= q
+
+
 def _sum_table(U, V, diag, weights):
     """The n x n1*n2 index table whose entry [i, j1 * n2 + j2] ranks the
     vector with coordinate k = (U[k, i, j1] + V[k, i, j2]) mod diag[k].
@@ -126,13 +136,7 @@ class RingTable:
                        np.array(ring.mul_basis, dtype=np.int64))
         xs = (xs % mods).astype(dtype)
         blocks = np.einsum("kib,bj->kij", xs, ys)
-        # % m in place, as a division by a scalar (numpy divides by an array
-        # element by element)
-        q = np.empty_like(blocks[0])
-        for k, m in enumerate(ring.diag):
-            np.floor_divide(blocks[k], m, out=q)
-            q *= m
-            blocks[k] -= q
+        _reduce(blocks, ring.diag)
         mul = self.MUL = _sum_table(blocks[:, :, :n1], blocks[:, :, n1:],
                                     ring.diag, weights)
         self.NEG = ((-coords % ring.diag) @ weights).astype(np.int16)
