@@ -65,7 +65,7 @@ from ..artin.rings import ENUMERATION_BOUND, EnumerationBoundError, Ring, RingEr
 from ..artin.tables import ring_table
 from ..nottingham import Automorphism
 from ..series import TruncatedSeries
-from .versal import hom_points, versal_family
+from .versal import hom_points, ideal_size, versal_family
 
 # Rows of one batched level: pairs are grouped so that the next level fits,
 # and a single pair whose next level exceeds it is refused.  A prec-4 scan of
@@ -76,7 +76,7 @@ FRONTIER_BOUND = 1 << 16
 def _refuse_cardinality(ring: Ring):
     """Refuse a search over a ring with |m|^3 > ENUMERATION_BOUND, from
     cardinalities alone."""
-    n_m = ring.cardinality // ring.residue_ring.cardinality
+    n_m = ideal_size(ring)
     if n_m ** 3 > ENUMERATION_BOUND:
         raise EnumerationBoundError(
             f"conjugator search over {ring.descriptor}: |m|^3 = {n_m ** 3} "

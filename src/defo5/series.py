@@ -22,13 +22,13 @@ coefficient is its table index, and every sum of products is a chain of
 ``MUL``/``ADD`` lookups.  In a larger ring it is its canonical coordinate
 tuple: a sum of products is accumulated as an unreduced integer vector and
 reduced once, which is exact because coordinatewise reduction mod ``diag``
-is a homomorphism from Z^dim.  A coefficient that serves at least
-``_EXPAND_USES`` products of one operation (a product, a composition for
-its inner series, a division or square root for its divisor) has its
-multiplication matrix expanded once from the sparse structure constants,
-so each of those products is one pass over the other coefficient's
-nonzero coordinates; one that serves fewer is multiplied pair by pair
-through the structure constants.
+is a homomorphism from Z^dim.  There is one product: each operation
+expands, once, the multiplication matrix of every nonzero coefficient of
+one factor (of the second factor of a product, of the inner series of a
+composition for all its Horner steps, of the divisor of a division or
+square root and of the unit that closes each recurrence step) from the
+sparse structure constants, and each product by that coefficient is then
+one pass over the other coefficient's nonzero coordinates.
 Every operation, from ``+`` to ``comp_inverse``, ``==`` and ``t_order``,
 maps raw lists to raw lists.
 
@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import re
 import struct
-from bisect import bisect_left
 from itertools import zip_longest
 from operator import add, sub
 
@@ -413,30 +412,10 @@ def _matrix(ring, x, sign=1):
     return [[(k, v) for k, v in enumerate(col) if v] for col in cols]
 
 
-# Expanding a coefficient's matrix costs about as much as two or three
-# products by it pair by pair and saves about half of each later one: on the
-# catalog rings of 4 to 6 coordinates it pays for itself from about six
-# products on (fewer ones made dense prec-4 and prec-5 products slower).
-_EXPAND_USES = 6
-
-
-def _expand(ring, x, uses, sign=1):
-    """The ``_matrix`` of sign*x for a coefficient x that serves at least
-    _EXPAND_USES products, else None: x is then multiplied pair by pair."""
-    return _matrix(ring, x, sign) if uses >= _EXPAND_USES else None
-
-
-def _mac(rows, x, sign, vec, y):
-    """vec += sign*x*y through the sparse structure constants ``rows``;
-    the outer loop runs over y, which is often zero (a recurrence term)."""
-    for yi, row in zip(y, rows):
-        if yi:
-            yi *= sign
-            for xj, terms in zip(x, row):
-                if xj:
-                    c = yi * xj
-                    for k, v in terms:
-                        vec[k] += c * v
+def _matrices(ring, b):
+    """(j, _matrix of b_j) for the nonzero coordinate tuples b_j, in order."""
+    zero = ring.zero.coords
+    return [(j, _matrix(ring, y)) for j, y in enumerate(b) if y != zero]
 
 
 def _mac_matrix(mx, vec, y):
@@ -474,8 +453,8 @@ def _derivative_raw(ring, a):
 
 def _mul_raw(ring, a, b, p, c=None, b_mats=None):
     """The first p coefficients of a*b + c, with c a constant (default 0).
-    On coordinate vectors ``b_mats`` may pass (j, b_j, _expand of b_j) for
-    the nonzero b_j in order; by default each b_j counts its products here."""
+    On coordinate vectors ``b_mats`` may pass (j, _matrix of b_j) for the
+    nonzero b_j in order; by default they are expanded here."""
     kern = ring._kernel
     if kern is not None:  # index 0 is the zero element
         MUL, ADD = kern.MUL, kern.ADD
@@ -492,22 +471,17 @@ def _mul_raw(ring, a, b, p, c=None, b_mats=None):
                         break
                     out[k] = ADD[out[k]][row[y]]
         return out
-    rows, zero = ring._mul_rows, ring.zero.coords
-    nonzero_a = [(i, x) for i, x in enumerate(a[:p]) if x != zero]
-    if b_mats is None:  # b_j serves the nonzero a_i with i < p - j
-        at = [i for i, _ in nonzero_a]
-        b_mats = [(j, y, _expand(ring, y, bisect_left(at, p - j)))
-                  for j, y in enumerate(b[:p]) if y != zero]
+    zero = ring.zero.coords
+    if b_mats is None:
+        b_mats = _matrices(ring, b[:p])
     vecs = [[0] * ring.dim for _ in range(p)]
     if c is not None:
         vecs[0][:] = c
-    for i, x in nonzero_a:
-        for j, y, my in b_mats:
-            if i + j >= p:
-                break
-            if my is None:
-                _mac(rows, y, 1, vecs[i + j], x)
-            else:
+    for i, x in enumerate(a[:p]):
+        if x != zero:
+            for j, my in b_mats:
+                if i + j >= p:
+                    break
                 _mac_matrix(my, vecs[i + j], x)
     return list(map(ring.reduce, vecs))
 
@@ -524,13 +498,9 @@ def _compose_raw(ring, g, f, p):
     else:
         top = min(len(g) - 1, (p - 1) // v)
         out, ks = [g[top]], range(top - 1, -1, -1)
-    widths = [p - v * k for k in ks]
-    f_mats = None
-    if ring._kernel is None:  # f_j serves w - j products in a step of width w
-        f_mats = [(j, y, _expand(ring, y, sum(max(0, w - j) for w in widths)))
-                  for j, y in enumerate(f[:p]) if y != zero]
-    for k, w in zip(ks, widths):
-        out = _mul_raw(ring, out, f, w, g[k], f_mats)
+    f_mats = None if ring._kernel is not None else _matrices(ring, f[:p])
+    for k in ks:
+        out = _mul_raw(ring, out, f, p - v * k, g[k], f_mats)
     return out + [zero] * (p - len(out))
 
 
@@ -549,29 +519,21 @@ def _recur(ring, f, g, u, q, p):
                     acc = SUB[acc][MUL[gi][qi]]
             q.append(by_u[acc])
         return q
-    rows, zero = ring._mul_rows, ring.zero.coords
-    mu = _expand(ring, u, p - len(q))
-    minus_g = [None]  # (g_i, _expand of -g_i) from the first step it enters
+    zero = ring.zero.coords
+    mu = _matrix(ring, u)
+    minus_g = [None]  # _matrix of -g_i from the first step it enters
     for n in range(len(q), p):
         vec = list(f[n] if n < len(f) else zero)
         top = min(n + 1, len(g))
         while len(minus_g) < top:  # g grows with q for a square root
             gi = g[len(minus_g)]
-            minus_g.append((gi, _expand(ring, gi, p - n, -1)) if gi != zero
-                           else None)
+            minus_g.append(_matrix(ring, gi, -1) if gi != zero else None)
         for i in range(1, top):
             if minus_g[i] is not None:
-                gi, mg = minus_g[i]
-                if mg is None:
-                    _mac(rows, gi, -1, vec, q[n - i])
-                else:
-                    _mac_matrix(mg, vec, q[n - i])
+                _mac_matrix(minus_g[i], vec, q[n - i])
         # reduction is a homomorphism, so vec is multiplied unreduced
         out = [0] * ring.dim
-        if mu is None:
-            _mac(rows, u, 1, out, vec)
-        else:
-            _mac_matrix(mu, out, vec)
+        _mac_matrix(mu, out, vec)
         q.append(ring.reduce(out))
     return q
 

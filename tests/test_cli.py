@@ -7,10 +7,11 @@ import time
 import pytest
 
 from defo5 import __version__
-from defo5.artin.rings import build_ring
+from defo5.artin.rings import EnumerationBoundError, build_ring
 from defo5.artin.tables import RingTable
 from defo5.deformation import equivalence
-from defo5.deformation.versal import (hom_points, iterate_closed_form,
+from defo5.deformation.versal import (HOM_POINTS_BOUND, hom_points,
+                                      ideal_size, iterate_closed_form,
                                       versal_family)
 from defo5.cli import main
 from defo5.nottingham import Automorphism, power
@@ -90,6 +91,27 @@ def test_refusal_before_any_table_or_family(capsys, monkeypatch):
     assert code == 2
     assert "exceeds the bound" in err
     assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("cmd", ["versal-check", "iterates"])
+def test_versal_point_scan_refused_from_the_ideal_size(capsys, cmd):
+    """|m| = 5^9 would scan 2 million elements (over 200 s); refused from
+    the cardinalities, with exit 2, well within a second."""
+    assert ideal_size(build_ring("F5[e]/(e^10)")) > HOM_POINTS_BOUND
+    t0 = time.perf_counter()
+    code, report, err = run(capsys, cmd, "--ring", "F5[e]/(e^10)",
+                            "--prec", "2")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and report is None
+    assert "exceeds the bound" in err
+
+
+def test_versal_point_scan_bound_admits_the_largest_scanned_rings():
+    assert ideal_size(build_ring("cyclo(5)")) == 625
+    assert ideal_size(build_ring("Z/5^7")) == HOM_POINTS_BOUND
+    assert hom_points(build_ring("Z/5^7")) == []
+    with pytest.raises(EnumerationBoundError):
+        hom_points(build_ring("Z/5^8"))
 
 
 def test_exit_two_on_bad_series_literal(capsys):

@@ -361,6 +361,13 @@ def _units_in_m(scan):
     return {"T": T}
 
 
+def _versal_point_cleared(scan):
+    """The scan with its last versal point cleared from the y2 filter."""
+    y_mask = scan.y_mask.copy()
+    y_mask[scan.ys[-1]] = False
+    return {"y_mask": y_mask}
+
+
 # Tampers reaching steps (iv) and (v), compared over all six steps.  No
 # tamper that keeps the tables consistent breaks (iv) alone: (iv) fails on a
 # survivor row exactly where Eq3 fails there, and (ii) rests on Eq3 too.
@@ -375,6 +382,10 @@ LATE_TAMPERS = {
     # u^2 is in u^3*A and is nonzero for a unit u; step (iii) still holds at
     # a0 = 2 and 3, since Q is then a unit times a0^2 - 1, also a unit
     "units_in_m": (_units_in_m, {"v"}),
+    # no catalog ring has an Eq3 row whose Eq5 s2 squares to a non-versal
+    # y2, so only a y2 filter with a point cleared makes it drop rows:
+    # (ii) and (iv) then check fewer survivors and still find nothing
+    "versal_point_cleared": (_versal_point_cleared, set()),
 }
 
 
@@ -387,6 +398,25 @@ def test_survivor_and_locality_witnesses_match_loop_oracle(desc, tamper):
     scan = copy.copy(proofchain._Scan(build_ring(desc)))
     scan.__dict__.update(attrs(scan))
     assert _oracle_counterexamples(scan, ALL_STEP_PAIRS) == expected
+
+
+@pytest.mark.parametrize("desc", ["F5[e]/(e^3)", "cyclo(3)"])
+def test_versal_filter_drops_survivors(desc):
+    """With a versal point cleared from y_mask, the survivors lose exactly
+    the rows whose y2 is that point, as in the oracle, and steps (ii) and
+    (iv) count fewer checks."""
+    scan = proofchain._Scan(build_ring(desc))
+    tampered = copy.copy(scan)  # before any row quantity is cached
+    tampered.__dict__.update(
+        LATE_TAMPERS["versal_point_cleared"][0](tampered))
+    rows, _, _, y2 = scan.survivors
+    lost = y2 == scan.ys[-1]
+    assert lost.any()
+    assert (tampered.survivors[0].tolist() == rows[~lost].tolist()
+            == np.flatnonzero(proofchain_oracle.eq5_survivors(tampered)[0])
+            .tolist())
+    for step in (proofchain._step_ii, proofchain._step_iv):
+        assert step(tampered)["checked"] < step(scan)["checked"]
 
 
 def test_proof_chain_brute_force_cross_check():

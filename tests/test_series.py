@@ -157,9 +157,10 @@ def _raw_path(ring, path):
             yield
 
 
-def _sparse(ring, rng, c0, p=_P):
-    """c0, then p - 1 coefficients of which about 60 % are zero."""
-    els = list(ring.enumerate())
+def _sparse(ring, rng, c0, p=_P, els=None):
+    """c0, then p - 1 coefficients of which about 60 % are zero, drawn from
+    ``els`` (default: the whole ring)."""
+    els = els or list(ring.enumerate())
     return [c0] + [rng.choice(els) if rng.random() < 0.4 else ring.zero
                    for _ in range(p - 1)]
 
@@ -171,37 +172,49 @@ def _coords(coeffs):
 def _assert_raw_path_agrees_with_element_oracle(desc, path, p):
     R = build_ring(desc)
     rng = random.Random(20261018)
-    units = list(R.enumerate("units"))
-    nilpotent = [x for x in R.enumerate("maximal-ideal") if x != R.zero]
-    f = _sparse(R, rng, rng.choice(list(R.enumerate())), p)
-    g = _sparse(R, rng, rng.choice(units), p)
+    els = list(R.enumerate())  # enumerated once: Z/5^7 has 78 125
+    units = [x for x in els if x.is_unit()]
+    nilpotent = [x for x in els if x != R.zero and not x.is_unit()]
+    f = _sparse(R, rng, rng.choice(els), p, els)
+    g = _sparse(R, rng, rng.choice(units), p, els)
     square = oracle.mul(R, g, g, p)  # unit constant term, both roots exist
-    inner = _sparse(R, rng, rng.choice(nilpotent) if nilpotent else R.zero, p)
+    inner = _sparse(R, rng, rng.choice(nilpotent) if nilpotent else R.zero,
+                    p, els)
     inner[1] = rng.choice(units)
     branches = tuple(x for x in R.residue_ring.enumerate()
                      if x * x == square[0].residue())
     assert len(branches) == 2
     loss = (inner[0].nilpotency_order() - 1) if nilpotent else 0
+    # the guaranteed precisions; below 1 the operation must refuse
+    cut = {"compose": p - loss,
+           "comp_inverse": p - 2 * (R.nilpotency_index - 1)}
     want = {
-        "mul": oracle.mul(R, f, g, p),
-        "div": oracle.div(R, f, g, p),
-        "compose": oracle.compose(R, f, inner, p)[:p - loss],
-        "comp_inverse": oracle.comp_inverse(R, inner)[
-            :p - 2 * (R.nilpotency_index - 1)],
-        **{("sqrt", b): oracle.sqrt(R, square, b) for b in branches},
+        "mul": lambda: oracle.mul(R, f, g, p),
+        "div": lambda: oracle.div(R, f, g, p),
+        "compose": lambda: oracle.compose(R, f, inner, p)[:cut["compose"]],
+        "comp_inverse": lambda: oracle.comp_inverse(R, inner)[
+            :cut["comp_inverse"]],
+        **{("sqrt", b): lambda b=b: oracle.sqrt(R, square, b)
+           for b in branches},
     }
+    refused = {k for k, c in cut.items() if c < 1}
     with _raw_path(R, path):
         F, G, S, inner_s = (TruncatedSeries(R, c)
                             for c in (f, g, square, inner))
         got = {
-            "mul": (F * G).coeffs,
-            "div": F.div(G).coeffs,
-            "compose": F.compose(inner_s).coeffs,
-            "comp_inverse": inner_s.comp_inverse().coeffs,
-            **{("sqrt", b): S.sqrt(b).coeffs for b in branches},
+            "mul": lambda: F * G,
+            "div": lambda: F.div(G),
+            "compose": lambda: F.compose(inner_s),
+            "comp_inverse": inner_s.comp_inverse,
+            **{("sqrt", b): lambda b=b: S.sqrt(b) for b in branches},
         }
-    assert ({k: _coords(v) for k, v in got.items()}
-            == {k: _coords(v) for k, v in want.items()})
+        for k in refused:
+            with pytest.raises(PrecisionError):
+                got[k]()
+        got = {k: _coords(op().coeffs) for k, op in got.items()
+               if k not in refused}
+    assert got == {k: _coords(op()) for k, op in want.items()
+                   if k not in refused}
 
 
 @pytest.mark.parametrize("desc,path", _RAW_PATHS)
@@ -209,12 +222,15 @@ def test_raw_paths_agree_with_element_oracle(desc, path):
     _assert_raw_path_agrees_with_element_oracle(desc, path, _P)
 
 
-@pytest.mark.parametrize("desc", ["cyclo(4)", "cyclo(5)"])
-def test_coordinate_path_at_prec_16_agrees_with_element_oracle(desc):
-    """Every multiplication matrix expanded once, on the 625- and
-    3125-element rings."""
+@pytest.mark.parametrize("p", [2, 4, 16])
+@pytest.mark.parametrize("desc", ["cyclo(4)", "cyclo(5)", "F25[e]/(e^2)",
+                                  "Z/5^7"])
+def test_coordinate_path_agrees_with_element_oracle(desc, p):
+    """The one coordinate product (every multiplication matrix expanded
+    once) on rings above the kernel bound, from 4 coordinates down to the
+    dim-1 Z/5^7, at a short, a middle and a long precision."""
     assert build_ring(desc).cardinality > KERNEL_BOUND
-    _assert_raw_path_agrees_with_element_oracle(desc, "coords", 16)
+    _assert_raw_path_agrees_with_element_oracle(desc, "coords", p)
 
 
 def _error(fn):
