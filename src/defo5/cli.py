@@ -3,12 +3,14 @@
 Every subcommand runs one verification and prints a structured JSON report
 (see reports.Report).  Exit status: 0 = verdict pass, 1 = verdict fail,
 2 = usage or size errors, 3 = an unexpected internal error (no report; an
-``error:`` line naming the exception, then its traceback, on stderr).
+``error:`` line naming the exception, then its traceback, on stderr),
+4 = the report could not be written (an ``error:`` line on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 import traceback
@@ -363,7 +365,13 @@ def main(argv=None):
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         traceback.print_exc()
         return 3
-    print(report.to_json())
+    try:
+        print(report.to_json())
+        sys.stdout.flush()  # a write error shows here, not at exit
+    except OSError as exc:  # the flush at exit would fail too: drop the rest
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return 4
     print(report.summary_line(), file=sys.stderr)
     return 0 if report.passed else 1
 

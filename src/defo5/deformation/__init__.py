@@ -2,7 +2,7 @@
 tangent space, obstruction, and the exhaustive proof-chain scans."""
 
 from .equivalence import conjugator_search, equivalent, universality_scan
-from .obstruction import defect_vector, obstruction_check, sigma_w
+from .obstruction import defect_vector, obstruction_check
 from .proofchain import (CATALOG, catalog_rings, proof_chain_check,
                          proof_chain_scan)
 from .tangent import (cocycle_matrix, coboundary_matrix, tangent_report,
@@ -15,6 +15,6 @@ __all__ = [
     "cocycle_matrix", "conjugator_search", "defect_vector", "equivalent",
     "hom_points", "is_lift", "iterate_closed_form", "lift_certificate",
     "obstruction_check", "phi5", "proof_chain_check", "proof_chain_scan",
-    "sigma_w", "tangent_report", "tangent_space", "universality_scan",
+    "tangent_report", "tangent_space", "universality_scan",
     "versal_family",
 ]

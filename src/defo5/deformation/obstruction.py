@@ -23,18 +23,10 @@ from .tangent import COCYCLE_SHIFT, cocycle_matrix
 from .versal import hom_points
 
 
-def sigma_w(prec: int):
-    """The principal-branch t/sqrt(t^2+1) over Z/25."""
-    return base_sigma(build_ring("Z/25"), prec)
-
-
 def defect_vector(prec: int):
     """(sigma_W^5 - t)/5 over F5 through t^(prec-1)."""
     ring = build_ring("Z/25")
-    internal = prec + 4
-    aut = sigma_w(internal)
-    t = TruncatedSeries.t(ring, internal)
-    diff = power(aut, 5).series - t
+    diff = power(base_sigma(ring, prec), 5).series - TruncatedSeries.t(ring, prec)
     out = []
     for i in range(prec):
         v = diff.coeffs[i].coords[0]

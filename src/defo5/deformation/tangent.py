@@ -80,7 +80,7 @@ def cocycle_matrix(prec):
 def coboundary_matrix(prec):
     """B as rows: the t^i coefficient of t^j(sigma) - sigma' * t^j over F5."""
     f5 = build_ring("F5")
-    internal = prec + 2
+    internal = prec + 1  # the derivative drops one coefficient
     sigma = base_sigma(f5, internal).series
     sigma_prime = sigma.derivative()
     cols = []
@@ -96,16 +96,12 @@ def coboundary_matrix(prec):
 def hom_point_directions(prec):
     """The first-order directions (sigma_{1+c*eps} - sigma)/eps for c in F5."""
     ring = build_ring(_DUAL)
-    internal = prec + 4
-    sigma = base_sigma(ring, internal)
+    sigma = base_sigma(ring, prec).series
     eps = ring.generator("e")
-    out = []
-    for c in range(5):
-        pt = VersalPoint(ring, ring.one + eps * c)
-        fam = versal_family(pt, internal)
-        diff = fam.series - sigma.series
-        out.append((c, [_eps_part(diff.coeffs[i]) for i in range(prec)]))
-    return out
+    fams = [versal_family(VersalPoint(ring, ring.one + eps * c), prec)
+            for c in range(5)]
+    return [(c, [_eps_part(x) for x in (fam.series - sigma).coeffs])
+            for c, fam in enumerate(fams)]
 
 
 def _is_cocycle(z_cols, vec):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from ..artin.rings import Element, EnumerationBoundError, Ring, RingError
 from ..nottingham import Automorphism, base_sigma, power
-from ..series import TruncatedSeries
+from ..series import TruncatedSeries, family
 
 
 def phi5(y: Element) -> Element:
@@ -68,11 +68,9 @@ def hom_points(ring: Ring):
 
 
 def versal_family(point: VersalPoint, prec: int) -> Automorphism:
-    """t / sqrt(t^2 + y) with the principal branch (residue root 1)."""
-    ring = point.ring
-    t = TruncatedSeries.t(ring, prec)
-    body = t * t + TruncatedSeries.constant(ring, point.y, prec)
-    return Automorphism(t.div(body.sqrt(ring.residue_ring.one)))
+    """t / sqrt(t^2 + y) with the principal branch: y = 1 mod m, so its
+    root has residue 1."""
+    return Automorphism(family(point.ring, 1, point.y, prec))
 
 
 def iterate_closed_form(point: VersalPoint, k: int, prec: int) -> Automorphism:
@@ -90,10 +88,7 @@ def iterate_closed_form(point: VersalPoint, k: int, prec: int) -> Automorphism:
     for _ in range(k):
         s_k = s_k + p
         p = p * point.y
-    yk = p
-    t = TruncatedSeries.t(ring, prec)
-    body = t * t * s_k + TruncatedSeries.constant(ring, yk, prec)
-    return Automorphism(t.div(body.sqrt(ring.residue_ring.one)))
+    return Automorphism(family(ring, s_k, p, prec))
 
 
 def is_lift(aut: Automorphism, prec: int):
@@ -102,30 +97,21 @@ def is_lift(aut: Automorphism, prec: int):
     (1) the residue reduction equals sigma over the residue field;
     (2) the fifth compositional power is t.
 
-    The automorphism must carry enough guaranteed precision for (2):
-    prec + 4*(e-1) coefficients, e the nilpotency index.  Returns
-    (ok, detail) where detail names the failed condition, if any.
+    Both are compared at ``prec``; when the fifth power is known to fewer
+    coefficients (composition loses precision to a nonzero constant term)
+    the comparison raises ``PrecisionError``.  Returns (ok, detail) where
+    detail names the failed condition, if any.
     """
-    ring = aut.ring
-    slack = 4 * (ring.nilpotency_index - 1)
-    if aut.prec < prec + slack:
-        raise RingError(
-            f"is_lift at precision {prec} needs input precision >= {prec + slack}")
-    k = ring.residue_ring
-    sigma_k = base_sigma(k, prec)
-    red = aut.reduce_residue()
-    if not red.series.agrees_with(sigma_k.series, prec):
+    sigma_k = base_sigma(aut.ring.residue_ring, prec)
+    if not aut.reduce_residue().series.agrees_with(sigma_k.series, prec):
         return False, "reduction modulo the maximal ideal differs from sigma"
-    p5 = power(aut, 5)
-    t = TruncatedSeries.t(ring, prec)
-    if not p5.series.agrees_with(t, prec):
+    t = TruncatedSeries.t(aut.ring, prec)
+    if not power(aut, 5).series.agrees_with(t, prec):
         return False, f"fifth power is not t at precision {prec}"
     return True, f"lift certified at precision {prec}"
 
 
 def lift_certificate(point: VersalPoint, prec: int):
-    """Convenience: build the versal family with enough slack and run is_lift."""
-    ring = point.ring
-    slack = 4 * (ring.nilpotency_index - 1)
-    aut = versal_family(point, prec + slack)
-    return is_lift(aut, prec)
+    """Build the versal family at ``prec`` and run is_lift: its constant
+    term is 0, so composing it loses no precision."""
+    return is_lift(versal_family(point, prec), prec)

@@ -11,7 +11,7 @@ which over F5 has order 5 and Hasse conductor 2.
 from __future__ import annotations
 
 from .artin.rings import Ring, RingError
-from .series import PrecisionError, TruncatedSeries
+from .series import PrecisionError, TruncatedSeries, family
 
 
 class NotAnAutomorphismError(RingError):
@@ -80,9 +80,7 @@ class Automorphism:
 
 def base_sigma(ring: Ring, prec: int) -> Automorphism:
     """t / sqrt(t^2 + 1) with the principal square-root branch."""
-    t = TruncatedSeries.t(ring, prec)
-    body = t * t + TruncatedSeries.constant(ring, 1, prec)
-    return Automorphism(t.div(body.sqrt()))
+    return Automorphism(family(ring, 1, 1, prec))
 
 
 def power(a: Automorphism, n: int) -> Automorphism:
@@ -102,8 +100,7 @@ def order(a: Automorphism, cap: int):
         raise RingError("order cap must be >= 1")
     acc = a
     for n in range(1, cap + 1):
-        t = TruncatedSeries.t(a.ring, acc.prec)
-        if acc.series == t:
+        if acc.is_identity_at_precision():
             return n, acc.prec
         if n < cap:
             try:
@@ -117,8 +114,7 @@ def hasse_conductor(a: Automorphism):
     """ord_t(a(t)/t - 1) of the residue-field reduction; also returns the
     leading coefficient.  Undefined for the identity."""
     red = a.reduce_residue()
-    one = TruncatedSeries.constant(red.ring, 1, red.prec - 1)
-    ratio = red.series.shift_down(1) - one
+    ratio = red.series.shift_down(1) - 1
     m = ratio.t_order()
     if m is None:
         raise ConductorUndefinedError(

@@ -11,6 +11,9 @@ a result precision that is justified by what the inputs guarantee:
 * compositional inverse: ``prec - 2*(e - 1)`` with e the ring's nilpotency
   index (a safe, not tight, constant).
 
+Callers read the result precision off ``prec`` and do not re-derive it; a
+check past it raises ``PrecisionError``.
+
 Coefficient recurrences are used for division and square root, Horner for
 composition, and Newton iteration for the compositional inverse.  In debug
 builds every div/sqrt/comp_inverse result is re-multiplied (re-composed) and
@@ -364,6 +367,14 @@ class TruncatedSeries:
             off += 8 * dim
             coeffs.append(Element(ring, ring.reduce(coords)))
         return cls._of(ring, _raw(ring, coeffs))
+
+
+def family(ring, a, b, prec, branch=None):
+    """t / sqrt(a t^2 + b) to ``prec`` terms, with the square root of b on
+    the residue branch ``branch`` (default: the principal one)."""
+    t = TruncatedSeries.t(ring, prec)
+    body = t * t * a + TruncatedSeries.constant(ring, b, prec)
+    return t.div(body.sqrt(branch))
 
 
 # -- raw form (module docstring) -------------------------------------------------

@@ -32,7 +32,7 @@ import numpy as np
 
 from ..artin.rings import build_ring
 from ..artin.tables import ring_table
-from ..series import TruncatedSeries
+from ..series import TruncatedSeries, family
 from .surd import (_WITNESS_NAMES, A0, A1, A2, A3, Y1, Y2, Specialization,
                    SurdExpression)
 
@@ -209,9 +209,8 @@ def _engine_values(ring, w, prec, inners):
     key = w["y2"], w["s2"]
     inner = inners.get(key)
     if inner is None:
-        t = TruncatedSeries.t(ring, prec)
-        inner_body = t * t + TruncatedSeries.constant(ring, w["y2"], prec)
-        inner = inners[key] = t.div(inner_body.sqrt(w["s2"].residue()))
+        inner = inners[key] = family(ring, 1, w["y2"], prec,
+                                     w["s2"].residue())
     return [c._i for c in lhs.coeffs + g.compose(inner).coeffs]
 
 

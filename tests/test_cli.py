@@ -2,10 +2,15 @@
 report for the obstruction subcommand."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import defo5
 from defo5 import __version__
 from defo5.artin.rings import EnumerationBoundError, build_ring
 from defo5.artin.tables import RingTable
@@ -61,6 +66,38 @@ def test_exit_three_on_internal_error(capsys, monkeypatch):
     assert code == 3
     assert report is None
     assert err.startswith("error:") and "ZeroDivisionError" in err
+
+
+def _cli_process(stdout, *argv):
+    """Run the CLI in a fresh interpreter with the given stdout, so that the
+    flush at interpreter exit is part of what is tested."""
+    src = str(Path(defo5.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src] + path))
+    return subprocess.run([sys.executable, "-m", "defo5.cli", *argv],
+                          stdout=stdout, stderr=subprocess.PIPE, env=env,
+                          text=True, timeout=120)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_exit_four_when_the_report_meets_a_full_disk():
+    with open("/dev/full", "w") as full:
+        proc = _cli_process(full, "order", "--prec", "16")
+    assert proc.returncode == 4
+    assert proc.stderr.splitlines() == [
+        "error: cannot write the report: [Errno 28] No space left on device"]
+
+
+def test_exit_four_when_the_report_meets_a_closed_pipe():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    try:
+        proc = _cli_process(write_end, "order", "--prec", "16")
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 4
+    assert proc.stderr.splitlines() == [
+        "error: cannot write the report: [Errno 32] Broken pipe"]
 
 
 def test_exit_two_on_unknown_subcommand(capsys):

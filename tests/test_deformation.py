@@ -20,7 +20,7 @@ from defo5.deformation.versal import (VersalPoint, hom_points, is_lift,
                                       iterate_closed_form, lift_certificate,
                                       phi5, versal_family)
 from defo5.nottingham import Automorphism, base_sigma, conjugate, power
-from defo5.series import TruncatedSeries
+from defo5.series import PrecisionError, TruncatedSeries
 
 import proofchain_oracle
 
@@ -81,6 +81,41 @@ def test_is_lift_rejects_wrong_reduction():
     bad = Automorphism(TruncatedSeries(R, [0, 2], prec=20))
     ok, detail = is_lift(bad, 12)
     assert not ok and "reduction" in detail
+
+
+@pytest.mark.parametrize("desc", ["cyclo(4)", "F5[e]/(e^4)"])
+def test_is_lift_certifies_the_family_at_its_own_precision(desc):
+    # the family's constant term is 0, so its fifth power loses nothing
+    prec = 8
+    for p in hom_points(build_ring(desc)):
+        fam = versal_family(p, prec)
+        assert power(fam, 5).prec == prec
+        assert is_lift(fam, prec) == (
+            True, f"lift certified at precision {prec}")
+
+
+def test_is_lift_checks_no_further_than_the_fifth_power_is_known():
+    R = build_ring("F5[e]/(e^3)")
+    e = R.generator("e")
+    # a nilpotent constant term costs precision at each composition
+    aut = Automorphism(base_sigma(R, 12).series + e)
+    known = power(aut, 5).prec
+    assert known < 12
+    with pytest.raises(PrecisionError):
+        is_lift(aut, 12)
+    assert is_lift(aut, known) == (
+        False, f"fifth power is not t at precision {known}")
+    # sigma_(1+e) conjugated by t + e: a lift with constant term 3e^2
+    p = VersalPoint(R, R.one + e)
+    xi = Automorphism(TruncatedSeries(R, [e, 1], prec=16))
+    lift = conjugate(versal_family(p, 16), xi)
+    assert lift.series[0] != R.zero
+    known = power(lift, 5).prec
+    assert known < lift.prec
+    with pytest.raises(PrecisionError):
+        is_lift(lift, lift.prec)
+    assert is_lift(lift, known) == (
+        True, f"lift certified at precision {known}")
 
 
 # -- equivalence --------------------------------------------------------------------
