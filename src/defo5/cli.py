@@ -10,6 +10,8 @@ Every subcommand runs one verification and prints a structured JSON report
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import os
 import sys
 import time
@@ -35,15 +37,11 @@ from .series import MAX_DEGREE, TruncatedSeries
 _USAGE_ERRORS = (DescriptorError, EnumerationBoundError)
 
 
-def _verdict(ok: bool) -> str:
-    return VERDICT_PASS if ok else VERDICT_FAIL
-
-
 def _report(command, params, ok, details, witnesses=(), t0=None):
     return Report(
         command=command,
         params=params,
-        verdict=_verdict(ok),
+        verdict=VERDICT_PASS if ok else VERDICT_FAIL,
         details=details,
         witnesses=list(witnesses),
         elapsed_ms=(time.perf_counter() - t0) * 1000 if t0 else 0.0,
@@ -350,12 +348,32 @@ def build_parser():
     return parser
 
 
+def _emit(text, what, summary, code):
+    """``code`` once ``text`` is on stdout and ``summary`` (if any) on stderr;
+    4 when a write fails (a full disk, a closed pipe), with an ``error:``
+    line in place of the summary if it is stdout that failed."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()  # a write error shows here, not at exit
+    except OSError as exc:  # the flush at exit would fail too: drop the rest
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        summary, code = f"error: cannot write the {what}: {exc}", 4
+    try:
+        if summary:
+            print(summary, file=sys.stderr)
+    except OSError:  # stderr failed: nowhere left to say so
+        return 4
+    return code
+
+
 def main(argv=None):
     parser = build_parser()
+    out = io.StringIO()  # argparse would swallow a failed write of its help
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(out):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
-        return 2 if exc.code not in (0,) else 0
+        return 2 if exc.code != 0 else _emit(out.getvalue(), "help", None, 0)
     try:
         report = args.fn(args)
     except _USAGE_ERRORS as exc:
@@ -365,15 +383,8 @@ def main(argv=None):
         print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         traceback.print_exc()
         return 3
-    try:
-        print(report.to_json())
-        sys.stdout.flush()  # a write error shows here, not at exit
-    except OSError as exc:  # the flush at exit would fail too: drop the rest
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: cannot write the report: {exc}", file=sys.stderr)
-        return 4
-    print(report.summary_line(), file=sys.stderr)
-    return 0 if report.passed else 1
+    return _emit(report.to_json() + "\n", "report", report.summary_line(),
+                 0 if report.passed else 1)
 
 
 if __name__ == "__main__":

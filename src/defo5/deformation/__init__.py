@@ -1,7 +1,7 @@
 """The deformation functor of sigma: lifts, equivalence, versal points,
 tangent space, obstruction, and the exhaustive proof-chain scans."""
 
-from .equivalence import conjugator_search, equivalent, universality_scan
+from .equivalence import conjugator_search, universality_scan
 from .obstruction import defect_vector, obstruction_check
 from .proofchain import (CATALOG, catalog_rings, proof_chain_check,
                          proof_chain_scan)
@@ -12,7 +12,7 @@ from .versal import (VersalPoint, hom_points, is_lift, iterate_closed_form,
 
 __all__ = [
     "CATALOG", "VersalPoint", "catalog_rings", "coboundary_matrix",
-    "cocycle_matrix", "conjugator_search", "defect_vector", "equivalent",
+    "cocycle_matrix", "conjugator_search", "defect_vector",
     "hom_points", "is_lift", "iterate_closed_form", "lift_certificate",
     "obstruction_check", "phi5", "proof_chain_check", "proof_chain_scan",
     "tangent_report", "tangent_space", "universality_scan",

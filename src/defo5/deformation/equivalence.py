@@ -293,12 +293,6 @@ def conjugator_search(lift1: Automorphism, lift2: Automorphism, prec: int):
     return _conjugator(T, first, lift1, lift2, prec), int(count)
 
 
-def equivalent(lift1: Automorphism, lift2: Automorphism, prec: int):
-    """Conjugator xi at precision ``prec``, or None (sound refutation)."""
-    xi, _ = conjugator_search(lift1, lift2, prec)
-    return xi
-
-
 def universality_scan(ring: Ring, prec: int):
     """For every ordered pair of versal points, search for a conjugator
     between their versal families; the pro-representability theorem predicts

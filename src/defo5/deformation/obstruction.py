@@ -17,16 +17,16 @@ from __future__ import annotations
 
 from .. import gf5
 from ..artin.rings import DescriptorError, RingError, build_ring
-from ..nottingham import base_sigma, power
-from ..series import TruncatedSeries
+from ..series import TruncatedSeries, family
 from .tangent import COCYCLE_SHIFT, cocycle_matrix
 from .versal import hom_points
 
 
 def defect_vector(prec: int):
-    """(sigma_W^5 - t)/5 over F5 through t^(prec-1)."""
+    """(sigma_W^5 - t)/5 over F5 through t^(prec-1); by the group law
+    (versal.iterate_parameters) sigma_W^5 = t / sqrt(5 t^2 + 1)."""
     ring = build_ring("Z/25")
-    diff = power(base_sigma(ring, prec), 5).series - TruncatedSeries.t(ring, prec)
+    diff = family(ring, 5, 1, prec) - TruncatedSeries.t(ring, prec)
     out = []
     for i in range(prec):
         v = diff.coeffs[i].coords[0]

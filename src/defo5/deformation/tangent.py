@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from .. import gf5
 from ..artin.rings import RingError, build_ring
-from ..nottingham import Automorphism, base_sigma
-from ..series import TruncatedSeries
+from ..nottingham import base_sigma
+from ..series import TruncatedSeries, family
 from .versal import VersalPoint, versal_family
 
 _DUAL = "F5[e]/(e^2)"
@@ -51,30 +51,26 @@ def cocycle_matrix(prec):
 
     Since eps^2 = 0, that is the chain-rule derivative of the composite in
     the direction d = t^j:  Z(d) = sum_{k=0..4} W_k * d(sigma^k(t)) with
-    weights W_k = (sigma^(4-k))'(sigma^(k+1)(t)).  The iterates and weights
-    are computed once over F5; then each column costs five series products.
+    weights W_k = (sigma^(4-k))'(sigma^(k+1)(t)).  By the group law
+    (versal.iterate_parameters) sigma^k = t / sqrt(k t^2 + 1) over F5, whose
+    derivative is (k t^2 + 1)^(-3/2); as (4-k) + (k+1) = 0 in F5,
+    W_k = (1 + (k+1) t^2)^(3/2).  Then each column costs five products.
     """
     f5 = build_ring("F5")
     rows = prec + COCYCLE_SHIFT
-    sigma = base_sigma(f5, rows + 1)
-    iterates = [Automorphism.identity(f5, rows + 1)]
-    for _ in range(5):
-        iterates.append(sigma(iterates[-1]))
-    if not iterates[5].is_identity_at_precision():
-        raise RingError(f"sigma^5 is not t at precision {rows + 1}")
+    iterates = [family(f5, k, 1, rows) for k in range(5)]
     # terms[k] = W_k * sigma^k(t)^j, exact through t^(rows-1)
-    terms = [iterates[4 - k].series.derivative().compose(iterates[k + 1].series)
-             for k in range(5)]
+    bodies = [TruncatedSeries(f5, [1, 0, k + 1], prec=rows) for k in range(5)]
+    terms = [body * body.sqrt() for body in bodies]
     cols = []
     for j in range(rows):
-        col = sum(terms[1:], terms[0])
-        cols.append([col.coeffs[i].coords[0] for i in range(rows)])
-        terms = [w * it.series for w, it in zip(terms, iterates)]
-    for j, col in enumerate(cols):
+        col = [c.coords[0] for c in sum(terms[1:], terms[0]).coeffs]
         if any(col[:j + COCYCLE_SHIFT]):
             raise RingError(
                 f"cocycle degree-shift hypothesis fails at direction t^{j}")
-    return [[cols[j][i] for j in range(prec)] for i in range(rows)]
+        cols.append(col)
+        terms = [w * it for w, it in zip(terms, iterates)]
+    return [list(row[:prec]) for row in zip(*cols)]
 
 
 def coboundary_matrix(prec):

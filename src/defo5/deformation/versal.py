@@ -15,12 +15,10 @@ from ..series import TruncatedSeries, family
 
 
 def phi5(y: Element) -> Element:
-    """1 + y + y^2 + y^3 + y^4."""
-    acc = y.ring.one
-    p = y.ring.one
+    """1 + y + y^2 + y^3 + y^4, by Horner's rule."""
+    one = acc = y.ring.one
     for _ in range(4):
-        p = p * y
-        acc = acc + p
+        acc = acc * y + one
     return acc
 
 
@@ -73,22 +71,31 @@ def versal_family(point: VersalPoint, prec: int) -> Automorphism:
     return Automorphism(family(point.ring, 1, point.y, prec))
 
 
-def iterate_closed_form(point: VersalPoint, k: int, prec: int) -> Automorphism:
-    """The k-th compositional iterate of sigma_y in closed form:
+def iterate_parameters(y: Element, k: int):
+    """(S_k(y), y^k) with S_k = 1 + y + ... + y^(k-1), for k >= 0.
 
-        sigma_y^k(t) = t / sqrt(S_k(y) t^2 + y^k),  S_k = 1 + y + ... + y^(k-1).
-
-    At k = 5 this is exactly t, since S_5(y) = Phi5(y) = 0 and y^5 = 1.
+    The group law: f_{a,b} = t / sqrt(a t^2 + b) (a in A, b in 1 + m, root
+    of residue 1) has f_{a,b} o f_{c,d} = f_{a+bc, bd}.  Both sides square
+    to t^2 / ((a+bc) t^2 + bd) and are t times a unit = 1 mod (m, t), and
+    two such units g, h with g^2 = h^2 are equal: (g - h)(g + h) = 0 and
+    g + h = 2 mod (m, t) is a unit.  So sigma_y = f_{1,y} has
+    sigma_y^(k+1) = sigma_y^k o sigma_y = f_{S_k(y) + y^k, y^(k+1)}.
     """
     if k < 0:
-        raise RingError("iterate_closed_form expects k >= 0")
-    ring = point.ring
-    s_k = ring.zero
-    p = ring.one
+        raise RingError("iterate_parameters expects k >= 0")
+    s_k = y.ring.zero
+    p = y.ring.one
     for _ in range(k):
         s_k = s_k + p
-        p = p * point.y
-    return Automorphism(family(ring, s_k, p, prec))
+        p = p * y
+    return s_k, p
+
+
+def iterate_closed_form(point: VersalPoint, k: int, prec: int) -> Automorphism:
+    """sigma_y^k(t) = t / sqrt(S_k(y) t^2 + y^k), by the group law; at k = 5
+    this is exactly t, since S_5(y) = Phi5(y) = 0 and y^5 = 1."""
+    return Automorphism(family(point.ring, *iterate_parameters(point.y, k),
+                               prec))
 
 
 def is_lift(aut: Automorphism, prec: int):
@@ -112,6 +119,12 @@ def is_lift(aut: Automorphism, prec: int):
 
 
 def lift_certificate(point: VersalPoint, prec: int):
-    """Build the versal family at ``prec`` and run is_lift: its constant
-    term is 0, so composing it loses no precision."""
-    return is_lift(versal_family(point, prec), prec)
+    """is_lift(versal_family(point, prec), prec) by ring arithmetic: sigma_y
+    reduces to sigma when y = 1 mod m, and by the group law sigma_y^5 =
+    f_{S_5(y), y^5} is t when (S_5(y), y^5) = (0, 1)."""
+    ring = point.ring
+    if not (point.y - ring.one).in_maximal_ideal():
+        return False, "reduction modulo the maximal ideal differs from sigma"
+    if iterate_parameters(point.y, 5) != (ring.zero, ring.one):
+        return False, f"fifth power is not t at precision {prec}"
+    return True, f"lift certified at precision {prec}"

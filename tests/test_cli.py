@@ -68,14 +68,14 @@ def test_exit_three_on_internal_error(capsys, monkeypatch):
     assert err.startswith("error:") and "ZeroDivisionError" in err
 
 
-def _cli_process(stdout, *argv):
-    """Run the CLI in a fresh interpreter with the given stdout, so that the
-    flush at interpreter exit is part of what is tested."""
+def _cli_process(stdout, *argv, stderr=subprocess.PIPE):
+    """Run the CLI in a fresh interpreter with the given stdout and stderr,
+    so that the flush at interpreter exit is part of what is tested."""
     src = str(Path(defo5.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH", "").split(os.pathsep)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src] + path))
     return subprocess.run([sys.executable, "-m", "defo5.cli", *argv],
-                          stdout=stdout, stderr=subprocess.PIPE, env=env,
+                          stdout=stdout, stderr=stderr, env=env,
                           text=True, timeout=120)
 
 
@@ -86,6 +86,41 @@ def test_exit_four_when_the_report_meets_a_full_disk():
     assert proc.returncode == 4
     assert proc.stderr.splitlines() == [
         "error: cannot write the report: [Errno 28] No space left on device"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_exit_four_when_the_summary_meets_a_full_disk():
+    """The report is written; the summary line on stderr is not."""
+    with open("/dev/full", "w") as full:
+        proc = _cli_process(subprocess.PIPE, "order", "--prec", "8",
+                            stderr=full)
+    assert proc.returncode == 4
+    assert json.loads(proc.stdout)["verdict"] == "pass"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [["order", "--prec", "8"], ["--help"]])
+def test_exit_four_when_both_streams_meet_a_full_disk(argv):
+    with open("/dev/full", "w") as full:
+        proc = _cli_process(full, *argv, stderr=full)
+    assert proc.returncode == 4
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [["--help"], ["order", "--help"]])
+def test_exit_four_when_the_help_meets_a_full_disk(argv):
+    with open("/dev/full", "w") as full:
+        proc = _cli_process(full, *argv)
+    assert proc.returncode == 4
+    assert proc.stderr.splitlines() == [
+        "error: cannot write the help: [Errno 28] No space left on device"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["order", "--help"]])
+def test_help_is_written_and_exits_zero(capsys, argv):
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: defo5") and not err
 
 
 def test_exit_four_when_the_report_meets_a_closed_pipe():

@@ -3,7 +3,9 @@ chain; the proof chain is cross-checked against an independent brute force
 that evaluates the literal displayed equations over every witness."""
 
 import copy
+import random
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,8 +13,7 @@ import pytest
 from defo5.artin.rings import DescriptorError, RingError, build_ring
 from defo5.artin.tables import ring_table
 from defo5.deformation import obstruction, proofchain
-from defo5.deformation.equivalence import (conjugator_search, equivalent,
-                                           universality_scan)
+from defo5.deformation.equivalence import conjugator_search, universality_scan
 from defo5.deformation.obstruction import defect_vector, obstruction_check
 from defo5.deformation.proofchain import (CATALOG, catalog_rings,
                                           proof_chain_check, proof_chain_scan)
@@ -20,7 +21,7 @@ from defo5.deformation.versal import (VersalPoint, hom_points, is_lift,
                                       iterate_closed_form, lift_certificate,
                                       phi5, versal_family)
 from defo5.nottingham import Automorphism, base_sigma, conjugate, power
-from defo5.series import PrecisionError, TruncatedSeries
+from defo5.series import PrecisionError, TruncatedSeries, family
 
 import proofchain_oracle
 
@@ -55,6 +56,51 @@ def test_lift_certificates_cyclo():
         p = VersalPoint(R, R.one + R.generator("u"))
         ok, detail = lift_certificate(p, 16)
         assert ok, detail
+
+
+# -- the group law of the family ---------------------------------------------------
+
+def _law_draws(ring, n=20, seed=22):
+    """n random (a, b, c, d) with a, c in A and b, d in 1 + m."""
+    rng = random.Random(seed)
+    elements = list(ring.enumerate())
+    ideal = list(ring.enumerate("maximal-ideal"))
+    return [(rng.choice(elements), ring.one + rng.choice(ideal),
+             rng.choice(elements), ring.one + rng.choice(ideal))
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize("desc", ["cyclo(3)", "cyclo(4)", "F5[e]/(e^3)",
+                                  "Z/125"])
+def test_group_law_against_composition(desc):
+    """f_{a,b} o f_{c,d} = f_{a+bc, bd} (versal.iterate_parameters), with
+    the engine's composition on the left."""
+    ring = build_ring(desc)
+    for a, b, c, d in _law_draws(ring):
+        composite = family(ring, a, b, 12).compose(family(ring, c, d, 12))
+        assert composite == family(ring, a + b * c, b * d, 12)
+
+
+def test_lift_certificate_equals_is_lift_on_catalog_points():
+    """The law's certificate against the composed fifth power, on every
+    versal point of every catalog ring of at most 625 elements."""
+    points = [p for ring in catalog_rings(625) for p in hom_points(ring)]
+    assert len(points) > 300
+    for p in points:
+        assert lift_certificate(p, 16) == is_lift(versal_family(p, 16), 16)
+
+
+@pytest.mark.parametrize("desc,y", [("Z/25", 1), ("Z/25", 6), ("Z/125", 26),
+                                    ("F5[e]/(e^2)", 4)])
+def test_lift_certificate_equals_is_lift_off_the_versal_points(desc, y):
+    """y = 1 mod m with Phi5(y) != 0 fails the fifth power, y = 4 the
+    reduction; a VersalPoint refuses both, so a stand-in carries them."""
+    ring = build_ring(desc)
+    stand_in = SimpleNamespace(ring=ring, y=ring.from_int(y))
+    ok, detail = lift_certificate(stand_in, 12)
+    assert not ok
+    assert (ok, detail) == is_lift(
+        Automorphism(family(ring, 1, stand_in.y, 12)), 12)
 
 
 def test_iterates_closed_form():
@@ -143,7 +189,7 @@ def test_plant_and_recover_conjugator():
     fam = versal_family(p, 12)
     xi = Automorphism(TruncatedSeries(R, [e, R.one + e, e], prec=10))
     planted = conjugate(fam, xi)
-    found = equivalent(fam, Automorphism(planted.series), prec)
+    found = conjugator_search(fam, Automorphism(planted.series), prec)[0]
     assert found is not None
     left = found.series.exact_extension(prec + slack).compose(
         fam.series.truncate(prec))
@@ -167,6 +213,13 @@ def test_equivalence_symmetry_and_transitivity():
 def test_defect_vector_leading_term():
     d = defect_vector(8)
     assert d[:4] == [0, 0, 0, 2]  # -t^3/2 = 2 t^3 over F5
+
+
+@pytest.mark.parametrize("P", [8, 64])
+def test_defect_vector_against_fivefold_composition(P):
+    ring = build_ring("Z/25")
+    diff = power(base_sigma(ring, P), 5).series - TruncatedSeries.t(ring, P)
+    assert defect_vector(P) == [c.coords[0] // 5 % 5 for c in diff.coeffs]
 
 
 def test_obstruction_z25():
