@@ -196,14 +196,10 @@ class Ring:
                 f"cardinality {self.cardinality} exceeds bound {ENUMERATION_BOUND}")
         if which not in ("all", "maximal-ideal", "units"):
             raise RingError(f"unknown enumeration filter {which!r}")
-        rzero = self.residue_ring.zero
         for coords in itertools.product(*(range(d) for d in self.diag)):
             el = Element(self, coords)
-            if which == "maximal-ideal" and el.residue() != rzero:
-                continue
-            if which == "units" and el.residue() == rzero:
-                continue
-            yield el
+            if which == "all" or el.is_unit() == (which == "units"):
+                yield el
 
     @cached_property
     def _half(self):
@@ -512,38 +508,24 @@ def _make_nilpotent_extension(base, name, m):
         raise DescriptorError(f"generator name {name!r} already in use")
     d = base.dim
     dim = d * m
-    basis = []
-    for s in range(m):
-        for b in base.basis:
-            if s == 0:
-                basis.append(b)
-            else:
-                pw = name if s == 1 else f"{name}^{s}"
-                basis.append(pw if b == "1" else f"{b}*{pw}")
-    mul = [[None] * dim for _ in range(dim)]
-    zero = tuple([0] * dim)
-    for s in range(m):
-        for i in range(d):
-            for r in range(m):
-                for j in range(d):
-                    if s + r >= m:
-                        vec = zero
-                    else:
-                        bvec = base.mul_basis[i][j]
-                        out = [0] * dim
-                        off = (s + r) * d
-                        for k, v in enumerate(bvec):
-                            out[off + k] = v
-                        vec = tuple(out)
-                    mul[s * d + i][r * d + j] = vec
+    powers = ["1", name] + [f"{name}^{s}" for s in range(2, m)]
+    basis = [b if pw == "1" else pw if b == "1" else f"{b}*{pw}"
+             for pw in powers for b in base.basis]
+
+    def product(s, i, r, j):  # e^s b_i * e^r b_j = e^(s+r) b_i b_j
+        vec = [0] * dim
+        if s + r < m:
+            vec[(s + r) * d:(s + r + 1) * d] = base.mul_basis[i][j]
+        return tuple(vec)
+
+    mul = tuple(tuple(product(s, i, r, j) for r in range(m) for j in range(d))
+                for s in range(m) for i in range(d))
     gens = {g: vec + (0,) * (dim - d) for g, vec in base._generator_vecs.items()}
-    gv = [0] * dim
-    gv[d] = 1
-    gens[name] = tuple(gv)
+    gens[name] = (0,) * d + (1,) + (0,) * (dim - d - 1)
     return Ring(
         descriptor=f"{base.descriptor}[{name}]/({name}^{m})",
         basis=basis,
-        mul_basis=tuple(tuple(r) for r in mul),
+        mul_basis=mul,
         diag=base.diag * m,  # m copies of B, one per power of e
         residue_ring=base.residue_ring,
         # the maximal ideal is (m_B, e), and (m_B, e)^k is the sum of the

@@ -377,14 +377,16 @@ def main(argv=None):
     try:
         report = args.fn(args)
     except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, error = 2, f"error: {exc}\n"
     except Exception as exc:
-        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
-        traceback.print_exc()
-        return 3
-    return _emit(report.to_json() + "\n", "report", report.summary_line(),
-                 0 if report.passed else 1)
+        code, error = 3, (f"error: internal: {type(exc).__name__}: {exc}\n"
+                          + traceback.format_exc())
+    else:
+        return _emit(report.to_json() + "\n", "report",
+                     report.summary_line(), 0 if report.passed else 1)
+    with contextlib.suppress(OSError):  # the exit status still tells
+        sys.stderr.write(error)
+    return code
 
 
 if __name__ == "__main__":

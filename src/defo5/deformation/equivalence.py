@@ -309,32 +309,26 @@ def universality_scan(ring: Ring, prec: int):
     firsts, counts = _Search(T, fams, fams, prec).run(pairs)
     ys = [str(p.y) for p in pts]
     rows = []
-    ok = True
     for (i, j), first, count in zip(pairs, firsts, counts.tolist()):
         xi = None if first is None else _conjugator(T, first, fams[i],
                                                     fams[j], prec)
         found = xi is not None
-        expected = (i == j)
-        verdict = found == expected
-        ok = ok and verdict
         rows.append({
             "y1": ys[i],
             "y2": ys[j],
             "conjugator_found": found,
             "conjugators_at_precision": count,
             "conjugator": str(xi.series) if xi else None,
-            "expected_equivalent": expected,
-            "as_predicted": verdict,
+            "expected_equivalent": i == j,
+            "as_predicted": found == (i == j),
         })
+    seen = [(p["expected_equivalent"], p["conjugator_found"]) for p in rows]
     return {
         "ring": ring.descriptor,
         "prec": prec,
         "hom_points": len(pts),
         "pairs": rows,
-        "diagonal_equivalent": sum(1 for p in rows
-                                   if p["expected_equivalent"] and p["conjugator_found"]),
-        "off_diagonal_refuted": sum(1 for p in rows
-                                    if not p["expected_equivalent"]
-                                    and not p["conjugator_found"]),
-        "all_as_predicted": ok,
+        "diagonal_equivalent": seen.count((True, True)),
+        "off_diagonal_refuted": seen.count((False, False)),
+        "all_as_predicted": all(p["as_predicted"] for p in rows),
     }

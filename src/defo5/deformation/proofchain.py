@@ -88,6 +88,7 @@ import numpy as np
 
 from ..artin.rings import Ring, build_ring
 from ..artin.tables import ring_table
+from .versal import versal_scan
 
 # bound on the elements of one intermediate array in step (ii)
 _CHUNK = 1 << 14
@@ -133,12 +134,9 @@ class _Scan:
         self.unit_squares = np.flatnonzero(
             np.bincount(T.SQ[T.units], minlength=T.n))
         self.threehalf = self.MUL[T.from_int(3), self.INV[T.from_int(2)]]
-        y, phi = self.ADD[T.one, T.mideal], T.one
-        for _ in range(4):  # Phi5(y) = 1 + y(1 + y(1 + y(1 + y)))
-            phi = self.ADD[T.one, self.MUL[y, phi]]
-        self.ys = sorted(y[phi == T.zero].tolist())  # the versal points
-        self.y_mask = np.zeros(T.n, dtype=bool)
-        self.y_mask[self.ys] = True
+        rows, hits = versal_scan(ring)  # the versal points, ranked
+        self.ys = (rows[hits] @ np.array(ring._weights)).tolist()
+        self.y_mask = np.isin(self.all_idx, self.ys)
         # All (a0, y1, s1) with s1^2 = a0^2 + y1 (by y1, then a0, then s1 in
         # the order of T.roots), as parallel arrays, plus the Eq3 mask
         # a0*s1 = a0.  by_square lists the roots of each value in turn.

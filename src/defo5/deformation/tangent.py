@@ -20,7 +20,7 @@ from .. import gf5
 from ..artin.rings import RingError, build_ring
 from ..nottingham import base_sigma
 from ..series import TruncatedSeries, family
-from .versal import VersalPoint, versal_family
+from .versal import hom_points, versal_family
 
 _DUAL = "F5[e]/(e^2)"
 
@@ -90,14 +90,14 @@ def coboundary_matrix(prec):
 
 
 def hom_point_directions(prec):
-    """The first-order directions (sigma_{1+c*eps} - sigma)/eps for c in F5."""
+    """The first-order directions (sigma_{1+c*eps} - sigma)/eps, one per
+    versal point y = 1 + c*eps of F5[e]/(e^2), as (c, direction)."""
     ring = build_ring(_DUAL)
     sigma = base_sigma(ring, prec).series
-    eps = ring.generator("e")
-    fams = [versal_family(VersalPoint(ring, ring.one + eps * c), prec)
-            for c in range(5)]
-    return [(c, [_eps_part(x) for x in (fam.series - sigma).coeffs])
-            for c, fam in enumerate(fams)]
+    return [(_eps_part(p.y - ring.one),
+             [_eps_part(x) for x in (versal_family(p, prec).series
+                                     - sigma).coeffs])
+            for p in hom_points(ring)]
 
 
 def _is_cocycle(z_cols, vec):

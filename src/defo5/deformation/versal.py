@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..artin.rings import Element, EnumerationBoundError, Ring, RingError
 from ..nottingham import Automorphism, base_sigma, power
 from ..series import TruncatedSeries, family
@@ -36,9 +38,9 @@ class VersalPoint:
             raise RingError(f"{self.y} is not congruent to 1 mod the maximal ideal")
 
 
-# The scan of 1 + m takes 0.4-1.9 s at |m| = 5^6 (Z/5^7, F5[e]/(e^7),
-# F25[e]/(e^4)), 1.5-4.2 s at 5^7 (Z/5^8, F5[e]/(e^8)) and about five times
-# more per further power of 5 (2-core host).
+# The scan of 1 + m takes 1 ms (Z/5^7) to 24-30 ms (F5[e]/(e^7),
+# F25[e]/(e^4)) at |m| = 5^6, in process on a 2-core host; the VersalPoints
+# of its hits add 0.1 s (3 125 points) to 0.6-0.7 s (15 625 points).
 HOM_POINTS_BOUND = 5 ** 6
 
 
@@ -47,22 +49,41 @@ def ideal_size(ring: Ring) -> int:
     return ring.cardinality // ring.residue_ring.cardinality
 
 
-def hom_points(ring: Ring):
-    """All versal points of an enumerable ring, by exhaustive scan of 1 + m;
-    a ring with |m| > HOM_POINTS_BOUND is refused before the scan."""
+def versal_scan(ring: Ring):
+    """(rows, hits): the canonical coordinates of 1 + m, one row per element
+    in table-index order, and the mask of the rows y with Phi5(y) = 0; a ring
+    with |m| > HOM_POINTS_BOUND is refused before any array is built.
+
+    The residue coordinates of 1 + m step by 5 from those of 1, the others
+    take their full range.  Horner's rule runs on all rows at once: row n of
+    ``times_y`` is the matrix of x -> x * y_n from ``ring.mul_basis``, and
+    each product is reduced by ``diag``.  No int64 overflow: under the bound
+    |A| <= 25 |m| <= 5^8, so dim <= 8 and every diag <= 5^7 (Z/5^7), and a
+    product stays below dim^2 * 5^21 < 2^55."""
     n_m = ideal_size(ring)
     if n_m > HOM_POINTS_BOUND:
         raise EnumerationBoundError(
             f"versal-point scan over {ring.descriptor}: |m| = {n_m} "
             f"exceeds the bound {HOM_POINTS_BOUND}")
-    pts = []
-    one = ring.one
-    zero = ring.zero
-    for x in ring.enumerate("maximal-ideal"):
-        y = one + x
-        if phi5(y) == zero:
-            pts.append(VersalPoint(ring, y))
-    return pts
+    k = ring.residue_ring.dim
+    axes = [np.arange(int(j == 0), m, 5 if j < k else 1)
+            for j, m in enumerate(ring.diag)]
+    grid = np.meshgrid(*axes, indexing="ij")
+    rows = np.stack(grid, axis=-1).reshape(-1, ring.dim)
+    times_y = np.einsum("nb,abk->nak", rows,
+                        np.array(ring.mul_basis, dtype=np.int64))
+    one = np.eye(ring.dim, dtype=np.int64)[0]
+    phi = np.broadcast_to(one, rows.shape)
+    for _ in range(4):  # Phi5(y) = 1 + y(1 + y(1 + y(1 + y)))
+        phi = (np.einsum("na,nak->nk", phi, times_y) + one) % ring.diag
+    return rows, ~phi.any(axis=1)
+
+
+def hom_points(ring: Ring):
+    """The versal points of a ring, in table-index order: the hits of
+    ``versal_scan``, each checked once more by VersalPoint."""
+    rows, hits = versal_scan(ring)
+    return [VersalPoint(ring, Element(ring, y)) for y in rows[hits].tolist()]
 
 
 def versal_family(point: VersalPoint, prec: int) -> Automorphism:

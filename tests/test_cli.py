@@ -68,13 +68,14 @@ def test_exit_three_on_internal_error(capsys, monkeypatch):
     assert err.startswith("error:") and "ZeroDivisionError" in err
 
 
-def _cli_process(stdout, *argv, stderr=subprocess.PIPE):
+def _cli_process(stdout, *argv, stderr=subprocess.PIPE,
+                 launcher=("-m", "defo5.cli")):
     """Run the CLI in a fresh interpreter with the given stdout and stderr,
     so that the flush at interpreter exit is part of what is tested."""
     src = str(Path(defo5.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH", "").split(os.pathsep)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src] + path))
-    return subprocess.run([sys.executable, "-m", "defo5.cli", *argv],
+    return subprocess.run([sys.executable, *launcher, *argv],
                           stdout=stdout, stderr=stderr, env=env,
                           text=True, timeout=120)
 
@@ -114,6 +115,31 @@ def test_exit_four_when_the_help_meets_a_full_disk(argv):
     assert proc.returncode == 4
     assert proc.stderr.splitlines() == [
         "error: cannot write the help: [Errno 28] No space left on device"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_exit_two_when_the_usage_error_meets_a_full_disk():
+    with open("/dev/full", "w") as full:
+        proc = _cli_process(subprocess.PIPE, "order", "--ring", "Q7",
+                            stderr=full)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_exit_three_when_the_internal_error_meets_a_full_disk():
+    """Neither the error: line nor the traceback can be written."""
+    crash = ("import sys\n"
+             "from defo5 import cli\n"
+             "def crash(args):\n"
+             "    raise ZeroDivisionError('simulated defect')\n"
+             "cli._cmd_order = crash\n"
+             "sys.exit(cli.main(sys.argv[1:]))\n")
+    with open("/dev/full", "w") as full:
+        proc = _cli_process(subprocess.PIPE, "order", stderr=full,
+                            launcher=("-c", crash))
+    assert proc.returncode == 3
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["order", "--help"]])

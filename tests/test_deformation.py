@@ -11,19 +11,20 @@ import numpy as np
 import pytest
 
 from defo5.artin.rings import DescriptorError, RingError, build_ring
-from defo5.artin.tables import ring_table
-from defo5.deformation import obstruction, proofchain
+from defo5.artin.tables import TABLE_BOUND, ring_table
+from defo5.deformation import obstruction, proofchain, versal
 from defo5.deformation.equivalence import conjugator_search, universality_scan
 from defo5.deformation.obstruction import defect_vector, obstruction_check
 from defo5.deformation.proofchain import (CATALOG, catalog_rings,
                                           proof_chain_check, proof_chain_scan)
 from defo5.deformation.versal import (VersalPoint, hom_points, is_lift,
                                       iterate_closed_form, lift_certificate,
-                                      phi5, versal_family)
+                                      phi5, versal_family, versal_scan)
 from defo5.nottingham import Automorphism, base_sigma, conjugate, power
 from defo5.series import PrecisionError, TruncatedSeries, family
 
 import proofchain_oracle
+import versal_oracle
 
 
 # -- versal points -----------------------------------------------------------------
@@ -398,13 +399,45 @@ def test_ideal_members_against_broadcast(desc):
     assert 0 < member.sum() < member.size
 
 
+ORACLE_RINGS = CATALOG + ("cyclo(5)", "F5[e]/(e^5)", "Z/5^5", "Z/5^7")
+
+
+@pytest.mark.parametrize("desc", ORACLE_RINGS)
+def test_versal_scan_is_the_element_loop(desc):
+    """The rows of versal_scan are 1 + m in enumeration order, and its hits
+    are the rows where the Element loop finds Phi5(y) = 0."""
+    ring = build_ring(desc)
+    rows, hits = versal_scan(ring)
+    oracle = versal_oracle.one_plus_m(ring)
+    assert rows.tolist() == [list(y.coords) for y, _ in oracle]
+    assert hits.tolist() == [phi == ring.zero for _, phi in oracle]
+
+
 def test_scan_versal_points_are_hom_points():
-    """_Scan reads its versal points off its own table."""
-    for desc in CATALOG + ("cyclo(5)", "F5[e]/(e^5)", "Z/5^5"):
+    """hom_points and _Scan.ys both give the Element loop's versal points,
+    in the same order."""
+    for desc in ORACLE_RINGS:
         ring = build_ring(desc)
-        T = ring_table(ring)
-        assert proofchain._Scan(ring).ys == sorted(
-            T.index(p.y) for p in hom_points(ring)), desc
+        points = versal_oracle.versal_points(ring)
+        assert [p.y for p in hom_points(ring)] == points, desc
+        if ring.cardinality <= TABLE_BOUND:
+            T = ring_table(ring)
+            assert proofchain._Scan(ring).ys == [T.index(y) for y in points]
+
+
+def test_hom_points_evaluates_phi5_once_per_point(monkeypatch):
+    """The scan decides which y are points; phi5 runs only in VersalPoint,
+    once for each of the 500 points of cyclo(5), not on the 625 scanned
+    elements as well."""
+    calls = []
+
+    def counting(y):
+        calls.append(y)
+        return phi5(y)
+
+    monkeypatch.setattr(versal, "phi5", counting)
+    assert len(hom_points(build_ring("cyclo(5)"))) == 500
+    assert len(calls) == 500
 
 
 TAMPERS = {
