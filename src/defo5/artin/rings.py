@@ -26,8 +26,9 @@ form from the constructors:
 Two scalar kernels share the one ``Element`` type, chosen by cardinality.  A
 ring of at most ``KERNEL_BOUND`` elements does its arithmetic by lookups in
 list copies of its ``RingTable`` (built on the first operation, through the
-one table cache): each element carries its table index, ``==`` compares
-indices, and ``+ - * neg inv sqrt residue`` return interned elements.
+one table cache, which keeps the tables of such rings for the process): each
+element carries its table index, ``==`` compares indices, and
+``+ - * neg inv sqrt residue`` return interned elements.
 Larger rings multiply through the sparse structure constants and lift
 inverses and square roots from the residue field by Newton iteration.  At
 625 elements the list tables would cost 10-16 ms of ``tolist`` and about
@@ -42,11 +43,13 @@ not ``Element``s, so the constant terms a series inverts cost no ``==``.
 The residue field, F5 or F25, is just another table.  Every ring, a field
 being its own residue field, reads residue inverses from the ``INV`` and
 residue square roots from the ``roots`` of its residue field's
-``RingTable`` (through ``ring_table``, the one table cache), by residue
-index.  A table index is the mixed-radix rank of the canonical coordinates,
-first coordinate most significant, so ascending index order is the
-lexicographic order of coordinates: the first entry of ``roots[i]`` is the
-root with the lexicographically smallest coordinates, the principal branch.
+``RingTable`` (through ``ring_table``, the one table cache, which keeps
+both residue fields' tables for the process: they have at most
+``KERNEL_BOUND`` elements), by residue index.  A table index is the
+mixed-radix rank of the canonical coordinates, first coordinate most
+significant, so ascending index order is the lexicographic order of
+coordinates: the first entry of ``roots[i]`` is the root with the
+lexicographically smallest coordinates, the principal branch.
 """
 
 from __future__ import annotations

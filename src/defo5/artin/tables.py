@@ -31,15 +31,29 @@ One broadcast add ranks the unreduced sums, and each coordinate then needs
 one conditional subtraction of diag[k] * weight[k], where
 U_k >= diag[k] - V_k.  Products come from the structure constants, so
 nothing here uses ``Element`` arithmetic and a table can be built before its
-ring's kernel exists.  ``ring_table`` keeps one table per ring and process.
+ring's kernel exists.
+
+``ring_table`` is the one table cache, weak-valued: a table lives exactly as
+long as something holds it (a proof-chain scan, a conjugator search, a
+``Specialization``, a caller's variable), so a scan over many rings keeps
+only the tables it is still using.  Tables of rings of at most
+``KERNEL_BOUND`` elements are the exception and stay for the process: their
+``ADD`` and ``MUL`` take at most 62 KB, the residue fields F5 and F25 are
+read by the ``inv`` and ``sqrt`` of every larger ring, and kernels copy
+them.  That is decided by
+cardinality, not by whether a kernel exists, so running a small ring on its
+structure constants never rebuilds its table.
 """
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .rings import EnumerationBoundError, Element, Ring, RingError
+from .rings import (KERNEL_BOUND, EnumerationBoundError, Element, Ring,
+                    RingError)
 
 TABLE_BOUND = 5 ** 5
 
@@ -178,12 +192,18 @@ class RingTable:
         return self.index(self.ring.from_int(k))
 
 
-_table_cache: dict[str, RingTable] = {}
+_table_cache: weakref.WeakValueDictionary[str, RingTable] = \
+    weakref.WeakValueDictionary()
+# strong references to the tables of rings of at most KERNEL_BOUND elements
+_pinned: list[RingTable] = []
 
 
 def ring_table(ring: Ring) -> RingTable:
-    """The table of ``ring``, built once per process."""
+    """The table of ``ring``: the one already held, if any, else a new one
+    (module docstring).  Small rings' tables are built once per process."""
     tab = _table_cache.get(ring.descriptor)
     if tab is None:
         tab = _table_cache[ring.descriptor] = RingTable(ring)
+        if ring.cardinality <= KERNEL_BOUND:
+            _pinned.append(tab)
     return tab

@@ -419,11 +419,13 @@ class SurdExpression:
     def evaluate(self, ring, witness):
         """Exact value in a catalog ring of at most ``TABLE_BOUND`` elements
         at one witness of ``Element``s: the batch-of-one case of
-        ``Specialization``.  It builds the ring's whole ``RingTable``, kept
-        by ``ring_table`` for the life of the process: nothing to speak of
-        up to ``KERNEL_BOUND`` (125) elements, but about 0.1 s and 50 MB at
-        3125 (``cyclo(5)``), for one value.  Value many witnesses of a large
-        ring through one ``Specialization``."""
+        ``Specialization``.  It needs the ring's whole ``RingTable``.  Up to
+        ``KERNEL_BOUND`` (125) elements ``ring_table`` keeps that for the
+        process; above, the table lives only while something holds it, so
+        unless the caller holds ``ring_table(ring)``, every call builds it
+        anew and frees it on return: about 0.1 s and 50 MB at 3125
+        (``cyclo(5)``) for one value.  Value many witnesses of a large ring
+        through one ``Specialization``."""
         tab = ring_table(ring)  # EnumerationBoundError before any work
         if any(witness[name].ring != ring for name in _WITNESS_NAMES):
             raise MismatchError(f"a witness is not in {ring.descriptor}")

@@ -1,5 +1,6 @@
 """Ring catalog construction, canonical arithmetic, Hensel roots, literals."""
 
+import gc
 import random
 import time
 import tracemalloc
@@ -452,6 +453,32 @@ def test_table_kernel_against_structure_constants(desc):
     # some branch has no root, and every non-unit refuses inv and sqrt
     flat = [o for _, _, inv, roots in want_unary for o in [inv] + roots]
     assert NoSquareRootError in flat and NotAUnitError in flat
+
+
+def test_structure_constants_reuse_the_residue_field_tables(monkeypatch):
+    """inv and sqrt above KERNEL_BOUND read the residue field's table, kept
+    for the process by cardinality, not by a kernel: with the kernels gone,
+    100 of them build no F5 or F25 table."""
+    R = build_ring("F25[e]/(e^2)")
+    fields = {build_ring("F5"), build_ring("F25")}
+    for k in fields:
+        ring_table(k)
+    built = []
+    init = RingTable.__init__
+
+    def counted(self, ring):
+        built.append(ring)
+        init(self, ring)
+
+    monkeypatch.setattr(RingTable, "__init__", counted)
+    units = random.Random(5).sample(list(R.enumerate("units")), 50)
+    with structure_constants(R):
+        gc.collect()
+        for x in units:
+            assert x * x.inv() == R.one
+            root = (x * x).sqrt()
+            assert root * root == x * x
+    assert not fields & set(built)
 
 
 @pytest.mark.parametrize("desc", _SMALL_CATALOG)
