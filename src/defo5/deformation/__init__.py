@@ -5,16 +5,14 @@ from .equivalence import conjugator_search, universality_scan
 from .obstruction import defect_vector, obstruction_check
 from .proofchain import (CATALOG, catalog_rings, proof_chain_check,
                          proof_chain_scan)
-from .tangent import (cocycle_matrix, coboundary_matrix, tangent_report,
-                      tangent_space)
-from .versal import (VersalPoint, hom_points, is_lift, iterate_closed_form,
+from .tangent import cocycle_matrix, coboundary_matrix, tangent_report
+from .versal import (VersalPoint, hom_points, iterate_closed_form,
                      lift_certificate, phi5, versal_family)
 
 __all__ = [
     "CATALOG", "VersalPoint", "catalog_rings", "coboundary_matrix",
     "cocycle_matrix", "conjugator_search", "defect_vector",
-    "hom_points", "is_lift", "iterate_closed_form", "lift_certificate",
+    "hom_points", "iterate_closed_form", "lift_certificate",
     "obstruction_check", "phi5", "proof_chain_check", "proof_chain_scan",
-    "tangent_report", "tangent_space", "universality_scan",
-    "versal_family",
+    "tangent_report", "universality_scan", "versal_family",
 ]

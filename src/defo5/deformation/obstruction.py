@@ -8,14 +8,25 @@ n >= 2 in constant time.  For n = 2 the lift is also refuted directly: any
 candidate lift over Z/25 is sigma_W + 5*d with sigma_W the principal-branch
 t/sqrt(t^2+1) over Z/25 and d over F5, and since (5d)^2 = 0 the order-5
 condition is the inhomogeneous linear system Z*d = -(sigma_W^5 - t)/5 over
-F5, with Z the tangent-space cocycle matrix.  The system is certified
-inconsistent by one echelon of Z's columns over GF(5): it is consistent
-exactly when the right-hand side's normal form modulo that span is empty.
+F5, with Z the tangent-space cocycle matrix.
+
+Theorem.  For every precision P >= 2 that system is inconsistent.  Proof.
+By the group law sigma_W^5 = t (1 + 5 t^2)^(-1/2) = t - (5/2) t^3 + O(25),
+so the defect (sigma_W^5 - t)/5 is exactly 2 t^3 over F5.  Every column
+t^j of Z is 0 above t^(j + COCYCLE_SHIFT), and 3 < COCYCLE_SHIFT, so row 3
+of Z is 0: the row functional w = e_3 has w Z = 0 and w (-defect) = -2 != 0.
+(The tangent theorem, proved in ``tangent``, says more of Z: for every
+P >= 2, dim_P = 1, rank Z_P = ceil(P/5) and rank B_P = P - 2 -
+floor((P-1)/5); no elimination is needed here.)
+
+``obstruction_check`` reads that certificate off the defect and the Z it
+builds: the system is inconsistent when the defect is nonzero on a zero row
+of Z, and consistent when the defect is 0 (take d = 0); any other defect
+has no certificate and raises ``RingError``.
 """
 
 from __future__ import annotations
 
-from .. import gf5
 from ..artin.rings import DescriptorError, RingError, build_ring
 from ..series import TruncatedSeries, family
 from .tangent import COCYCLE_SHIFT, cocycle_matrix
@@ -57,10 +68,14 @@ def obstruction_check(descriptor: str, prec: int):
         rows = prec + COCYCLE_SHIFT
         defect = defect_vector(rows)
         lead = next((i for i, v in enumerate(defect) if v), None)
-        # last column first: column t^j starts at row j + COCYCLE_SHIFT or
-        # later, so pivots come mostly in descending order, rarely clearing
-        span = gf5.Echelon(reversed(list(zip(*cocycle_matrix(prec)))))
-        consistent = not span.reduce([-v for v in defect])
+        Z = cocycle_matrix(prec)
+        # refuted by w = e_i for a zero row i of Z where the defect is
+        # nonzero; a zero defect is consistent (take d = 0)
+        refuted = any(v and not any(Z[i]) for i, v in enumerate(defect))
+        if lead is not None and not refuted:
+            raise RingError("no certificate decides the order-5 system "
+                            f"at precision {prec}")
+        consistent = not refuted
         report.update({
             "defect_leading_order": lead,
             "defect_leading_coeff": defect[lead] if lead is not None else None,

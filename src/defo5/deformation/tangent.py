@@ -3,20 +3,28 @@
 A first-order lift is sigma + eps*d(t) with d over F5; the order-5 condition
 is linear in d because eps^2 = 0 (the cocycle map Z), and first-order
 conjugation xi = t + eps*c acts by d -> d + c(sigma) - sigma' * c (the
-coboundary map B).  Coboundaries are cocycles (im B lies in ker Z, checked
-exactly), so the tangent space ker Z / im B has dimension
-prec - rank Z - rank B over GF(5), from one echelon of Z's rows and one of
-B's columns; two cocycles are equivalent exactly when their normal forms
-modulo im B agree.  All of this runs on truncated coefficient vectors, at
-several precisions with a stabilization check.
+coboundary map B).  The tangent space at precision P is ker Z_P / im B_P.
 
-Z is built over F5 by the chain rule (``cocycle_matrix``); the tests check
-it against the 5-fold composition over F5[e]/(e^2).
+Theorem.  For every P >= 2, dim_P = 1, rank Z_P = ceil(P/5) and rank B_P =
+N_B(P) = P - 2 - floor((P-1)/5), and two cocycles are equivalent exactly
+when their t-coefficients (phi) agree.  Proof.  Over F5, sigma^k =
+t (1 + k t^2)^(-1/2).  Column j of B is t^j [(1 + t^2)^(-j/2) - (1 + t^2)^
+(-3/2)] = (3 - j)/2 t^(j+2) + ..., so rows 0 and 1 of B are 0 and the N_B(P)
+columns j <= P - 3, j != 3 mod 5, lead at distinct rows j + 2.  For j = 0
+mod 5, (1 + k t^2)^(-j/2) = 1 + O(t^10), so column j of Z is t^j sum_x
+(1 + x t^2)^(3/2) + O(t^(j+10)) over x in F5, led by -C(3/2, 4) = 4 at
+t^(j+8): ceil(P/5) distinct leads.  As im B lies in ker Z, dim_P <= P -
+ceil(P/5) - N_B(P) = 1; the direction of y = 1 + c*eps is a cocycle
+(sigma_y^5 = t) with phi = -c/2, and phi vanishes on im B, so dim_P >= 1.
+
+``tangent_report`` checks these facts on the Z, B and directions it builds
+and raises ``RingError`` when one fails: no verdict rests on elimination.
+The tests check Z against the 5-fold composition over F5[e]/(e^2), and the
+ranks and equivalences against GF(5) echelons.
 """
 
 from __future__ import annotations
 
-from .. import gf5
 from ..artin.rings import RingError, build_ring
 from ..nottingham import base_sigma
 from ..series import TruncatedSeries, family
@@ -33,14 +41,11 @@ def _eps_part(coeff):
 
 
 # The linearized order-5 condition raises t-order: the t^j direction first
-# shows up in the defect at degree >= j + SHIFT (the five chain-rule terms of
-# the 5-fold composite cancel to high order).  A square prec x prec system
-# therefore loses exactly the equations that constrain the top unknowns, so
-# the cocycle system is built rectangular: unknowns d_0..d_{prec-1}, equations
-# through t^(prec+SHIFT-1).  Soundness needs every direction t^j with
-# j >= prec to stay out of those rows; the constructor asserts that every
-# column t^j it computes is 0 below t^(j+SHIFT), which also makes the
-# top-left corner of Z at a larger precision the matrix at a smaller one.
+# shows up in the defect at degree >= j + SHIFT, so the cocycle system is
+# built rectangular, with equations through t^(prec+SHIFT-1).  The
+# constructor checks that every column t^j is 0 below t^(j+SHIFT), which
+# keeps t^j, j >= prec, out of those rows and makes the top-left corner of
+# Z at a larger precision the matrix at a smaller one.
 COCYCLE_SHIFT = 8
 
 
@@ -100,72 +105,75 @@ def hom_point_directions(prec):
             for p in hom_points(ring)]
 
 
-def _is_cocycle(z_cols, vec):
-    """Whether Z @ vec = 0, from the sparse columns [(row, value), ...] of Z
-    at precision len(vec)."""
-    acc = [0] * (len(vec) + COCYCLE_SHIFT)
-    for k, v in enumerate(vec):
-        if v:
-            for i, z in z_cols[k]:
-                acc[i] += z * v
-    return not any(x % 5 for x in acc)
+def _sparse(vectors):
+    return [[(i, v) for i, v in enumerate(vec) if v] for vec in vectors]
 
 
-def _tangent_data(Z, B, prec):
-    """(dimension, echelon of Z's rows, echelon of im B, sparse columns of Z)
-    at ``prec``, from Z and B built at ``prec`` or above: their top-left
-    corners are the matrices at ``prec``, because cocycle_matrix checks that
-    column t^j of Z is 0 above t^(j + COCYCLE_SHIFT)."""
-    z = [row[:prec] for row in Z[:prec + COCYCLE_SHIFT]]
-    z_cols = [[(i, v) for i, v in enumerate(col) if v] for col in zip(*z)]
-    b_cols = list(zip(*B[:prec]))[:prec]
-    if not all(_is_cocycle(z_cols, b) for b in b_cols):
-        raise RingError(f"a coboundary is not a cocycle at precision {prec}")
-    rows_z = gf5.Echelon(z)
-    # last column first: column t^j starts at t^(j+2) or later, so pivots
-    # come mostly in descending order, rarely clearing a stored row
-    im_b = gf5.Echelon(reversed(b_cols))
-    # im B lies in ker Z, so ker Z / im B has dimension prec - rank Z - rank B
-    return prec - rows_z.rank - im_b.rank, rows_z, im_b, z_cols
+def _first_defect_row(z_cols, vec):
+    """The first row where Z @ vec is nonzero mod 5, or None, for Z and vec
+    sparse.  Truncated to a smaller prec, vec is a cocycle exactly when that
+    row is None or at least prec + COCYCLE_SHIFT."""
+    acc = [0] * (len(z_cols) + COCYCLE_SHIFT)
+    for k, v in vec:
+        for i, z in z_cols[k]:
+            acc[i] += z * v
+    return next((i for i, x in enumerate(acc) if x % 5), None)
 
 
-def tangent_space(prec):
-    """(dimension, class_count, kernel_basis) at one precision."""
-    dim, rows_z, _, _ = _tangent_data(cocycle_matrix(prec),
-                                      coboundary_matrix(prec), prec)
-    return dim, 5 ** dim, rows_z.nullspace(prec)
+def _leads(prec):
+    """The lead (row, value) of each column certifying a rank at ``prec``:
+    column j = 0 mod 5 of Z leads with 4 at t^(j + COCYCLE_SHIFT), and
+    column j <= prec - 3, j != 3 mod 5, of B leads with (3 - j)/2 at
+    t^(j + 2).  Distinct lead rows make those columns independent."""
+    return ({j: (j + COCYCLE_SHIFT, 4) for j in range(0, prec, 5)},
+            {j: (j + 2, (3 - j) * 3 % 5)
+             for j in range(prec - 2) if j % 5 != 3})
 
 
 def tangent_report(prec_sweep=(8, 12, 16)):
     """Tangent-space dimension across a precision sweep, with the check that
     the five hom-point directions are cocycles, pairwise inequivalent (their
-    normal forms modulo im B differ), and exhaust the classes.  Z, B and the
-    directions are built once, at the largest precision of the sweep."""
+    t-coefficients differ), and exhaust the classes.  Z, B and the directions
+    are built, and the certificate checked, once, at the largest precision:
+    each fact reads only the top-left corner of every smaller entry."""
     top = max(prec_sweep)
     Z, B = cocycle_matrix(top), coboundary_matrix(top)
     dirs = hom_point_directions(top)
-    dims = {}
+    z_cols, b_cols = _sparse(zip(*Z)), _sparse(zip(*B))
+    if any(_first_defect_row(z_cols, b) is not None for b in b_cols):
+        raise RingError(f"a coboundary is not a cocycle at precision {top}")
+    z_leads, b_leads = _leads(top)
+    if (any(z_cols[j][:1] != [lead] for j, lead in z_leads.items())
+            or any(b_cols[j][:1] != [lead] for j, lead in b_leads.items())
+            or any(B[0]) or any(B[1])):
+        raise RingError(f"the rank certificate fails at precision {top}")
+    # phi, the t-coefficient, vanishes on im B (rows 0 and 1 of B are 0)
+    phis = [vec[1] for _, vec in dirs]
+    defect_rows = [_first_defect_row(z_cols, vec) for vec in
+                   _sparse(vec for _, vec in dirs)]
+    distinct = len(set(phis)) == len(phis)
     details = {}
     for prec in dict.fromkeys(prec_sweep):  # a repeated entry adds nothing
-        dim, _, im_b, z_cols = _tangent_data(Z, B, prec)
-        dims[prec] = dim
-        vecs = [vec[:prec] for _, vec in dirs]
-        all_cocycles = all(_is_cocycle(z_cols, vec) for vec in vecs)
-        forms = {tuple(im_b.reduce(vec).items()) for vec in vecs}
-        distinct = len(forms) == len(vecs)
-        exhaust = (5 ** dim == len(dirs)) and distinct
-        details[prec] = {
-            "dimension": dim,
-            "class_count": 5 ** dim,
-            "hom_directions_are_cocycles": all_cocycles,
+        z_leads, b_leads = _leads(prec)
+        cocycles = [row is None or row >= prec + COCYCLE_SHIFT
+                    for row in defect_rows]
+        # dim ker Z / im B <= prec - rank Z - rank B, and a cocycle with
+        # phi != 0 lies outside im B
+        if (prec - len(z_leads) - len(b_leads) != 1
+                or not any(c and phi for c, phi in zip(cocycles, phis))):
+            raise RingError(
+                f"no certificate of dimension 1 at precision {prec}")
+        details[str(prec)] = {
+            "dimension": 1,
+            "class_count": 5,
+            "hom_directions_are_cocycles": all(cocycles),
             "hom_directions_distinct_mod_coboundaries": distinct,
-            "hom_directions_exhaust_classes": exhaust,
+            "hom_directions_exhaust_classes": len(dirs) == 5 and distinct,
         }
-    stable = len(set(dims.values())) == 1
     return {
         "prec_sweep": list(prec_sweep),
-        "dimensions": {str(k): v for k, v in dims.items()},
-        "stable": stable,
-        "dimension": dims[prec_sweep[0]] if stable else None,
-        "per_precision": {str(k): v for k, v in details.items()},
+        "dimensions": dict.fromkeys(details, 1),
+        "stable": True,
+        "dimension": 1,
+        "per_precision": details,
     }

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..artin.rings import Element, EnumerationBoundError, Ring, RingError
-from ..nottingham import Automorphism, base_sigma, power
-from ..series import TruncatedSeries, family
+from ..nottingham import Automorphism
+from ..series import family
 
 
 def phi5(y: Element) -> Element:
@@ -119,28 +119,9 @@ def iterate_closed_form(point: VersalPoint, k: int, prec: int) -> Automorphism:
                                prec))
 
 
-def is_lift(aut: Automorphism, prec: int):
-    """Check the two lift conditions at precision ``prec``:
-
-    (1) the residue reduction equals sigma over the residue field;
-    (2) the fifth compositional power is t.
-
-    Both are compared at ``prec``; when the fifth power is known to fewer
-    coefficients (composition loses precision to a nonzero constant term)
-    the comparison raises ``PrecisionError``.  Returns (ok, detail) where
-    detail names the failed condition, if any.
-    """
-    sigma_k = base_sigma(aut.ring.residue_ring, prec)
-    if not aut.reduce_residue().series.agrees_with(sigma_k.series, prec):
-        return False, "reduction modulo the maximal ideal differs from sigma"
-    t = TruncatedSeries.t(aut.ring, prec)
-    if not power(aut, 5).series.agrees_with(t, prec):
-        return False, f"fifth power is not t at precision {prec}"
-    return True, f"lift certified at precision {prec}"
-
-
 def lift_certificate(point: VersalPoint, prec: int):
-    """is_lift(versal_family(point, prec), prec) by ring arithmetic: sigma_y
+    """Whether versal_family(point, prec) lifts sigma: (ok, detail), with
+    detail naming the failed condition, if any.  By ring arithmetic: sigma_y
     reduces to sigma when y = 1 mod m, and by the group law sigma_y^5 =
     f_{S_5(y), y^5} is t when (S_5(y), y^5) = (0, 1)."""
     ring = point.ring

@@ -65,7 +65,3 @@ class Echelon:
 def nullspace(rows, ncols):
     """Basis of {x : rows @ x = 0} in GF(5)^ncols."""
     return Echelon(rows).nullspace(ncols)
-
-
-def matvec(rows, x):
-    return [sum(a * b for a, b in zip(r, x)) % P for r in rows]

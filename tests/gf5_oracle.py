@@ -1,6 +1,7 @@
 """The dense GF(5) linear algebra that ``defo5.gf5.Echelon`` replaced, kept
 as a test oracle: a dense reduced row echelon form, recomputed in full by
-every rank, nullspace, span and solvability query."""
+every rank, nullspace, span and solvability query; and the matrix-vector
+product over GF(5)."""
 
 from __future__ import annotations
 
@@ -62,3 +63,7 @@ def solvable(rows, rhs):
     """Whether rows @ x = rhs has a solution."""
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
     return rank(aug) == rank(rows)
+
+
+def matvec(rows, x):
+    return [sum(a * b for a, b in zip(r, x)) % P for r in rows]

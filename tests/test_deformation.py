@@ -17,7 +17,7 @@ from defo5.deformation.equivalence import conjugator_search, universality_scan
 from defo5.deformation.obstruction import defect_vector, obstruction_check
 from defo5.deformation.proofchain import (CATALOG, catalog_rings,
                                           proof_chain_check, proof_chain_scan)
-from defo5.deformation.versal import (VersalPoint, hom_points, is_lift,
+from defo5.deformation.versal import (VersalPoint, hom_points,
                                       iterate_closed_form, lift_certificate,
                                       phi5, versal_family, versal_scan)
 from defo5.nottingham import Automorphism, base_sigma, conjugate, power
@@ -25,6 +25,7 @@ from defo5.series import PrecisionError, TruncatedSeries, family
 
 import proofchain_oracle
 import versal_oracle
+from versal_oracle import is_lift
 
 
 # -- versal points -----------------------------------------------------------------
@@ -229,6 +230,28 @@ def test_obstruction_z25():
     assert rep["defect_leading_order"] == 3
     assert not rep["linear_system_consistent"]
     assert rep["obstructed"]
+
+
+def test_obstruction_without_a_zero_row_of_z_raises(monkeypatch):
+    """The refutation is w = e_3: the defect 2 t^3 against row 3 of Z,
+    which is 0.  With that row nonzero no certificate applies."""
+    real = obstruction.cocycle_matrix
+
+    def tampered(p):
+        Z = real(p)
+        Z[3][0] = 1
+        return Z
+    monkeypatch.setattr(obstruction, "cocycle_matrix", tampered)
+    with pytest.raises(RingError, match="no certificate decides"):
+        obstruction_check("Z/25", 8)
+
+
+def test_obstruction_zero_defect_is_consistent(monkeypatch):
+    monkeypatch.setattr(obstruction, "defect_vector", lambda rows: [0] * rows)
+    rep = obstruction_check("Z/25", 8)
+    assert rep["linear_system_consistent"] is True
+    assert rep["defect_leading_order"] is None
+    assert not rep["obstructed"]
 
 
 def test_obstruction_higher_n():

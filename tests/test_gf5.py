@@ -1,5 +1,6 @@
 """The sparse GF(5) echelon against the dense oracle in ``gf5_oracle``, on
-seeded random matrices and on the tangent-space matrices Z and B."""
+seeded random matrices; and both as the oracle of the closed-form tangent
+and obstruction certificates on the matrices Z and B."""
 
 import random
 
@@ -7,8 +8,10 @@ import pytest
 
 import gf5_oracle as oracle
 from defo5 import gf5
-from defo5.deformation.tangent import (coboundary_matrix, cocycle_matrix,
-                                       hom_point_directions, tangent_space)
+from defo5.deformation.obstruction import defect_vector
+from defo5.deformation.tangent import (COCYCLE_SHIFT, coboundary_matrix,
+                                       cocycle_matrix, hom_point_directions,
+                                       tangent_report)
 
 
 def _random(rng, nrows, ncols):
@@ -88,7 +91,7 @@ def test_column_echelon_decides_solvability(name, rows, ncols):
         rhs = [rng.randrange(5) for _ in rows]
         assert (not cols.reduce(rhs)) == oracle.solvable(rows, rhs)
         x = [rng.randrange(5) for _ in range(ncols)]
-        assert not cols.reduce(gf5.matvec(rows, x))
+        assert not cols.reduce(oracle.matvec(rows, x))
 
 
 @SHAPES
@@ -117,24 +120,41 @@ def test_add_reports_new_directions():
     assert ech.rows == {0: {0: 1, 2: 3}, 1: {1: 1, 2: 3}}
 
 
-@pytest.mark.parametrize("P", [8, 16, 64])
+@pytest.mark.parametrize("P", [*range(2, 65), 256])
 def test_tangent_matrices_against_dense_oracle(P):
+    """The closed forms that the tangent and obstruction certificates read
+    off Z and B, against elimination: rank Z_P = ceil(P/5), rank B_P =
+    P - 2 - floor((P-1)/5), dimension 1, cocycles equivalent exactly when
+    their t-coefficients agree, and the defect exactly 2 t^3."""
     Z = cocycle_matrix(P)
     B = coboundary_matrix(P)
     im_b = [list(col) for col in zip(*B)]
     ker = oracle.nullspace(Z, P)
     rows_z, cols_b = gf5.Echelon(Z), gf5.Echelon(im_b)
-    assert rows_z.rank == oracle.rank(Z)
+    assert rows_z.rank == oracle.rank(Z) == -(-P // 5)
     assert rows_z.nullspace(P) == ker
-    assert cols_b.rank == oracle.rank(im_b)
+    assert cols_b.rank == oracle.rank(im_b) == P - 2 - (P - 1) // 5
     # the old formula dim ker Z - dim(im B meet ker Z) against the closed form
     meet = oracle.rank(im_b) + len(ker) - oracle.rank(im_b + ker)
-    dim, count, basis = tangent_space(P)
-    assert dim == len(ker) - meet == P - rows_z.rank - cols_b.rank == 1
-    assert count == 5 and basis == ker
+    assert len(ker) - meet == P - rows_z.rank - cols_b.rank == 1
+    detail = tangent_report((P,))["per_precision"][str(P)]
+    assert detail["dimension"] == 1 and detail["class_count"] == 5
     dirs = [vec for _, vec in hom_point_directions(P)]
     for i in range(5):
         for j in range(i + 1, 5):
             diff = [(a - b) % 5 for a, b in zip(dirs[i], dirs[j])]
             assert oracle.in_span(im_b, diff) is False
             assert cols_b.reduce(dirs[i]) != cols_b.reduce(dirs[j])
+    # seeded kernel vectors, each also moved by a random coboundary
+    rng = random.Random(P)
+    vecs = list(dirs)
+    for _ in range(4):
+        v = _span(rng, ker, P)
+        vecs += [v, [(a + b) % 5 for a, b in zip(v, _span(rng, im_b, P))]]
+    for v in vecs:
+        assert not any(oracle.matvec(Z, v))
+        for w in vecs:
+            same_class = not cols_b.reduce([a - b for a, b in zip(v, w)])
+            assert same_class == (v[1] == w[1])
+    rows = P + COCYCLE_SHIFT
+    assert defect_vector(rows) == [0, 0, 0, 2] + [0] * (rows - 4)

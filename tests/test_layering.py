@@ -82,7 +82,14 @@ def test_resolver_sees_relative_imports():
     assert "defo5.artin.rings" in defo5_imports(SRC / "artin" / "tables.py")
     assert "defo5.artin.tables" in defo5_imports(
         SRC / "deformation" / "proofchain.py")
-    assert "defo5.gf5" in defo5_imports(SRC / "deformation" / "tangent.py")
+    assert "defo5.series" in defo5_imports(SRC / "deformation" / "tangent.py")
+
+
+def test_deformation_verdicts_need_no_elimination():
+    """Tangent and obstruction verdicts come from closed-form certificates;
+    GF(5) elimination serves only the tests and the benchmark."""
+    for path in _files("deformation"):
+        assert "defo5.gf5" not in defo5_imports(path), path.name
 
 
 def test_one_table_cache():

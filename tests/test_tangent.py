@@ -1,17 +1,19 @@
 """Tangent-space linear algebra over F5: cocycle/coboundary maps validated
-against brute-force composition, and the dimension-1 stabilization."""
+against brute-force composition, the dimension-1 stabilization, and the
+certificate checks refusing tampered matrices and directions."""
 
+import json
 import random
 
 import pytest
 
 import gf5_oracle as oracle
-from defo5 import gf5
+from defo5 import cli, gf5
 from defo5.artin.rings import RingError, build_ring
 from defo5.deformation import tangent
 from defo5.deformation.tangent import (COCYCLE_SHIFT, coboundary_matrix,
                                        cocycle_matrix, hom_point_directions,
-                                       tangent_report, tangent_space)
+                                       tangent_report)
 from tangent_oracle import coboundary_apply, cocycle_defect
 
 
@@ -32,7 +34,7 @@ def test_cocycle_linearity_against_brute_force():
     rng = random.Random(12345)
     for _ in range(6):
         d = [rng.randrange(5) for _ in range(P)]
-        assert gf5.matvec(Z, d) == cocycle_defect(d, P)
+        assert oracle.matvec(Z, d) == cocycle_defect(d, P)
 
 
 @pytest.mark.parametrize("P", [8, 12])
@@ -86,13 +88,90 @@ def test_coboundary_outside_kernel_raises(monkeypatch):
         tangent_report((8,))
 
 
+def _tamper(monkeypatch, name, edit):
+    """Replace tangent.<name> by the real builder followed by ``edit``."""
+    real = getattr(tangent, name)
+
+    def tampered(p):
+        built = real(p)
+        edit(built)
+        return built
+    monkeypatch.setattr(tangent, name, tampered)
+
+
+def _zero_lead(Z):
+    Z[5 + COCYCLE_SHIFT][5] = 0
+
+
+def _double_lead_row(Z):
+    Z[5 + COCYCLE_SHIFT] = [2 * v % 5 for v in Z[5 + COCYCLE_SHIFT]]
+
+
+@pytest.mark.parametrize("edit,match", [
+    # im B leaves ker Z, and the cocycle check sees it first
+    (_zero_lead, "not a cocycle"),
+    # a row scaled by a unit keeps ker Z: only the lead check sees it
+    (_double_lead_row, "rank certificate fails"),
+], ids=["zeroed", "row-doubled"])
+def test_z_lead_off_its_value_raises(monkeypatch, edit, match):
+    """Column 5 of Z must lead with 4 at t^(5 + COCYCLE_SHIFT)."""
+    _tamper(monkeypatch, "cocycle_matrix", edit)
+    with pytest.raises(RingError, match=match):
+        tangent_report((16,))
+
+
+def test_nonzero_row_one_of_b_raises(monkeypatch):
+    """phi must vanish on im B.  Adding a hom direction (a cocycle with
+    phi != 0) to the last column of B keeps every column a cocycle and
+    every certifying lead in place, but puts a nonzero entry in row 1."""
+    direction = hom_point_directions(12)[1][1]
+
+    def edit(B):
+        for i, v in enumerate(direction):
+            B[i][-1] = (B[i][-1] + v) % 5
+    _tamper(monkeypatch, "coboundary_matrix", edit)
+    with pytest.raises(RingError, match="rank certificate fails"):
+        tangent_report((12,))
+
+
+def test_directions_without_t_coefficient_raise(monkeypatch):
+    """No direction with phi != 0 leaves dim >= 1 uncertified."""
+    def edit(dirs):
+        for _, vec in dirs:
+            vec[1] = 0
+    _tamper(monkeypatch, "hom_point_directions", edit)
+    with pytest.raises(RingError, match="no certificate of dimension 1"):
+        tangent_report((8, 12))
+
+
+def test_equal_t_coefficients_are_one_class(monkeypatch, capsys):
+    """Direction 1 moved into the class of direction 0 (by a coboundary,
+    so it stays a cocycle) makes two directions equivalent: the report
+    says so and the verdict fails."""
+    B = coboundary_matrix(8)
+
+    def edit(dirs):
+        dirs[1] = (dirs[1][0], [(a + row[4]) % 5
+                                for a, row in zip(dirs[0][1], B)])
+    _tamper(monkeypatch, "hom_point_directions", edit)
+    assert cli.main(["tangent", "--prec-sweep", "8"]) == 1
+    detail = json.loads(capsys.readouterr().out)["details"]
+    assert detail["per_precision"]["8"] == {
+        "dimension": 1,
+        "class_count": 5,
+        "hom_directions_are_cocycles": True,
+        "hom_directions_distinct_mod_coboundaries": False,
+        "hom_directions_exhaust_classes": False,
+    }
+
+
 def test_coboundary_matrix_against_direct_application():
     P = 10
     B = coboundary_matrix(P)
     rng = random.Random(777)
     for _ in range(6):
         c = [rng.randrange(5) for _ in range(P)]
-        assert gf5.matvec(B, c) == coboundary_apply(c, P)
+        assert oracle.matvec(B, c) == coboundary_apply(c, P)
     assert coboundary_apply([0] * P, P) == [0] * P  # B(0) = 0
 
 
@@ -102,14 +181,14 @@ def test_coboundaries_are_cocycles():
     B = coboundary_matrix(P)
     for j in range(P):
         col = [row[j] for row in B]
-        assert all(v == 0 for v in gf5.matvec(Z, col))
+        assert all(v == 0 for v in oracle.matvec(Z, col))
 
 
 def test_tangent_dimension_one():
-    dim, count, ker = tangent_space(8)
-    assert dim == 1
-    assert count == 5
-    assert len(ker) >= 1
+    detail = tangent_report((8,))["per_precision"]["8"]
+    assert detail["dimension"] == 1
+    assert detail["class_count"] == 5
+    assert len(gf5.nullspace(cocycle_matrix(8), 8)) >= 1
 
 
 def test_hom_directions_are_cocycles_and_distinct():
@@ -120,7 +199,7 @@ def test_hom_directions_are_cocycles_and_distinct():
     dirs = hom_point_directions(P)
     assert len(dirs) == 5
     for _, vec in dirs:
-        assert all(v == 0 for v in gf5.matvec(Z, vec))
+        assert all(v == 0 for v in oracle.matvec(Z, vec))
     for i in range(5):
         for j in range(i + 1, 5):
             diff = [(a - b) % 5 for a, b in zip(dirs[i][1], dirs[j][1])]
@@ -140,7 +219,7 @@ def test_gf5_linear_algebra():
     ech = gf5.Echelon([[1, 2], [2, 4]])
     assert ech.rank == 1
     ns = gf5.nullspace([[1, 2], [2, 4]], 2)
-    assert len(ns) == 1 and gf5.matvec([[1, 2]], ns[0]) == [0]
+    assert len(ns) == 1 and oracle.matvec([[1, 2]], ns[0]) == [0]
     # a vector is in the span exactly when its normal form is empty
     assert gf5.Echelon([[1, 0]]).reduce([0, 1]) == {1: 1}
     assert gf5.Echelon([[1, 0], [0, 1]]).reduce([1, 1]) == {}
