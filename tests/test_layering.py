@@ -6,7 +6,9 @@ Also: no module of the package imports sympy (only the test oracles do),
 importing the CLI loads neither ``defo5.symbolic`` nor the process pool
 (``multiprocessing``, ``concurrent.futures.process``), the catalog proof
 chain leaves ``numpy.ma`` unloaded, and ``coeff-eqs`` runs and passes with
-sympy blocked."""
+sympy blocked.  Importing the package caps OpenBLAS at one thread unless the
+user or an earlier numpy import came first, and no module does the float or
+``linalg`` work that would need more."""
 
 import ast
 import json
@@ -103,9 +105,10 @@ def test_one_table_cache():
                      "_table_cache": {"artin/tables.py"}}
 
 
-def _run(code):
-    path = os.environ.get("PYTHONPATH", "").split(os.pathsep)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent)] + path))
+def _run(code, env=None):
+    env = dict(os.environ if env is None else env)
+    path = env.get("PYTHONPATH", "").split(os.pathsep)
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC.parent)] + path)
     return subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True, timeout=120).stdout
 
@@ -167,3 +170,41 @@ print(json.dumps({{"code": code,
 def test_coeff_eqs_runs_without_sympy(blocked):
     result = json.loads(_run(_COEFF_EQS.format(blocked=blocked)))
     assert result == {"code": 0, "verdict": "pass", "sympy": []}
+
+
+_BLAS_PROBE = """
+import json, os{first}
+import defo5.cli
+print(json.dumps([len(os.listdir("/proc/self/task")),
+                  os.environ.get("OPENBLAS_NUM_THREADS")]))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="counts threads in /proc/self/task")
+@pytest.mark.parametrize("preset,first,threads,variable", [
+    (None, "", 1, "1"),             # the package's default: no idle pool
+    ("2", "", None, "2"),           # the user's setting is kept
+    (None, ", numpy", None, None),  # too late to matter: left untouched
+])
+def test_import_caps_openblas_threads(preset, first, threads, variable):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    count, got = json.loads(_run(_BLAS_PROBE.format(first=first), env))
+    assert got == variable
+    if threads is not None:
+        assert count == threads
+
+
+def test_no_module_does_float_work():
+    """The one-thread OpenBLAS default in ``defo5/__init__.py`` rests on this:
+    integer array work never reaches BLAS.  Verdicts stay exact too."""
+    needles = ("linalg", "float32", "float64", "dtype=float", "astype(float")
+    for path in SRC.rglob("*.py"):
+        text = path.read_text()
+        found = [n for n in needles if n in text]
+        assert not found, (
+            f"{path.relative_to(SRC)} uses {found}: defo5 sets "
+            "OPENBLAS_NUM_THREADS=1 on import because no module does float "
+            "or BLAS work; revisit that default before adding any")
