@@ -25,16 +25,16 @@ class LiteralError(DescriptorError):
     """The element literal does not parse."""
 
 
-def _tokenize(text):
+def _tokenize(text, what):
     out = []
     text = text.rstrip()
     pos = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if not m:
-            raise LiteralError(f"bad element literal near {text[pos:]!r}")
+            raise LiteralError(f"bad {what} near {text[pos:]!r}")
         if m.group(1).isdigit() and len(m.group(1)) > MAX_DIGITS:
-            raise LiteralError(f"numeral longer than {MAX_DIGITS} digits")
+            raise LiteralError(f"numeral over {MAX_DIGITS} digits in {what}")
         out.append("^" if m.group(1) == "**" else m.group(1))
         pos = m.end()
     return out
@@ -47,7 +47,7 @@ class _Parser:
         self.ring = ring
 
     def parse(self, text: str):
-        self.toks = _tokenize(text)
+        self.toks = _tokenize(text, self.what)
         self.pos = 0
         self.depth = 0
         if not self.toks:

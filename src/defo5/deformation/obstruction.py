@@ -19,10 +19,10 @@ of Z is 0: the row functional w = e_3 has w Z = 0 and w (-defect) = -2 != 0.
 P >= 2, dim_P = 1, rank Z_P = ceil(P/5) and rank B_P = P - 2 -
 floor((P-1)/5); no elimination is needed here.)
 
-``obstruction_check`` reads that certificate off the defect and the Z it
-builds: the system is inconsistent when the defect is nonzero on a zero row
-of Z, and consistent when the defect is 0 (take d = 0); any other defect
-has no certificate and raises ``RingError``.
+``obstruction_check`` reads that certificate off the defect and Z (built
+by ``tangent``'s two-term recurrence, no series product per column): the
+system is inconsistent when the defect is nonzero on a zero row of Z, and
+consistent when it is 0 (take d = 0); any other defect raises ``RingError``.
 """
 
 from __future__ import annotations

@@ -18,12 +18,15 @@ ceil(P/5) - N_B(P) = 1; the direction of y = 1 + c*eps is a cocycle
 (sigma_y^5 = t) with phi = -c/2, and phi vanishes on im B, so dim_P >= 1.
 
 ``tangent_report`` checks these facts on the Z, B and directions it builds
+(every column of Z and B a step of the group law's two-term recurrence)
 and raises ``RingError`` when one fails: no verdict rests on elimination.
-The tests check Z against the 5-fold composition over F5[e]/(e^2), and the
-ranks and equivalences against GF(5) echelons.
+The tests check Z and B against series products and the 5-fold composition
+over F5[e]/(e^2), and the ranks and equivalences against GF(5) echelons.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from ..artin.rings import RingError, build_ring
 from ..nottingham import base_sigma
@@ -49,6 +52,21 @@ def _eps_part(coeff):
 COCYCLE_SHIFT = 8
 
 
+def _power_columns(starts, ks):
+    """The int8 array [s, row, j] mod 5 of columns j < rows of summand s:
+    columns 0 and 1 are the F5 series ``starts[s]`` of ``rows`` terms, and
+    column j + 2 is column j times t^2/(1 + k_s t^2): r[m] = c[m-2] -
+    k_s*r[m-2], r[0] = r[1] = 0, one row at a time for all s and j."""
+    cols = np.array([[[c.coords[0] for c in s.coeffs] for s in pair]
+                     for pair in starts], dtype=np.int8).transpose(0, 2, 1)
+    out = np.zeros(cols.shape[:2] + cols.shape[1:2], dtype=np.int8)
+    out[..., :2] = cols[..., :out.shape[1]]  # one column when rows = 1
+    k = np.array(ks, dtype=np.int8)[:, None]
+    for m in range(2, out.shape[1]):
+        out[:, m, 2:] = (out[:, m - 2, :-2] - k * out[:, m - 2, 2:]) % 5
+    return out
+
+
 def cocycle_matrix(prec):
     """Z as a list of rows: row i is the t^i coefficient (over F5) of
     ((sigma + eps*t^j)^5 - t)/eps as j runs over columns, with rows running
@@ -59,39 +77,33 @@ def cocycle_matrix(prec):
     weights W_k = (sigma^(4-k))'(sigma^(k+1)(t)).  By the group law
     (versal.iterate_parameters) sigma^k = t / sqrt(k t^2 + 1) over F5, whose
     derivative is (k t^2 + 1)^(-3/2); as (4-k) + (k+1) = 0 in F5,
-    W_k = (1 + (k+1) t^2)^(3/2).  Then each column costs five products.
+    W_k = (1 + (k+1) t^2)^(3/2).  As (sigma^k)^2 = t^2/(k t^2 + 1), the
+    summands W_k*(sigma^k)^j are steps of ``_power_columns``.
     """
     f5 = build_ring("F5")
     rows = prec + COCYCLE_SHIFT
-    iterates = [family(f5, k, 1, rows) for k in range(5)]
-    # terms[k] = W_k * sigma^k(t)^j, exact through t^(rows-1)
     bodies = [TruncatedSeries(f5, [1, 0, k + 1], prec=rows) for k in range(5)]
-    terms = [body * body.sqrt() for body in bodies]
-    cols = []
+    weights = [body * body.sqrt() for body in bodies]
+    starts = [(w, w * family(f5, k, 1, rows)) for k, w in enumerate(weights)]
+    z = _power_columns(starts, range(5)).sum(axis=0) % 5
     for j in range(rows):
-        col = [c.coords[0] for c in sum(terms[1:], terms[0]).coeffs]
-        if any(col[:j + COCYCLE_SHIFT]):
+        if z[:j + COCYCLE_SHIFT, j].any():
             raise RingError(
                 f"cocycle degree-shift hypothesis fails at direction t^{j}")
-        cols.append(col)
-        terms = [w * it for w, it in zip(terms, iterates)]
-    return [list(row[:prec]) for row in zip(*cols)]
+    return z[:, :prec].tolist()
 
 
 def coboundary_matrix(prec):
-    """B as rows: the t^i coefficient of t^j(sigma) - sigma' * t^j over F5."""
+    """B as rows: the t^i coefficient of t^j(sigma) - sigma' * t^j over F5.
+    Both terms are steps of ``_power_columns``: sigma^(j+2) = sigma^j *
+    t^2/(t^2 + 1) (k = 1) and t^(j+2) = t^j * t^2 (k = 0)."""
     f5 = build_ring("F5")
-    internal = prec + 1  # the derivative drops one coefficient
-    sigma = base_sigma(f5, internal).series
+    sigma = base_sigma(f5, prec + 1).series  # the derivative drops one
     sigma_prime = sigma.derivative()
-    cols = []
-    acc = TruncatedSeries.constant(f5, 1, internal)
-    for j in range(prec):
-        mono = TruncatedSeries(f5, [0] * j + [1], prec=internal)
-        col_series = acc - sigma_prime * mono
-        cols.append([int(col_series.coeffs[i].coords[0]) for i in range(prec)])
-        acc = acc * sigma
-    return [[cols[j][i] for j in range(prec)] for i in range(prec)]
+    powers = _power_columns(
+        [(TruncatedSeries.constant(f5, 1, prec), sigma.truncate(prec)),
+         (sigma_prime, sigma_prime * TruncatedSeries.t(f5, prec))], [1, 0])
+    return ((powers[0] - powers[1]) % 5).tolist()
 
 
 def hom_point_directions(prec):

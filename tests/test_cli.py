@@ -219,6 +219,14 @@ def test_exit_two_on_bad_series_literal(capsys):
         assert report is None and "error" in err
 
 
+def test_series_literal_errors_name_a_series_literal(capsys):
+    for series, message in (("t/2", "bad series literal near '/2'"),
+                            ("t^" + "1" * 40, "digits in series literal")):
+        code, report, err = run(capsys, "normal-form", "--series", series)
+        assert code == 2 and report is None
+        assert message in err and "element literal" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ("universality", "--ring", "F5[e]/(e^2)", "--prec", "0"),
     ("universality", "--ring", "F5[e]/(e^2)", "--prec", "1"),

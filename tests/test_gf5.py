@@ -7,6 +7,7 @@ import random
 import pytest
 
 import gf5_oracle as oracle
+import tangent_oracle
 from defo5 import gf5
 from defo5.deformation.obstruction import defect_vector
 from defo5.deformation.tangent import (COCYCLE_SHIFT, coboundary_matrix,
@@ -125,9 +126,12 @@ def test_tangent_matrices_against_dense_oracle(P):
     """The closed forms that the tangent and obstruction certificates read
     off Z and B, against elimination: rank Z_P = ceil(P/5), rank B_P =
     P - 2 - floor((P-1)/5), dimension 1, cocycles equivalent exactly when
-    their t-coefficients agree, and the defect exactly 2 t^3."""
+    their t-coefficients agree, and the defect exactly 2 t^3; Z and B
+    themselves against the series-product oracle."""
     Z = cocycle_matrix(P)
     B = coboundary_matrix(P)
+    assert (Z, B) == (tangent_oracle.cocycle_matrix_by_products(P),
+                      tangent_oracle.coboundary_matrix_by_products(P))
     im_b = [list(col) for col in zip(*B)]
     ker = oracle.nullspace(Z, P)
     rows_z, cols_b = gf5.Echelon(Z), gf5.Echelon(im_b)

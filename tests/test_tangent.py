@@ -8,7 +8,7 @@ import random
 import pytest
 
 import gf5_oracle as oracle
-from defo5 import cli, gf5
+from defo5 import cli, gf5, series
 from defo5.artin.rings import RingError, build_ring
 from defo5.deformation import tangent
 from defo5.deformation.tangent import (COCYCLE_SHIFT, coboundary_matrix,
@@ -46,6 +46,28 @@ def test_cocycle_columns_against_dual_number_composition(P):
         e_j = [0] * P
         e_j[j] = 1
         assert [row[j] for row in Z] == cocycle_defect(e_j, P)
+
+
+def test_cocycle_matrix_series_products_do_not_grow_with_prec(monkeypatch):
+    """The columns come from the two-term recurrence: only the starting
+    series are products, so their number does not depend on P."""
+    counts = []
+    for P in (16, 64):
+        calls = []
+        real = series._mul_raw
+        monkeypatch.setattr(series, "_mul_raw",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        cocycle_matrix(P)
+        monkeypatch.undo()
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+def test_cocycle_matrix_refuses_a_column_below_the_shift(monkeypatch):
+    # column 0 leads at t^8, below a claimed shift of 9
+    monkeypatch.setattr(tangent, "COCYCLE_SHIFT", COCYCLE_SHIFT + 1)
+    with pytest.raises(RingError, match="fails at direction t\\^0$"):
+        cocycle_matrix(8)
 
 
 def test_tangent_report_builds_each_matrix_once(monkeypatch):
