@@ -32,19 +32,20 @@ from .nottingham import (Automorphism, ConductorUndefinedError,
                          NotAnAutomorphismError, base_sigma, hasse_conductor,
                          normal_form_o5c2, order, power)
 from .reports import (Report, VERDICT_FAIL, VERDICT_PASS)
-from .series import MAX_DEGREE, TruncatedSeries
+from .series import MAX_DEGREE, MIN_PREC, TruncatedSeries
 
 _USAGE_ERRORS = (DescriptorError, EnumerationBoundError)
 
 
-def _report(command, params, ok, details, witnesses=(), t0=None):
+def _report(args, params, ok, details, witnesses=()):
+    """The report of ``args.command``; ``params`` names the arguments it
+    records.  ``main`` stamps its ``elapsed_ms``."""
     return Report(
-        command=command,
-        params=params,
+        command=args.command,
+        params={name: getattr(args, name) for name in params},
         verdict=VERDICT_PASS if ok else VERDICT_FAIL,
         details=details,
         witnesses=list(witnesses),
-        elapsed_ms=(time.perf_counter() - t0) * 1000 if t0 else 0.0,
         version=__version__,
     )
 
@@ -53,66 +54,47 @@ def _report(command, params, ok, details, witnesses=(), t0=None):
 
 
 def _cmd_order(args):
-    t0 = time.perf_counter()
-    ring = build_ring(args.ring)
-    n, prec = order(base_sigma(ring, args.prec), args.cap)
-    ok = n == 5
-    return _report("order", {"ring": args.ring, "prec": args.prec,
-                             "cap": args.cap},
-                   ok, {"order": n, "precision_checked": prec,
-                        "expected": 5}, t0=t0)
+    n, prec = order(base_sigma(build_ring(args.ring), args.prec), args.cap)
+    return _report(args, ("ring", "prec", "cap"), n == 5,
+                   {"order": n, "precision_checked": prec, "expected": 5})
 
 
 def _cmd_conductor(args):
-    t0 = time.perf_counter()
-    ring = build_ring(args.ring)
-    m, lead = hasse_conductor(base_sigma(ring, args.prec))
-    ok = m == 2 and str(lead) == "2"
-    return _report("conductor", {"ring": args.ring, "prec": args.prec},
-                   ok, {"conductor": m, "leading_coefficient": str(lead),
-                        "expected": {"conductor": 2,
-                                     "leading_coefficient": "2"}}, t0=t0)
+    m, lead = hasse_conductor(base_sigma(build_ring(args.ring), args.prec))
+    return _report(args, ("ring", "prec"), m == 2 and str(lead) == "2",
+                   {"conductor": m, "leading_coefficient": str(lead),
+                    "expected": {"conductor": 2, "leading_coefficient": "2"}})
 
 
 def _cmd_normal_form(args):
-    t0 = time.perf_counter()
-    params = {"ring": args.ring, "series": args.series, "prec": args.prec}
-    ring = build_ring(args.ring)
-    series = TruncatedSeries.from_literal(ring, args.series)
+    params = ("ring", "series", "prec")
+    series = TruncatedSeries.from_literal(build_ring(args.ring), args.series)
     try:
-        aut = Automorphism(series)
-        xi = normal_form_o5c2(aut, args.prec)
+        xi = normal_form_o5c2(Automorphism(series), args.prec)
     except (NotAnAutomorphismError, RingError) as exc:
-        return _report("normal-form", params, False, {"error": str(exc)},
-                       t0=t0)
+        return _report(args, params, False, {"error": str(exc)})
     ok = xi is not None
-    return _report("normal-form", params, ok, {"conjugator_found": ok},
-                   witnesses=[str(xi.series)] if xi else [], t0=t0)
+    return _report(args, params, ok, {"conjugator_found": ok},
+                   witnesses=[str(xi.series)] if xi else [])
 
 
 def _cmd_versal_check(args):
-    t0 = time.perf_counter()
     ring = build_ring(args.ring)
-    if getattr(args, "tautological", False):
+    if args.tautological:
         # the canonical point y = 1 + u of a cyclo(m) ring
         pts = [VersalPoint(ring, ring.one + ring.generator("u"))]
     else:
         pts = hom_points(ring)
     results = []
-    ok = True
     for p in pts:
         good, detail = lift_certificate(p, args.prec)
-        ok = ok and good
         results.append({"y": str(p.y), "is_lift": good, "detail": detail})
-    return _report("versal-check", {"ring": args.ring, "prec": args.prec},
-                   ok, {"hom_points": len(pts), "results": results}, t0=t0)
+    return _report(args, ("ring", "prec"), all(r["is_lift"] for r in results),
+                   {"hom_points": len(pts), "results": results})
 
 
 def _cmd_iterates(args):
-    t0 = time.perf_counter()
-    ring = build_ring(args.ring)
-    pts = hom_points(ring)
-    ok = True
+    pts = hom_points(build_ring(args.ring))
     results = []
     for p in pts:
         fam = versal_family(p, args.prec)
@@ -122,56 +104,43 @@ def _cmd_iterates(args):
                 direct = fam(direct)
             closed = iterate_closed_form(p, k, args.prec)
             agree = closed.series.agrees_with(direct.series, direct.prec)
-            ok = ok and agree
             results.append({"y": str(p.y), "k": k, "agrees": agree,
                             "precision": direct.prec})
-    return _report("iterates", {"ring": args.ring, "prec": args.prec,
-                                "k_max": args.k_max},
-                   ok, {"hom_points": len(pts), "results": results}, t0=t0)
+    return _report(args, ("ring", "prec", "k_max"),
+                   all(r["agrees"] for r in results),
+                   {"hom_points": len(pts), "results": results})
 
 
 def _cmd_tangent(args):
-    t0 = time.perf_counter()
-    sweep = args.prec_sweep
-    rep = tangent_report(sweep)
+    rep = tangent_report(args.prec_sweep)
     per = rep["per_precision"].values()
     ok = (rep["stable"] and rep["dimension"] == 1
           and all(d["hom_directions_exhaust_classes"] for d in per))
-    return _report("tangent", {"prec_sweep": list(sweep)}, ok, rep, t0=t0)
+    return _report(args, ("prec_sweep",), ok, rep)
 
 
 def _cmd_universality(args):
-    t0 = time.perf_counter()
-    ring = build_ring(args.ring)
-    rep = universality_scan(ring, args.prec)
-    return _report("universality", {"ring": args.ring, "prec": args.prec},
-                   rep["all_as_predicted"], rep, t0=t0)
+    rep = universality_scan(build_ring(args.ring), args.prec)
+    return _report(args, ("ring", "prec"), rep["all_as_predicted"], rep)
 
 
 def _cmd_proof_chain(args):
-    t0 = time.perf_counter()
     if args.ring:
         rep = proof_chain_check(build_ring(args.ring))
-        params = {"ring": args.ring}
+        params = ("ring",)
     else:
         rep = proof_chain_scan(args.max_cardinality, jobs=args.jobs)
-        params = {"max_cardinality": args.max_cardinality, "jobs": args.jobs}
-    witnesses = []
-    reports = rep.get("reports", [rep])
-    for r in reports:
-        for s in r["steps"]:
-            if s["witness"]:
-                witnesses.append({"ring": r["ring"], "step": s["step"],
-                                  "witness": s["witness"]})
-    return _report("proof-chain", params, rep["passed"], rep,
-                   witnesses=witnesses, t0=t0)
+        params = ("max_cardinality", "jobs")
+    witnesses = [{"ring": r["ring"], "step": s["step"],
+                  "witness": s["witness"]}
+                 for r in rep.get("reports", [rep]) for s in r["steps"]
+                 if s["witness"]]
+    return _report(args, params, rep["passed"], rep, witnesses=witnesses)
 
 
 def _cmd_obstruction(args):
-    t0 = time.perf_counter()
     rep = obstruction_check(f"Z/5^{args.n}", args.prec)
-    return _report("obstruction", {"n": args.n, "prec": args.prec},
-                   rep["obstructed"], rep, t0=t0)
+    return _report(args, ("n", "prec"), rep["obstructed"], rep)
 
 
 _ORACLE_RINGS = ("F5[e]/(e^2)", "F5[e]/(e^3)", "cyclo(2)", "cyclo(3)")
@@ -181,7 +150,6 @@ def _cmd_coeff_eqs(args):
     # imported here, not with the CLI: no other subcommand uses symbolic
     from .symbolic.coefficients import (consistency_sample,
                                         verify_displayed_equations)
-    t0 = time.perf_counter()
     sym = verify_displayed_equations()
     # Eq5, Eq6 and the third-order display: checked on finite rings by the
     # proof chain, not derived symbolically; verify-all hands over the
@@ -197,62 +165,64 @@ def _cmd_coeff_eqs(args):
                passed=sym["passed"] and all(oracle.values()))
     sample = consistency_sample(args.samples)
     ok = sym["passed"] and sample["passed"]
-    return _report("coeff-eqs", {"samples": args.samples}, ok,
+    return _report(args, ("samples",), ok,
                    {"symbolic": sym, "consistency": sample},
-                   witnesses=sample["mismatches"], t0=t0)
+                   witnesses=sample["mismatches"])
+
+
+def _verify_all_steps(profile):
+    """verify-all's steps in order, as (step name, subcommand argv): each
+    runs with the defaults and bounds the subcommand gives a user, and the
+    quick profile shrinks the sweep, the catalog and the sample."""
+    quick = profile == "quick"
+
+    def per_ring(command, rings, *flags):
+        return [(f"{command}[{r}]", [command, "--ring", r, *flags])
+                for r in rings]
+
+    def if_quick(*flags):
+        return list(flags) if quick else []
+
+    return [
+        ("order", ["order"]),
+        ("conductor", ["conductor"]),
+        *per_ring("iterates", ["F5", "F5[e]/(e^2)"] if quick else
+                  ["F5", "F25", "F5[e]/(e^2)", "cyclo(3)"]),
+        *per_ring("versal-check", ["cyclo(2)", "cyclo(3)"] if quick else
+                  ["cyclo(2)", "cyclo(3)", "cyclo(4)", "cyclo(5)"],
+                  "--tautological"),
+        ("tangent", ["tangent", *if_quick("--prec-sweep", "8,12")]),
+        *per_ring("universality", ["F5[e]/(e^2)"] if quick else
+                  ["F5[e]/(e^2)", "F5[e]/(e^3)"]),
+        ("proof-chain",
+         ["proof-chain", *if_quick("--max-cardinality", "125")]),
+        ("obstruction", ["obstruction"]),
+        ("coeff-eqs", ["coeff-eqs", *if_quick("--samples", "200")]),
+    ]
 
 
 def _cmd_verify_all(args):
-    t0 = time.perf_counter()
-    quick = args.profile == "quick"
-
-    def ns(**kw):
-        return argparse.Namespace(jobs=args.jobs, **kw)
-
-    steps = [
-        ("order", _cmd_order, ns(ring="F5", prec=16, cap=10)),
-        ("conductor", _cmd_conductor, ns(ring="F5", prec=8)),
-    ]
-    iterate_rings = ["F5", "F5[e]/(e^2)"] if quick else [
-        "F5", "F25", "F5[e]/(e^2)", "cyclo(3)"]
-    for r in iterate_rings:
-        steps.append((f"iterates[{r}]", _cmd_iterates,
-                      ns(ring=r, prec=12, k_max=5)))
-    versal_rings = ["cyclo(2)", "cyclo(3)"] if quick else [
-        "cyclo(2)", "cyclo(3)", "cyclo(4)", "cyclo(5)"]
-    for r in versal_rings:
-        steps.append((f"versal-check[{r}]", _cmd_versal_check,
-                      ns(ring=r, prec=16, tautological=True)))
-    steps.append(("tangent", _cmd_tangent,
-                  ns(prec_sweep=(8, 12) if quick else (8, 12, 16))))
-    universality_rings = ["F5[e]/(e^2)"] if quick else [
-        "F5[e]/(e^2)", "F5[e]/(e^3)"]
-    for r in universality_rings:
-        steps.append((f"universality[{r}]", _cmd_universality,
-                      ns(ring=r, prec=4)))
-    steps.append(("proof-chain", _cmd_proof_chain,
-                  ns(ring=None, max_cardinality=125 if quick else 625)))
-    steps.append(("obstruction", _cmd_obstruction, ns(n=2, prec=8)))
-    coeff_eqs = ns(samples=200 if quick else 1000)
-    steps.append(("coeff-eqs", _cmd_coeff_eqs, coeff_eqs))
-
+    proof_chain_passed = {}  # per ring, for coeff-eqs' oracle rings
     results = []
-    ok = True
-    for name, fn, sub_args in steps:
-        rep = fn(sub_args)
-        if fn is _cmd_proof_chain:  # its rings include coeff-eqs' oracle rings
-            coeff_eqs.proof_chain_passed = {
-                r["ring"]: r["passed"] for r in rep.details["reports"]}
-        ok = ok and rep.passed
+    for name, argv in _verify_all_steps(args.profile):
+        step = args.parser.parse_args(["--jobs", str(args.jobs), *argv])
+        if step.command == "coeff-eqs":
+            step.proof_chain_passed = proof_chain_passed
+        t0 = time.perf_counter()
+        rep = step.fn(step)
+        elapsed_ms = (time.perf_counter() - t0) * 1000
+        if step.command == "proof-chain":
+            proof_chain_passed.update(
+                (r["ring"], r["passed"]) for r in rep.details["reports"])
         results.append({"step": name, "verdict": rep.verdict,
-                        "elapsed_ms": rep.elapsed_ms})
-    return _report("verify-all", {"profile": args.profile, "jobs": args.jobs},
-                   ok, {"steps": results}, t0=t0)
+                        "elapsed_ms": elapsed_ms})
+    ok = all(r["verdict"] == VERDICT_PASS for r in results)
+    return _report(args, ("profile", "jobs"), ok, {"steps": results})
 
 
 # -- parser -----------------------------------------------------------------------
 
-# Every series needs its linear coefficient, so a precision is at least 2.
+# A precision is at least series.MIN_PREC.
 # sigma = t - t^3/2 + ... agrees with t below t^3, so its order, its
 # conductor and its conjugacy class show only from precision 4 on (below it
 # xi = t conjugates sigma to any order-5 conductor-2 series).  Counts of
@@ -263,7 +233,6 @@ def _cmd_verify_all(args):
 # grows as k^2), a precision sweep at most MAX_SWEEP entries, witnesses
 # at most MAX_SAMPLES, worker processes at most MAX_JOBS, and the catalog
 # scan stops at the largest table.
-MIN_PREC = 2
 MIN_SIGMA_PREC = 4
 MAX_PREC = MAX_DEGREE + 1
 MAX_ITERATES = 100
@@ -343,8 +312,9 @@ def build_parser():
         prec=dict(type=_prec, default=8))
     add("coeff-eqs", _cmd_coeff_eqs,
         samples=dict(type=_int_in(1, MAX_SAMPLES), default=1000))
-    add("verify-all", _cmd_verify_all,
-        profile=dict(choices=("quick", "full"), default="quick"))
+    verify_all = add("verify-all", _cmd_verify_all,
+                     profile=dict(choices=("quick", "full"), default="quick"))
+    verify_all.set_defaults(parser=parser)  # it parses each step's argv
     return parser
 
 
@@ -375,7 +345,9 @@ def main(argv=None):
     except SystemExit as exc:
         return 2 if exc.code != 0 else _emit(out.getvalue(), "help", None, 0)
     try:
+        t0 = time.perf_counter()
         report = args.fn(args)
+        report.elapsed_ms = (time.perf_counter() - t0) * 1000
     except _USAGE_ERRORS as exc:
         code, error = 2, f"error: {exc}\n"
     except Exception as exc:

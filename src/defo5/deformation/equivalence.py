@@ -64,7 +64,7 @@ import numpy as np
 from ..artin.rings import ENUMERATION_BOUND, EnumerationBoundError, Ring, RingError
 from ..artin.tables import ring_table
 from ..nottingham import Automorphism
-from ..series import TruncatedSeries
+from ..series import TruncatedSeries, require_prec
 from .versal import hom_points, ideal_size, versal_family
 
 # Rows of one batched level: pairs are grouped so that the next level fits,
@@ -300,6 +300,7 @@ def universality_scan(ring: Ring, prec: int):
 
     Returns a report dict with one entry per pair.
     """
+    require_prec(prec)
     _refuse_cardinality(ring)
     e = ring.nilpotency_index
     pts = hom_points(ring)

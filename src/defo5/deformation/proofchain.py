@@ -86,7 +86,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..artin.rings import Ring, build_ring
+from ..artin.rings import Ring, RingError, build_ring
 from ..artin.tables import ring_table
 from .versal import versal_scan
 
@@ -390,6 +390,9 @@ def proof_chain_check(ring: Ring | str):
 def proof_chain_scan(max_cardinality: int = 5 ** 4, jobs: int = 1):
     """proof_chain_check over the whole catalog, optionally in parallel;
     results are merged in canonical catalog order."""
+    if max_cardinality < 5:
+        raise RingError(f"max_cardinality {max_cardinality} admits no "
+                        "catalog ring: the smallest, F5, has 5 elements")
     rings = catalog_rings(max_cardinality)
     if jobs > 1:
         # imported here, so that importing the package leaves multiprocessing

@@ -30,7 +30,7 @@ import numpy as np
 
 from ..artin.rings import RingError, build_ring
 from ..nottingham import base_sigma
-from ..series import TruncatedSeries, family
+from ..series import PrecisionError, TruncatedSeries, family, require_prec
 from .versal import hom_points, versal_family
 
 _DUAL = "F5[e]/(e^2)"
@@ -148,6 +148,9 @@ def tangent_report(prec_sweep=(8, 12, 16)):
     t-coefficients differ), and exhaust the classes.  Z, B and the directions
     are built, and the certificate checked, once, at the largest precision:
     each fact reads only the top-left corner of every smaller entry."""
+    if not prec_sweep:
+        raise PrecisionError("the precision sweep is empty")
+    require_prec(min(prec_sweep))
     top = max(prec_sweep)
     Z, B = cocycle_matrix(top), coboundary_matrix(top)
     dirs = hom_point_directions(top)

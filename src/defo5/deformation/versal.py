@@ -13,7 +13,7 @@ import numpy as np
 
 from ..artin.rings import Element, EnumerationBoundError, Ring, RingError
 from ..nottingham import Automorphism
-from ..series import family
+from ..series import family, require_prec
 
 
 def phi5(y: Element) -> Element:
@@ -124,6 +124,7 @@ def lift_certificate(point: VersalPoint, prec: int):
     detail naming the failed condition, if any.  By ring arithmetic: sigma_y
     reduces to sigma when y = 1 mod m, and by the group law sigma_y^5 =
     f_{S_5(y), y^5} is t when (S_5(y), y^5) = (0, 1)."""
+    require_prec(prec)
     ring = point.ring
     if not (point.y - ring.one).in_maximal_ideal():
         return False, "reduction modulo the maximal ideal differs from sigma"

@@ -68,6 +68,17 @@ class PrecisionError(RingError):
     """An operation cannot guarantee at least one exact coefficient."""
 
 
+# Every series needs its linear coefficient, so a precision is at least 2.
+MIN_PREC = 2
+
+
+def require_prec(prec):
+    """Refuse a working precision below MIN_PREC, naming it."""
+    if prec < MIN_PREC:
+        raise PrecisionError(f"precision {prec} is below {MIN_PREC}: a "
+                             "series needs its linear coefficient")
+
+
 def _coerce(ring, c):
     if isinstance(c, Element):
         if c.ring is not ring and c.ring != ring:

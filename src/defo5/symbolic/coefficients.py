@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..artin.rings import build_ring
+from ..artin.rings import RingError, build_ring
 from ..artin.tables import ring_table
 from ..series import TruncatedSeries, family
 from .surd import (_WITNESS_NAMES, A0, A1, A2, A3, Y1, Y2, Specialization,
@@ -220,6 +220,8 @@ def consistency_sample(n: int = 1000, seed: int = 20260823, prec: int = 4):
     Each ring is one batch: the engine runs as its witnesses are drawn,
     then one Specialization values the 2 * prec coefficients at all of
     them."""
+    if n < 1:
+        raise RingError(f"a sample of {n} witnesses checks nothing")
     coeffs = expand_lhs(prec) + expand_rhs(prec)
     rng = random.Random(seed)
     per_ring = -(-n // len(_SAMPLE_RINGS))

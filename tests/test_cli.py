@@ -57,6 +57,21 @@ def test_exit_two_on_bad_ring(capsys):
     assert "error" in err
 
 
+def test_main_times_an_untimed_report(capsys, monkeypatch):
+    """The dispatcher owns the clock: a subcommand returns its report
+    without ``elapsed_ms``, and ``main`` stamps the time it took."""
+    def untimed(args):
+        time.sleep(0.02)
+        return Report(command="order", params={}, verdict="pass")
+
+    monkeypatch.setattr("defo5.cli._cmd_order", untimed)
+    code, report, err = run(capsys, "order")
+    assert code == 0
+    assert isinstance(report["elapsed_ms"], float)
+    assert report["elapsed_ms"] >= 15
+    assert err.startswith("[PASS] order (")
+
+
 def test_exit_three_on_internal_error(capsys, monkeypatch):
     def crash(args):
         raise ZeroDivisionError("simulated defect")
@@ -467,3 +482,59 @@ def test_verify_all_quick(capsys):
     assert all(s["verdict"] == "pass" for s in steps)
     assert {s["step"] for s in steps} >= {
         "order", "conductor", "tangent", "obstruction", "coeff-eqs"}
+
+
+def _expected_steps(profile):
+    """verify-all's steps, in order, with every argument each one parses
+    to; a changed subcommand default shows here, not in a certificate."""
+    full = profile == "full"
+    return [
+        ("order", {"ring": "F5", "prec": 16, "cap": 10}),
+        ("conductor", {"ring": "F5", "prec": 8}),
+        *((f"iterates[{r}]", {"ring": r, "prec": 12, "k_max": 5})
+          for r in (("F5", "F25", "F5[e]/(e^2)", "cyclo(3)") if full
+                    else ("F5", "F5[e]/(e^2)"))),
+        *((f"versal-check[{r}]", {"ring": r, "prec": 16,
+                                  "tautological": True})
+          for r in (("cyclo(2)", "cyclo(3)", "cyclo(4)", "cyclo(5)") if full
+                    else ("cyclo(2)", "cyclo(3)"))),
+        ("tangent", {"prec_sweep": (8, 12, 16) if full else (8, 12)}),
+        *((f"universality[{r}]", {"ring": r, "prec": 4})
+          for r in (("F5[e]/(e^2)", "F5[e]/(e^3)") if full
+                    else ("F5[e]/(e^2)",))),
+        ("proof-chain", {"ring": None,
+                         "max_cardinality": 625 if full else 125}),
+        ("obstruction", {"n": 2, "prec": 8}),
+        ("coeff-eqs", {"samples": 1000 if full else 200,
+                       "proof_chain_passed": {"F5": True}}),
+    ]
+
+
+@pytest.mark.parametrize("profile,jobs,count", [("quick", "1", 11),
+                                               ("full", "2", 16)])
+def test_verify_all_steps_parse_to_the_pinned_arguments(capsys, monkeypatch,
+                                                        profile, jobs, count):
+    from defo5 import cli
+    seen = []
+
+    def recorded(args):
+        seen.append({k: v for k, v in vars(args).items() if k != "fn"})
+        details = {"reports": [{"ring": "F5", "passed": True}]}
+        return Report(command=args.command, params={}, verdict="pass",
+                      details=details)
+
+    for name in vars(cli).copy():
+        if name.startswith("_cmd_") and name != "_cmd_verify_all":
+            monkeypatch.setattr(cli, name, recorded)
+    code, report, _ = run(capsys, "--jobs", jobs, "verify-all",
+                          "--profile", profile)
+    assert code == 0
+    steps = report["details"]["steps"]
+    expected = _expected_steps(profile)
+    assert len(steps) == len(seen) == count
+    assert [s["step"] for s in steps] == [name for name, _ in expected]
+    for args, (name, params) in zip(seen, expected):
+        command = name.partition("[")[0]
+        assert args == {"command": command, "jobs": int(jobs), **params}
+    assert all(isinstance(s["elapsed_ms"], float) and s["elapsed_ms"] >= 0
+               for s in steps)

@@ -12,7 +12,7 @@ import pytest
 
 from defo5.artin.rings import DescriptorError, RingError, build_ring
 from defo5.artin.tables import TABLE_BOUND, ring_table
-from defo5.deformation import obstruction, proofchain, versal
+from defo5.deformation import equivalence, obstruction, proofchain, versal
 from defo5.deformation.equivalence import conjugator_search, universality_scan
 from defo5.deformation.obstruction import defect_vector, obstruction_check
 from defo5.deformation.proofchain import (CATALOG, catalog_rings,
@@ -166,6 +166,19 @@ def test_is_lift_checks_no_further_than_the_fifth_power_is_known():
         True, f"lift certified at precision {known}")
 
 
+@pytest.mark.parametrize("prec", [1, 0, -3])
+def test_lift_certificate_refuses_a_precision_below_the_floor(monkeypatch,
+                                                              prec):
+    point = hom_points(build_ring("cyclo(2)"))[0]
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the group law ran before the refusal")
+
+    monkeypatch.setattr(versal, "iterate_parameters", boom)
+    with pytest.raises(PrecisionError, match=f"precision {prec} is below 2"):
+        lift_certificate(point, prec)
+
+
 # -- equivalence --------------------------------------------------------------------
 
 def test_universality_scan_dual_numbers():
@@ -180,6 +193,21 @@ def test_universality_scan_e3():
     assert rep["diagonal_equivalent"] == 25
     assert rep["off_diagonal_refuted"] == 600
     assert rep["all_as_predicted"]
+
+
+@pytest.mark.parametrize("prec", [1, 0, -3])
+def test_universality_scan_refuses_a_precision_below_the_floor(monkeypatch,
+                                                               prec):
+    ring = build_ring("F5[e]/(e^2)")
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a table or series was built before the refusal")
+
+    for target in ("hom_points", "versal_family", "ring_table"):
+        monkeypatch.setattr(equivalence, target, boom)
+    monkeypatch.setattr(TruncatedSeries, "__init__", boom)
+    with pytest.raises(PrecisionError, match=f"precision {prec} is below 2"):
+        universality_scan(ring, prec)
 
 
 def test_plant_and_recover_conjugator():
@@ -333,6 +361,19 @@ def test_proof_chain_scan_parallel_matches_serial():
     parallel = proof_chain_scan(max_cardinality=125, jobs=2)
     assert serial == parallel
     assert serial["passed"]
+
+
+@pytest.mark.parametrize("bound", [4, 0, -625])
+def test_proof_chain_scan_refuses_a_bound_below_every_ring(monkeypatch, bound):
+    """Below |F5| = 5 the catalog is empty and the scan would pass on
+    nothing."""
+    def boom(*args, **kwargs):
+        raise AssertionError("a ring or table was built before the refusal")
+
+    for target in ("build_ring", "catalog_rings", "ring_table"):
+        monkeypatch.setattr(proofchain, target, boom)
+    with pytest.raises(RingError, match=f"max_cardinality {bound} admits no"):
+        proof_chain_scan(bound)
 
 
 def test_displayed_sign_of_final_identity():

@@ -80,6 +80,13 @@ def test_deformation_does_not_import_symbolic():
             assert _subpackage(name) != "symbolic", (path.name, name)
 
 
+def test_cli_is_the_top_layer():
+    """The CLI reads its floors from the library; no module reads the CLI."""
+    for path in SRC.rglob("*.py"):
+        if path.name != "cli.py":
+            assert "defo5.cli" not in defo5_imports(path), path.name
+
+
 def test_resolver_sees_relative_imports():
     assert "defo5.artin.rings" in defo5_imports(SRC / "artin" / "tables.py")
     assert "defo5.artin.tables" in defo5_imports(

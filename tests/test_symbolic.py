@@ -11,7 +11,7 @@ import consistency_oracle
 import surd_oracle
 from defo5.artin import tables
 from defo5.artin.rings import (EnumerationBoundError, MismatchError,
-                               NotAUnitError, build_ring)
+                               NotAUnitError, RingError, build_ring)
 from defo5.artin.tables import TABLE_BOUND, ring_table
 from defo5.symbolic import coefficients
 from defo5.symbolic.coefficients import (consistency_sample, displayed_eq3,
@@ -182,6 +182,17 @@ def test_consistency_sample_quick():
     rep = consistency_sample(70, seed=99)
     assert rep["passed"], rep["mismatches"][:3]
     assert rep["witnesses"] >= 70
+
+
+@pytest.mark.parametrize("n", [0, -5])
+def test_consistency_sample_refuses_an_empty_sample(monkeypatch, n):
+    def boom(*args, **kwargs):
+        raise AssertionError("work started before the refusal")
+
+    for target in ("expand_lhs", "build_ring", "ring_table"):
+        monkeypatch.setattr(coefficients, target, boom)
+    with pytest.raises(RingError, match=f"a sample of {n} witnesses"):
+        consistency_sample(n)
 
 
 def test_expansion_runs_once_per_process():

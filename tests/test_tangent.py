@@ -250,3 +250,17 @@ def test_gf5_linear_algebra():
     cols = gf5.Echelon(zip(*[[1, 1], [2, 2]]))
     assert cols.reduce([1, 2]) == {}
     assert cols.reduce([1, 3]) != {}
+
+
+@pytest.mark.parametrize("sweep,named", [((1,), "precision 1 "),
+                                         ((8, 0, 12), "precision 0 "),
+                                         ((), "precision sweep is empty")])
+def test_tangent_report_refuses_a_sweep_below_the_floor(monkeypatch, sweep,
+                                                         named):
+    def boom(*args, **kwargs):
+        raise AssertionError("a series was built before the refusal")
+
+    monkeypatch.setattr(series.TruncatedSeries, "__init__", boom)
+    monkeypatch.setattr(tangent, "cocycle_matrix", boom)
+    with pytest.raises(series.PrecisionError, match=named):
+        tangent_report(sweep)
