@@ -28,7 +28,7 @@ consistent when it is 0 (take d = 0); any other defect raises ``RingError``.
 from __future__ import annotations
 
 from ..artin.rings import DescriptorError, RingError, build_ring
-from ..series import TruncatedSeries, family
+from ..series import TruncatedSeries, family, require_prec
 from .tangent import COCYCLE_SHIFT, cocycle_matrix
 from .versal import hom_points
 
@@ -50,6 +50,7 @@ def defect_vector(prec: int):
 def obstruction_check(descriptor: str, prec: int):
     """Report that sigma has no lift over Z/5^n: hom_points empty for any
     n >= 2, and for n = 2 the linear order-5 system certified inconsistent."""
+    require_prec(prec)  # the theorem holds for P >= 2
     ring = build_ring(descriptor)  # bounds the numerals first
     n = ring.nilpotency_index  # Z/5^n has nilpotency index n
     if ring.dim != 1 or ring is not build_ring(f"Z/5^{n}"):

@@ -274,6 +274,18 @@ def test_obstruction_without_a_zero_row_of_z_raises(monkeypatch):
         obstruction_check("Z/25", 8)
 
 
+@pytest.mark.parametrize("prec", [1, 0, -3])
+def test_obstruction_refuses_a_precision_below_the_floor(monkeypatch, prec):
+    def boom(*args, **kwargs):
+        raise AssertionError("work started before the refusal")
+
+    for target in ("build_ring", "hom_points", "cocycle_matrix",
+                   "defect_vector"):
+        monkeypatch.setattr(obstruction, target, boom)
+    with pytest.raises(PrecisionError, match=f"precision {prec} is below 2"):
+        obstruction_check("Z/25", prec)
+
+
 def test_obstruction_zero_defect_is_consistent(monkeypatch):
     monkeypatch.setattr(obstruction, "defect_vector", lambda rows: [0] * rows)
     rep = obstruction_check("Z/25", 8)
