@@ -11,25 +11,24 @@ condition is the inhomogeneous linear system Z*d = -(sigma_W^5 - t)/5 over
 F5, with Z the tangent-space cocycle matrix.
 
 Theorem.  For every precision P >= 2 that system is inconsistent.  Proof.
-By the group law sigma_W^5 = t (1 + 5 t^2)^(-1/2) = t - (5/2) t^3 + O(25),
-so the defect (sigma_W^5 - t)/5 is exactly 2 t^3 over F5.  Every column
-t^j of Z is 0 above t^(j + COCYCLE_SHIFT), and 3 < COCYCLE_SHIFT, so row 3
-of Z is 0: the row functional w = e_3 has w Z = 0 and w (-defect) = -2 != 0.
-(The tangent theorem, proved in ``tangent``, says more of Z: for every
-P >= 2, dim_P = 1, rank Z_P = ceil(P/5) and rank B_P = P - 2 -
-floor((P-1)/5); no elimination is needed here.)
+By the group law sigma_W^5 = t (1 + 5 t^2)^(-1/2), and mod 25 the binomial
+series is 1 - (5/2) t^2: so the defect (sigma_W^5 - t)/5 is exactly 2 t^3
+over F5.  Column j of Z is t^j times a series, 0 below t^(j +
+COCYCLE_SHIFT), so row 3 of Z_P is 0 at every P: the row functional w = e_3
+has w Z = 0 and w (-defect) = -2 != 0.
 
-``obstruction_check`` reads that certificate off the defect and Z (built
-by ``tangent``'s two-term recurrence, no series product per column): the
-system is inconsistent when the defect is nonzero on a zero row of Z, and
-consistent when it is 0 (take d = 0); any other defect raises ``RingError``.
+``obstruction_check`` reads that certificate off the defect and Z at
+``tangent.BASE_PREC``, whatever P (a row i < BASE_PREC of Z_P is row i of
+that table, cut to P columns or padded by zeros): the system is
+inconsistent when the defect is nonzero on a zero row of Z, and consistent
+when it is 0 (take d = 0); any other defect raises ``RingError``.
 """
 
 from __future__ import annotations
 
 from ..artin.rings import DescriptorError, RingError, build_ring
 from ..series import TruncatedSeries, family, require_prec
-from .tangent import COCYCLE_SHIFT, cocycle_matrix
+from .tangent import BASE_PREC, COCYCLE_SHIFT, cocycle_matrix
 from .versal import hom_points
 
 
@@ -66,23 +65,21 @@ def obstruction_check(descriptor: str, prec: int):
         "hom_points_empty": not pts,
     }
     if n == 2:
-        rows = prec + COCYCLE_SHIFT
-        defect = defect_vector(rows)
+        defect = defect_vector(BASE_PREC)[:prec + COCYCLE_SHIFT]  # Z_P's rows
         lead = next((i for i, v in enumerate(defect) if v), None)
-        Z = cocycle_matrix(prec)
+        Z = cocycle_matrix(BASE_PREC)
         # refuted by w = e_i for a zero row i of Z where the defect is
         # nonzero; a zero defect is consistent (take d = 0)
         refuted = any(v and not any(Z[i]) for i, v in enumerate(defect))
         if lead is not None and not refuted:
             raise RingError("no certificate decides the order-5 system "
                             f"at precision {prec}")
-        consistent = not refuted
         report.update({
             "defect_leading_order": lead,
             "defect_leading_coeff": defect[lead] if lead is not None else None,
-            "linear_system_consistent": consistent,
+            "linear_system_consistent": not refuted,
         })
-        report["obstructed"] = report["hom_points_empty"] and not consistent
+        report["obstructed"] = report["hom_points_empty"] and refuted
     else:
         report["obstructed"] = report["hom_points_empty"]
     return report

@@ -7,31 +7,39 @@ coboundary map B).  The tangent space at precision P is ker Z_P / im B_P.
 
 Theorem.  For every P >= 2, dim_P = 1, rank Z_P = ceil(P/5) and rank B_P =
 N_B(P) = P - 2 - floor((P-1)/5), and two cocycles are equivalent exactly
-when their t-coefficients (phi) agree.  Proof.  Over F5, sigma^k =
-t (1 + k t^2)^(-1/2).  Column j of B is t^j [(1 + t^2)^(-j/2) - (1 + t^2)^
-(-3/2)] = (3 - j)/2 t^(j+2) + ..., so rows 0 and 1 of B are 0 and the N_B(P)
-columns j <= P - 3, j != 3 mod 5, lead at distinct rows j + 2.  For j = 0
-mod 5, (1 + k t^2)^(-j/2) = 1 + O(t^10), so column j of Z is t^j sum_x
-(1 + x t^2)^(3/2) + O(t^(j+10)) over x in F5, led by -C(3/2, 4) = 4 at
-t^(j+8): ceil(P/5) distinct leads.  As im B lies in ker Z, dim_P <= P -
-ceil(P/5) - N_B(P) = 1; the direction of y = 1 + c*eps is a cocycle
-(sigma_y^5 = t) with phi = -c/2, and phi vanishes on im B, so dim_P >= 1.
+when their t-coefficients (phi) agree.  Period lemma: over F5, sigma^k =
+t (1 + k t^2)^(-1/2), so column j of Z is t^j sum_k W_k (1 + k t^2)^(-j/2)
+and column j of B is t^j [(1 + t^2)^(-j/2) - (1 + t^2)^(-3/2)]; as (1 +
+k t^2)^5 = 1 + k t^10 (Frobenius), rows j..j+9 of column j of either are
+rows r..r+9 of column r = j mod 5.  Proof of the theorem: on columns 0..4,
+Z is 0 on rows j..j+7 and leads with 4 at row j + 8 when j = 0 mod 5, and
+B is 0 on rows j, j+1 and has (3 - j)/2 at row j + 2.  By the lemma this
+holds in every column, so rows 0 and 1 of B are 0, and ceil(P/5) columns
+of Z and the N_B(P) columns j <= P - 3, j != 3 mod 5, of B lead at distinct
+rows.  As im B lies in ker Z (a conjugate of sigma has order 5), dim_P <=
+P - ceil(P/5) - N_B(P) = 1.  The direction of a versal point y = 1 + c*eps
+is a cocycle at every P (sigma_y^5 = t by the group law, and t^j, j >= P,
+only reaches rows >= P + 8) with phi = -c/2, and phi vanishes on im B, so
+dim_P >= 1.
 
-``tangent_report`` checks these facts on the Z, B and directions it builds
-(every column of Z and B a step of the group law's two-term recurrence)
-and raises ``RingError`` when one fails: no verdict rests on elimination.
-The tests check Z and B against series products and the 5-fold composition
-over F5[e]/(e^2), and the ranks and equivalences against GF(5) echelons.
+``tangent_report`` checks this on Z and B at BASE_PREC, reads phi at
+precision 2 and counts ranks in closed form: no work grows with P, and no
+verdict rests on elimination.  The tests check Z and B against series
+products, the 5-fold composition over F5[e]/(e^2) and the period lemma at
+P = 1025, and the ranks and equivalences against GF(5) echelons.
 """
 
 from __future__ import annotations
+
+from math import comb
 
 import numpy as np
 
 from ..artin.rings import RingError, build_ring
 from ..nottingham import base_sigma
-from ..series import PrecisionError, TruncatedSeries, family, require_prec
-from .versal import hom_points, versal_family
+from ..series import (MIN_PREC, PrecisionError, TruncatedSeries, family,
+                      require_prec)
+from .versal import hom_points, lift_certificate, versal_family
 
 _DUAL = "F5[e]/(e^2)"
 
@@ -43,13 +51,18 @@ def _eps_part(coeff):
     return coeff.coords[1]
 
 
-# The linearized order-5 condition raises t-order: the t^j direction first
-# shows up in the defect at degree >= j + SHIFT, so the cocycle system is
-# built rectangular, with equations through t^(prec+SHIFT-1).  The
-# constructor checks that every column t^j is 0 below t^(j+SHIFT), which
-# keeps t^j, j >= prec, out of those rows and makes the top-left corner of
-# Z at a larger precision the matrix at a smaller one.
+# The t^j direction first shows up in the order-5 defect at t^(j+SHIFT), so
+# Z has rows through t^(prec+SHIFT-1); the constructor checks every column
+# t^j is 0 below t^(j+SHIFT), which keeps t^j, j >= prec, out of those rows
+# and makes Z at a smaller precision the top-left corner of Z at a larger.
 COCYCLE_SHIFT = 8
+
+# The period lemma (module docstring): rows j..j+WINDOW-1 of column j of Z
+# and of B depend on j mod PERIOD only.  Z and B at BASE_PREC hold two
+# periods of columns with their windows, the last ending at row 18.
+PERIOD = 5
+WINDOW = 2 * PERIOD
+BASE_PREC = 2 * PERIOD + WINDOW
 
 
 def _power_columns(starts, ks):
@@ -117,64 +130,53 @@ def hom_point_directions(prec):
             for p in hom_points(ring)]
 
 
-def _sparse(vectors):
-    return [[(i, v) for i, v in enumerate(vec) if v] for vec in vectors]
-
-
-def _first_defect_row(z_cols, vec):
-    """The first row where Z @ vec is nonzero mod 5, or None, for Z and vec
-    sparse.  Truncated to a smaller prec, vec is a cocycle exactly when that
-    row is None or at least prec + COCYCLE_SHIFT."""
-    acc = [0] * (len(z_cols) + COCYCLE_SHIFT)
-    for k, v in vec:
-        for i, z in z_cols[k]:
-            acc[i] += z * v
-    return next((i for i, x in enumerate(acc) if x % 5), None)
-
-
-def _leads(prec):
-    """The lead (row, value) of each column certifying a rank at ``prec``:
-    column j = 0 mod 5 of Z leads with 4 at t^(j + COCYCLE_SHIFT), and
-    column j <= prec - 3, j != 3 mod 5, of B leads with (3 - j)/2 at
-    t^(j + 2).  Distinct lead rows make those columns independent."""
-    return ({j: (j + COCYCLE_SHIFT, 4) for j in range(0, prec, 5)},
-            {j: (j + 2, (3 - j) * 3 % 5)
-             for j in range(prec - 2) if j % 5 != 3})
+def _check_base_table():
+    """Check Z and B at BASE_PREC against every fact the certificate reads,
+    in this order; the first that fails raises ``RingError``."""
+    Z, B = (np.array(build(BASE_PREC))
+            for build in (cocycle_matrix, coboundary_matrix))
+    for failed, fact in [
+            # (1 + k t^2)^PERIOD has C(PERIOD, i) k^i at t^(2i)
+            (any((comb(PERIOD, i) * k ** i - (i == PERIOD) * k) % 5
+                 for k in range(5) for i in range(1, PERIOD + 1)),
+             f"(1 + k t^2)^{PERIOD} = 1 + k t^{2 * PERIOD} (Frobenius)"),
+            (np.triu(Z, 1 - COCYCLE_SHIFT).any(),
+             "column j of Z is 0 on rows 0..j+7"),
+            (np.triu(B, -1).any(), "column j of B is 0 on rows 0..j+1"),
+            (Z[COCYCLE_SHIFT, 0] != 4, "column 0 of Z leads with 4 at row 8"),
+            (any(B[j + 2, j] != (3 - j) * 3 % 5 for j in range(PERIOD)),
+             "column j of B has (3 - j)/2 at row j + 2"),
+            (not all(np.array_equal(M[j:j + WINDOW, j],
+                                    M[j + PERIOD:j + PERIOD + WINDOW,
+                                      j + PERIOD])
+                     for M in (Z, B) for j in range(PERIOD)),
+             f"two periods of Z and B agree on {WINDOW} rows"),
+            ((Z @ B % 5).any(), "every coboundary is a cocycle")]:
+        if failed:
+            raise RingError(f"the base table fails the check: {fact}")
 
 
 def tangent_report(prec_sweep=(8, 12, 16)):
     """Tangent-space dimension across a precision sweep, with the check that
     the five hom-point directions are cocycles, pairwise inequivalent (their
-    t-coefficients differ), and exhaust the classes.  Z, B and the directions
-    are built, and the certificate checked, once, at the largest precision:
-    each fact reads only the top-left corner of every smaller entry."""
+    t-coefficients differ), and exhaust the classes.  Each sweep entry adds
+    only a count of its lead columns to the one check of the base table."""
     if not prec_sweep:
         raise PrecisionError("the precision sweep is empty")
     require_prec(min(prec_sweep))
-    top = max(prec_sweep)
-    Z, B = cocycle_matrix(top), coboundary_matrix(top)
-    dirs = hom_point_directions(top)
-    z_cols, b_cols = _sparse(zip(*Z)), _sparse(zip(*B))
-    if any(_first_defect_row(z_cols, b) is not None for b in b_cols):
-        raise RingError(f"a coboundary is not a cocycle at precision {top}")
-    z_leads, b_leads = _leads(top)
-    if (any(z_cols[j][:1] != [lead] for j, lead in z_leads.items())
-            or any(b_cols[j][:1] != [lead] for j, lead in b_leads.items())
-            or any(B[0]) or any(B[1])):
-        raise RingError(f"the rank certificate fails at precision {top}")
+    _check_base_table()
+    # sigma_y^5 = t by the group law: a cocycle at every precision
+    cocycles = [lift_certificate(p, MIN_PREC)[0]
+                for p in hom_points(build_ring(_DUAL))]
     # phi, the t-coefficient, vanishes on im B (rows 0 and 1 of B are 0)
-    phis = [vec[1] for _, vec in dirs]
-    defect_rows = [_first_defect_row(z_cols, vec) for vec in
-                   _sparse(vec for _, vec in dirs)]
+    phis = [vec[1] for _, vec in hom_point_directions(MIN_PREC)]
     distinct = len(set(phis)) == len(phis)
     details = {}
     for prec in dict.fromkeys(prec_sweep):  # a repeated entry adds nothing
-        z_leads, b_leads = _leads(prec)
-        cocycles = [row is None or row >= prec + COCYCLE_SHIFT
-                    for row in defect_rows]
+        rank_z, rank_b = -(-prec // PERIOD), prec - 2 - (prec - 1) // PERIOD
         # dim ker Z / im B <= prec - rank Z - rank B, and a cocycle with
         # phi != 0 lies outside im B
-        if (prec - len(z_leads) - len(b_leads) != 1
+        if (prec - rank_z - rank_b != 1
                 or not any(c and phi for c, phi in zip(cocycles, phis))):
             raise RingError(
                 f"no certificate of dimension 1 at precision {prec}")
@@ -183,7 +185,7 @@ def tangent_report(prec_sweep=(8, 12, 16)):
             "class_count": 5,
             "hom_directions_are_cocycles": all(cocycles),
             "hom_directions_distinct_mod_coboundaries": distinct,
-            "hom_directions_exhaust_classes": len(dirs) == 5 and distinct,
+            "hom_directions_exhaust_classes": len(phis) == 5 and distinct,
         }
     return {
         "prec_sweep": list(prec_sweep),

@@ -89,6 +89,7 @@ def hom_points(ring: Ring):
 def versal_family(point: VersalPoint, prec: int) -> Automorphism:
     """t / sqrt(t^2 + y) with the principal branch: y = 1 mod m, so its
     root has residue 1."""
+    require_prec(prec)
     return Automorphism(family(point.ring, 1, point.y, prec))
 
 
@@ -115,6 +116,7 @@ def iterate_parameters(y: Element, k: int):
 def iterate_closed_form(point: VersalPoint, k: int, prec: int) -> Automorphism:
     """sigma_y^k(t) = t / sqrt(S_k(y) t^2 + y^k), by the group law; at k = 5
     this is exactly t, since S_5(y) = Phi5(y) = 0 and y^5 = 1."""
+    require_prec(prec)
     return Automorphism(family(point.ring, *iterate_parameters(point.y, k),
                                prec))
 

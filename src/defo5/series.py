@@ -231,9 +231,6 @@ class TruncatedSeries:
             assert (result * other).agrees_with(self, p)
         return result
 
-    def inverse_unit(self):
-        return TruncatedSeries.constant(self.ring, 1, self.prec).div(self)
-
     def sqrt(self, branch=None):
         """Square root with the given residue-field branch for the constant
         term; the result squares back to ``self`` exactly at this precision."""

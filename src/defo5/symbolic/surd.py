@@ -374,9 +374,6 @@ class SurdExpression:
             raise SurdError("norm failed to rationalize")  # pragma: no cover
         return w.c00
 
-    def is_invertible(self):
-        return self.algebra_norm().unit_inverse() is not None
-
     def inverse(self):
         n = self.algebra_norm()
         if not n:
@@ -408,11 +405,6 @@ class SurdExpression:
 
     def __repr__(self):
         return f"SurdExpression[{self.canonical_str()}]"
-
-    def subs_sign(self, flip_s1=False, flip_s2=False):
-        """The expression on the other square-root branch(es)."""
-        out = self.conj_s1() if flip_s1 else self
-        return out.conj_s2() if flip_s2 else out
 
     # -- specialization -----------------------------------------------------------
 

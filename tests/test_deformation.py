@@ -179,6 +179,22 @@ def test_lift_certificate_refuses_a_precision_below_the_floor(monkeypatch,
         lift_certificate(point, prec)
 
 
+@pytest.mark.parametrize("prec", [1, 0])
+@pytest.mark.parametrize("build", [
+    versal_family, lambda point, prec: iterate_closed_form(point, 3, prec)],
+    ids=["versal_family", "iterate_closed_form"])
+def test_family_builders_refuse_a_precision_below_the_floor(monkeypatch,
+                                                            build, prec):
+    point = hom_points(build_ring("cyclo(2)"))[0]
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a series was built before the refusal")
+
+    monkeypatch.setattr(versal, "family", boom)
+    with pytest.raises(PrecisionError, match=f"precision {prec} is below 2"):
+        build(point, prec)
+
+
 # -- equivalence --------------------------------------------------------------------
 
 def test_universality_scan_dual_numbers():

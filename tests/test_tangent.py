@@ -1,17 +1,20 @@
 """Tangent-space linear algebra over F5: cocycle/coboundary maps validated
-against brute-force composition, the dimension-1 stabilization, and the
-certificate checks refusing tampered matrices and directions."""
+against brute-force composition, the period lemma, the dimension-1
+stabilization, and the certificate checks refusing a tampered base table,
+tampered directions and a failed group-law certificate."""
 
 import json
 import random
 
+import numpy as np
 import pytest
 
 import gf5_oracle as oracle
 from defo5 import cli, gf5, series
 from defo5.artin.rings import RingError, build_ring
-from defo5.deformation import tangent
-from defo5.deformation.tangent import (COCYCLE_SHIFT, coboundary_matrix,
+from defo5.deformation import obstruction, tangent
+from defo5.deformation.tangent import (BASE_PREC, COCYCLE_SHIFT, PERIOD,
+                                       WINDOW, coboundary_matrix,
                                        cocycle_matrix, hom_point_directions,
                                        tangent_report)
 from tangent_oracle import coboundary_apply, cocycle_defect
@@ -78,12 +81,66 @@ def test_tangent_report_builds_each_matrix_once(monkeypatch):
     monkeypatch.setattr(tangent, "coboundary_matrix",
                         lambda p: calls["B"].append(p) or real_b(p))
     tangent_report((8, 12))
-    assert calls == {"Z": [12], "B": [12]}
+    assert calls == {"Z": [BASE_PREC], "B": [BASE_PREC]}
+
+
+def _builder_calls(monkeypatch, run):
+    """The builder calls and the length of every series made by ``run()``,
+    in order, after one warm-up run."""
+    run()
+    calls = []
+    for module, name in [(tangent, "cocycle_matrix"),
+                         (tangent, "coboundary_matrix"),
+                         (tangent, "hom_point_directions"),
+                         (obstruction, "cocycle_matrix"),
+                         (obstruction, "defect_vector")]:
+        def record(*args, _name=name, _real=getattr(module, name)):
+            calls.append((_name, args))
+            return _real(*args)
+        monkeypatch.setattr(module, name, record)
+    real_set = series.TruncatedSeries._set
+    monkeypatch.setattr(
+        series.TruncatedSeries, "_set",
+        lambda self, ring, raw: calls.append(len(raw))
+        or real_set(self, ring, raw))
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("report", [
+    lambda p: tangent_report((p,)),
+    lambda p: obstruction.obstruction_check("Z/25", p)],
+    ids=["tangent", "obstruction"])
+def test_report_work_does_not_grow_with_prec(monkeypatch, report):
+    """The same builders at the same sizes, and series of the same lengths,
+    at P = 8 and at the ceiling P = 1025."""
+    calls = _builder_calls(monkeypatch, lambda: report(8))
+    assert calls == _builder_calls(monkeypatch, lambda: report(1025))
+    assert ("cocycle_matrix", (BASE_PREC,)) in calls
+    assert max(n for n in calls if isinstance(n, int)) <= BASE_PREC + 8
+
+
+@pytest.mark.parametrize("build,rows", [(cocycle_matrix, 1025 + 8),
+                                        (coboundary_matrix, 1025)],
+                         ids=["Z", "B"])
+def test_period_lemma_at_the_ceiling(build, rows):
+    """Rows 0..j-1 of column j are 0, and rows j..j+WINDOW-1 are rows
+    r..r+WINDOW-1 of column r = j mod PERIOD, for every column of Z and B
+    at P = 1025."""
+    M = np.array(build(1025))
+    assert M.shape == (rows, 1025)
+    for j in range(1025):
+        r = j % PERIOD
+        window = M[j:j + WINDOW, j]
+        assert not M[:j, j].any(), j
+        assert np.array_equal(window, M[r:r + len(window), r]), j
 
 
 def test_sweep_corners_equal_direct_builds():
-    """A sweep builds Z, B and the hom directions once, at its largest
-    precision; their top-left corners are the matrices at each smaller one."""
+    """Z, B and the hom directions at a precision are the top-left corners
+    of those at a larger one, and a sweep entry's report does not depend on
+    the rest of the sweep."""
     P = 16
     Z, B = cocycle_matrix(P), coboundary_matrix(P)
     dirs = hom_point_directions(P)
@@ -94,20 +151,6 @@ def test_sweep_corners_equal_direct_builds():
     sweep = tangent_report((8, 12, 16, 12))["per_precision"]
     for p in (8, 12, 16):
         assert sweep[str(p)] == tangent_report((p,))["per_precision"][str(p)]
-
-
-def test_coboundary_outside_kernel_raises(monkeypatch):
-    """im B must lie in ker Z for dim = prec - rank Z - rank B; a coboundary
-    matrix with a column outside ker Z is refused, not counted."""
-    real_b = tangent.coboundary_matrix
-
-    def tampered(p):
-        B = real_b(p)
-        B[0][0] = (B[0][0] + 1) % 5
-        return B
-    monkeypatch.setattr(tangent, "coboundary_matrix", tampered)
-    with pytest.raises(RingError, match="not a cocycle at precision 8"):
-        tangent_report((8,))
 
 
 def _tamper(monkeypatch, name, edit):
@@ -121,39 +164,112 @@ def _tamper(monkeypatch, name, edit):
     monkeypatch.setattr(tangent, name, tampered)
 
 
+def test_coboundary_outside_kernel_raises(monkeypatch):
+    """im B must lie in ker Z for dim = prec - rank Z - rank B.  Column 13 of
+    B is outside the two periods and 0 on row 15 (13 = 3 mod 5); a 1 there
+    keeps every window fact and sends the column outside ker Z (column 15
+    of Z leads at row 23)."""
+    def edit(B):
+        B[15][13] = 1
+    _tamper(monkeypatch, "coboundary_matrix", edit)
+    with pytest.raises(RingError, match="every coboundary is a cocycle$"):
+        tangent_report((8,))
+
+
 def _zero_lead(Z):
-    Z[5 + COCYCLE_SHIFT][5] = 0
+    Z[COCYCLE_SHIFT][0] = 0
 
 
 def _double_lead_row(Z):
-    Z[5 + COCYCLE_SHIFT] = [2 * v % 5 for v in Z[5 + COCYCLE_SHIFT]]
+    Z[COCYCLE_SHIFT] = [2 * v % 5 for v in Z[COCYCLE_SHIFT]]
 
 
-@pytest.mark.parametrize("edit,match", [
-    # im B leaves ker Z, and the cocycle check sees it first
-    (_zero_lead, "not a cocycle"),
-    # a row scaled by a unit keeps ker Z: only the lead check sees it
-    (_double_lead_row, "rank certificate fails"),
-], ids=["zeroed", "row-doubled"])
-def test_z_lead_off_its_value_raises(monkeypatch, edit, match):
-    """Column 5 of Z must lead with 4 at t^(5 + COCYCLE_SHIFT)."""
+# each edit also breaks the agreement of the two periods, which is checked
+# after the window facts
+@pytest.mark.parametrize("edit", [_zero_lead, _double_lead_row],
+                         ids=["zeroed", "row-doubled"])
+def test_z_lead_off_its_value_raises(monkeypatch, edit):
+    """Column 0 of the base table of Z must lead with 4 at t^COCYCLE_SHIFT;
+    a row scaled by a unit keeps ker Z, so only the lead check sees it."""
     _tamper(monkeypatch, "cocycle_matrix", edit)
-    with pytest.raises(RingError, match=match):
+    with pytest.raises(RingError, match="column 0 of Z leads with 4 at row 8"):
         tangent_report((16,))
+
+
+@pytest.mark.parametrize("j", [0, 3])
+def test_b_lead_off_its_value_raises(monkeypatch, j):
+    """Column j of B must have (3 - j)/2 at row j + 2: 4 for j = 0, and 0
+    for j = 3, the column that certifies no rank."""
+    def edit(B):
+        B[j + 2][j] = (B[j + 2][j] + 1) % 5
+    _tamper(monkeypatch, "coboundary_matrix", edit)
+    with pytest.raises(RingError, match="B has \\(3 - j\\)/2 at row j \\+ 2$"):
+        tangent_report((8,))
+
+
+def test_z_nonzero_on_its_window_raises(monkeypatch):
+    """Column 0 of Z must be 0 on rows 0..7: a 1 at row 7 is refused by the
+    window check, before the period check would see it."""
+    def edit(Z):
+        Z[COCYCLE_SHIFT - 1][0] = 1
+    _tamper(monkeypatch, "cocycle_matrix", edit)
+    with pytest.raises(RingError, match="Z is 0 on rows 0..j\\+7$"):
+        tangent_report((8,))
+
+
+def test_two_periods_that_disagree_raise(monkeypatch):
+    """Column 7 of B off its period below its lead row, every window fact
+    of columns 0..4 kept."""
+    def edit(B):
+        B[12][7] = (B[12][7] + 1) % 5
+    _tamper(monkeypatch, "coboundary_matrix", edit)
+    with pytest.raises(RingError, match="two periods of Z and B agree"):
+        tangent_report((8,))
+
+
+@pytest.mark.parametrize("period", [4, 10])
+def test_a_period_other_than_frobenius_raises(monkeypatch, period):
+    """(1 + k t^2)^p = 1 + k t^(2p) over F5 holds for p = 5, not for 4 or 10;
+    at 10 the window facts of columns 0..9 still hold."""
+    monkeypatch.setattr(tangent, "PERIOD", period)
+    with pytest.raises(RingError, match="\\(Frobenius\\)$"):
+        tangent_report((8,))
 
 
 def test_nonzero_row_one_of_b_raises(monkeypatch):
     """phi must vanish on im B.  Adding a hom direction (a cocycle with
-    phi != 0) to the last column of B keeps every column a cocycle and
-    every certifying lead in place, but puts a nonzero entry in row 1."""
-    direction = hom_point_directions(12)[1][1]
+    phi != 0) to the last column of the base table of B keeps every column
+    a cocycle and every certifying lead in place, but puts a nonzero entry
+    in row 1."""
+    direction = hom_point_directions(BASE_PREC)[1][1]
 
     def edit(B):
         for i, v in enumerate(direction):
             B[i][-1] = (B[i][-1] + v) % 5
     _tamper(monkeypatch, "coboundary_matrix", edit)
-    with pytest.raises(RingError, match="rank certificate fails"):
+    with pytest.raises(RingError, match="B is 0 on rows 0..j\\+1$"):
         tangent_report((12,))
+
+
+def test_a_failed_group_law_certificate_is_reported(monkeypatch):
+    """The directions are cocycles because sigma_y^5 = t (lift_certificate);
+    one failed certificate fails the report, and with none left the
+    dimension has no lower bound."""
+    real = tangent.lift_certificate
+    failed = []
+
+    def one_fails(point, prec):
+        if not failed:
+            failed.append(point)
+            return False, "tampered"
+        return real(point, prec)
+    monkeypatch.setattr(tangent, "lift_certificate", one_fails)
+    detail = tangent_report((8,))["per_precision"]["8"]
+    assert failed and detail["hom_directions_are_cocycles"] is False
+    monkeypatch.setattr(tangent, "lift_certificate",
+                        lambda point, prec: (False, "tampered"))
+    with pytest.raises(RingError, match="no certificate of dimension 1"):
+        tangent_report((8,))
 
 
 def test_directions_without_t_coefficient_raise(monkeypatch):
