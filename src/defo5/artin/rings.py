@@ -277,16 +277,12 @@ class Element:
         ring = self.ring
         kern = ring._kernel
         if other.__class__ is not Element or other.ring is not ring:
-            if kern is None and isinstance(other, int):
-                return Element(ring, ring.reduce([a * other for a in self.coords]))
             other = self._check(other)
             if other is NotImplemented:
                 return NotImplemented
         if kern is not None:
             return kern.els[kern.MUL[self._i][other._i]]
         a, b = self.coords, other.coords
-        if ring.dim == 1:  # basis {1}: 1 * 1 = 1
-            return Element(ring, ((a[0] * b[0]) % ring.diag[0],))
         acc = [0] * ring.dim
         for ai, row in zip(a, ring._mul_rows):
             if ai:

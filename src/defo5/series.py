@@ -210,14 +210,9 @@ class TruncatedSeries:
             ring, _sub_raw(ring, [_zero(ring)] * self.prec, self._raw))
 
     def __mul__(self, other):
-        ring = self.ring
-        if isinstance(other, Element) or isinstance(other, int):
-            c = _raw(ring, [_coerce(ring, other)])
-            return TruncatedSeries._of(ring, _mul_raw(ring, self._raw, c,
-                                                      self.prec))
         other, p = self._join(other)
         return TruncatedSeries._of(
-            ring, _mul_raw(ring, self._raw, other._raw, p))
+            self.ring, _mul_raw(self.ring, self._raw, other._raw, p))
 
     __rmul__ = __mul__
 

@@ -264,19 +264,17 @@ def _norm(e):
 def _make(c00, c10, c01, c11):
     out = object.__new__(SurdExpression)
     out.c00, out.c10, out.c01, out.c11 = c00, c10, c01, c11
-    out._plans = {}
     return out
 
 
 class SurdExpression:
     """c00 + c10*s1 + c01*s2 + c11*s1*s2 with canonical components."""
 
-    __slots__ = ("c00", "c10", "c01", "c11", "_plans")
+    __slots__ = ("c00", "c10", "c01", "c11")
 
     def __init__(self, c00=0, c10=0, c01=0, c11=0):
         comps = map(_norm, (c00, c10, c01, c11))
         self.c00, self.c10, self.c01, self.c11 = comps
-        self._plans = {}
 
     # -- constructors ---------------------------------------------------------
 
@@ -428,15 +426,12 @@ class SurdExpression:
         """Per component: None if it is zero, else (i, j, terms) with one
         (coefficient mod char, ((symbol number, exponent), ...)) per
         numerator term.  Rational constants have denominators prime to 5."""
-        plan = self._plans.get(char)
-        if plan is None:
-            plan = self._plans[char] = tuple(
-                (comp.i, comp.j, tuple(
-                    (c.numerator * pow(c.denominator, -1, char) % char,
-                     tuple((v, e) for v, e in enumerate(m) if e))
-                    for m, c in comp.num.items()))
-                if comp else None for comp in self._components())
-        return plan
+        return tuple(
+            (comp.i, comp.j, tuple(
+                (c.numerator * pow(c.denominator, -1, char) % char,
+                 tuple((v, e) for v, e in enumerate(m) if e))
+                for m, c in comp.num.items()))
+            if comp else None for comp in self._components())
 
 
 class Specialization:

@@ -537,6 +537,17 @@ def test_no_list_kernel_above_the_bound(desc, monkeypatch):
     assert R._kernel is None and x._i is None
 
 
+@pytest.mark.parametrize("desc", ["Z/5^4", "cyclo(4)", "F5[e]/(e^3)"])
+def test_product_by_an_int_is_the_product_by_from_int(desc):
+    """``x * k`` and ``k * x`` take the general product, on a dim-1 ring
+    above the kernel bound, a coordinate ring and a kernel ring alike."""
+    R = build_ring(desc)
+    xs = random.Random(4).sample(list(R.enumerate()), 20)
+    for x in xs:
+        for k in _INTS + (5 ** 9 + 3,):
+            assert x * k == k * x == x * R.from_int(k)
+
+
 # -- literals ---------------------------------------------------------------------
 
 def test_element_literal_round_trip():

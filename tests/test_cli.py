@@ -271,6 +271,7 @@ def test_series_literal_errors_name_a_series_literal(capsys):
     ("proof-chain", "--max-cardinality", "0"),
     ("order", "--prec", "1026"),
     ("conductor", "--prec", "100000"),
+    ("normal-form", "--series", "t + t^3", "--prec", "21"),
     ("normal-form", "--series", "t + t^3", "--prec", "1026"),
     ("versal-check", "--ring", "cyclo(2)", "--prec", "1026"),
     ("iterates", "--ring", "F5", "--prec", "1026"),
@@ -447,12 +448,13 @@ def test_coeff_eqs_checks_downstream_equations_by_proof_chain(capsys):
         "cyclo(2)": True, "cyclo(3)": True}
 
 
-def test_verify_all_hands_proof_chain_verdicts_to_coeff_eqs(capsys,
-                                                           monkeypatch):
-    """coeff-eqs alone checks its four oracle rings; inside verify-all it
-    reads their verdicts off the proof-chain step, and reports the same."""
+def test_verify_all_coeff_eqs_step_is_the_standalone_command(capsys,
+                                                             monkeypatch):
+    """Inside verify-all, coeff-eqs gets exactly the namespace the parser
+    gives a user, checks its four oracle rings itself, and reports the same
+    oracle verdicts as a standalone run."""
     from defo5 import cli
-    checked, reports = [], []
+    checked, steps, reports = [], [], []
     check, coeff_eqs = cli.proof_chain_check, cli._cmd_coeff_eqs
 
     def counting_check(ring):
@@ -460,6 +462,7 @@ def test_verify_all_hands_proof_chain_verdicts_to_coeff_eqs(capsys,
         return check(ring)
 
     def keep(args):
+        steps.append(vars(args).copy())
         reports.append(coeff_eqs(args))
         return reports[-1]
 
@@ -469,9 +472,12 @@ def test_verify_all_hands_proof_chain_verdicts_to_coeff_eqs(capsys,
     assert code == 0 and len(checked) == 4
     checked.clear()
     code, _, _ = run(capsys, "verify-all", "--profile", "quick")
-    assert code == 0 and checked == []
-    handed = reports[-1].details["symbolic"]["oracle_proof_chain_passed"]
-    assert json.dumps(handed) == json.dumps(
+    assert code == 0 and checked == list(cli._ORACLE_RINGS)
+    parsed = cli.build_parser().parse_args(
+        ["--jobs", "1", "coeff-eqs", "--samples", "200"])
+    assert steps[-1] == vars(parsed)
+    in_step = reports[-1].details["symbolic"]["oracle_proof_chain_passed"]
+    assert json.dumps(in_step) == json.dumps(
         alone["details"]["symbolic"]["oracle_proof_chain_passed"])
 
 
@@ -505,8 +511,7 @@ def _expected_steps(profile):
         ("proof-chain", {"ring": None,
                          "max_cardinality": 625 if full else 125}),
         ("obstruction", {"n": 2, "prec": 8}),
-        ("coeff-eqs", {"samples": 1000 if full else 200,
-                       "proof_chain_passed": {"F5": True}}),
+        ("coeff-eqs", {"samples": 1000 if full else 200}),
     ]
 
 
@@ -519,9 +524,8 @@ def test_verify_all_steps_parse_to_the_pinned_arguments(capsys, monkeypatch,
 
     def recorded(args):
         seen.append({k: v for k, v in vars(args).items() if k != "fn"})
-        details = {"reports": [{"ring": "F5", "passed": True}]}
         return Report(command=args.command, params={}, verdict="pass",
-                      details=details)
+                      details={})
 
     for name in vars(cli).copy():
         if name.startswith("_cmd_") and name != "_cmd_verify_all":

@@ -470,6 +470,20 @@ def test_truncation_soundness():
     assert hi.truncate(7) == lo
 
 
+@pytest.mark.parametrize("desc,gen", [("F5[e]/(e^2)", "e"),
+                                      ("cyclo(4)", "u")])
+def test_product_by_a_scalar_is_the_product_by_a_constant(desc, gen):
+    """``s * c`` for an int or an ``Element`` c is the product by the
+    constant series c at ``s.prec``: same coefficients, same precision."""
+    R = build_ring(desc)
+    s = TruncatedSeries(R, [R.from_int(2), R.one + R.generator(gen),
+                            0, R.from_int(-3)], prec=7)
+    for c in (3, -126, 0, R.from_int(4), R.generator(gen)):
+        want = s * TruncatedSeries.constant(R, c, s.prec)
+        for got in (s * c, c * s):
+            assert got == want and got.prec == want.prec == 7
+
+
 # -- structure helpers ---------------------------------------------------------------
 
 def test_t_order_and_shift():

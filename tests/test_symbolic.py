@@ -163,6 +163,18 @@ def test_verify_displayed_equations_report():
     assert "a3" not in rep["third_order_display"]["lhs"]
 
 
+def test_third_order_display_is_the_t2_equation():
+    """The third-order display's LHS - RHS is minus the raw t^2 difference,
+    exactly, and not the raw t^3 difference that the report compares it
+    with (``raw_t3_difference_equals_display_difference`` reads false)."""
+    lhs, rhs = expand_lhs(4), expand_rhs(4)
+    dl, dr = displayed_third_order()
+    assert dl - dr == -(lhs[2] - rhs[2])
+    assert dl - dr != lhs[3] - rhs[3]
+    rep = verify_displayed_equations()
+    assert rep["raw_t3_difference_equals_display_difference"] is False
+
+
 def test_branch_symmetry_on_witnesses():
     """Flipping the s1 branch of a witness equals conjugating the symbolic
     coefficient by s1 -> -s1."""
