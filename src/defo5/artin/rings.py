@@ -27,8 +27,8 @@ Two scalar kernels share the one ``Element`` type, chosen by cardinality.  A
 ring of at most ``KERNEL_BOUND`` elements does its arithmetic by lookups in
 list copies of its ``RingTable`` (built on the first operation, through the
 one table cache, which keeps the tables of such rings for the process): each
-element carries its table index, ``==`` compares indices, and
-``+ - * neg inv sqrt residue`` return interned elements.
+element carries its table index, and ``+ - * neg inv sqrt residue`` return
+interned elements.
 Larger rings multiply through the sparse structure constants and lift
 inverses and square roots from the residue field by Newton iteration.  At
 625 elements the list tables would cost 10-16 ms of ``tolist`` and about
@@ -116,8 +116,8 @@ class Ring:
         self._mul_rows = tuple(
             tuple(tuple((k, v) for k, v in enumerate(vec) if v) for vec in row)
             for row in mul_basis)
-        # residue_ring is None for fields (they are their own residue field)
-        self._residue_ring = residue_ring
+        # a field, passed residue_ring None, is its own residue ring
+        self.residue_ring = residue_ring or self
         self.nilpotency_index = nilpotency_index
         self._generator_vecs = dict(generators)
         # mixed-radix weights, first coordinate most significant: an
@@ -156,10 +156,6 @@ class Ring:
         coordinates (module docstring)."""
         k = self.residue_ring
         return Element(k, k.reduce(coords[:k.dim]))
-
-    @property
-    def residue_ring(self):
-        return self._residue_ring if self._residue_ring is not None else self
 
     def element(self, coords):
         if len(coords) != self.dim:
@@ -211,13 +207,6 @@ class Ring:
     def __repr__(self):
         return f"Ring({self.descriptor!r})"
 
-    def __eq__(self, other):
-        return self is other or (isinstance(other, Ring)
-                                 and self.descriptor == other.descriptor)
-
-    def __hash__(self):
-        return hash(self.descriptor)
-
 
 class Element:
     """An element of a catalog ring: its canonical coordinate vector and, in a
@@ -231,13 +220,12 @@ class Element:
         self._i = sum(map(mul, coords, ring._weights)) if ring._indexed else None
 
     def _check(self, other):
-        if isinstance(other, Element):
-            if other.ring is self.ring or other.ring == self.ring:
-                return other
-            raise MismatchError(
-                f"elements of {self.ring.descriptor!r} and {other.ring.descriptor!r}")
+        """An operand that is not an element of this ring, coerced."""
         if isinstance(other, int):
             return self.ring.from_int(other)
+        if isinstance(other, Element):
+            raise MismatchError(
+                f"elements of {self.ring.descriptor!r} and {other.ring.descriptor!r}")
         return NotImplemented
 
     def __add__(self, other):
@@ -308,14 +296,11 @@ class Element:
         return out
 
     def __eq__(self, other):
-        if other.__class__ is Element and other.ring is self.ring:
-            i = self._i
-            return self.coords == other.coords if i is None else i == other._i
-        if isinstance(other, Element):
-            return self.coords == other.coords and self.ring == other.ring
         if isinstance(other, int):
-            return self == self.ring.from_int(other)
-        return NotImplemented
+            other = self.ring.from_int(other)
+        elif not isinstance(other, Element):
+            return NotImplemented
+        return other.ring is self.ring and other.coords == self.coords
 
     def __hash__(self):
         return hash((self.ring.descriptor, self.coords))
@@ -396,7 +381,7 @@ class Element:
         else:
             if isinstance(branch, int):
                 branch = k.from_int(branch)
-            if branch.ring != k:
+            if branch.ring is not k:
                 raise MismatchError("branch must live in the residue field")
             pick = branch._i
             if pick not in roots:
@@ -590,8 +575,8 @@ def build_ring(descriptor: str) -> Ring:
     Grammar: ``F5``, ``F25``, ``Z/5^<n>`` (also ``Z/<5^n>`` literals),
     ``cyclo(<m>)``, and nilpotent extensions ``<base>[e]/(e^<m>)``.
     Every spelling of a ring (spaces, ``Z/25`` for ``Z/5^2``, leading zeros)
-    returns the one object interned under its canonical descriptor, so rings
-    from here are equal exactly when they are identical.  The whole
+    returns the one object interned under its canonical descriptor: rings
+    compare by identity, and ``Ring`` defines no equality of its own.  The whole
     descriptor is parsed and checked against the bounds ``MAX_DIGITS``,
     ``MAX_ZMOD_EXPONENT`` and ``MAX_DIM`` before any ring is constructed.
     """

@@ -40,9 +40,9 @@ only the tables it is still using.  Tables of rings of at most
 ``KERNEL_BOUND`` elements are the exception and stay for the process: their
 ``ADD`` and ``MUL`` take at most 62 KB, the residue fields F5 and F25 are
 read by the ``inv`` and ``sqrt`` of every larger ring, and kernels copy
-them.  That is decided by
-cardinality, not by whether a kernel exists, so running a small ring on its
-structure constants never rebuilds its table.
+them.  That is decided by the ring's ``_indexed`` flag (its cardinality
+against ``KERNEL_BOUND``), not by whether a kernel exists, so running a
+small ring on its structure constants never rebuilds its table.
 """
 
 from __future__ import annotations
@@ -52,8 +52,7 @@ import weakref
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .rings import (KERNEL_BOUND, EnumerationBoundError, Element, Ring,
-                    RingError)
+from .rings import EnumerationBoundError, Element, Ring, RingError
 
 TABLE_BOUND = 5 ** 5
 
@@ -204,6 +203,6 @@ def ring_table(ring: Ring) -> RingTable:
     tab = _table_cache.get(ring.descriptor)
     if tab is None:
         tab = _table_cache[ring.descriptor] = RingTable(ring)
-        if ring.cardinality <= KERNEL_BOUND:
+        if ring._indexed:
             _pinned.append(tab)
     return tab

@@ -18,6 +18,7 @@ import time
 import traceback
 
 from . import __version__
+from .artin.literals import LiteralError
 from .artin.rings import (MAX_ZMOD_EXPONENT, DescriptorError,
                           EnumerationBoundError, RingError, build_ring)
 from .artin.tables import TABLE_BOUND
@@ -28,8 +29,7 @@ from .deformation.tangent import tangent_report
 from .deformation.versal import (VersalPoint, hom_points,
                                  iterate_closed_form, lift_certificate,
                                  versal_family)
-from .nottingham import (Automorphism, ConductorUndefinedError,
-                         NotAnAutomorphismError, base_sigma, hasse_conductor,
+from .nottingham import (Automorphism, base_sigma, hasse_conductor,
                          normal_form_o5c2, order, power)
 from .reports import (Report, VERDICT_FAIL, VERDICT_PASS)
 from .series import MAX_DEGREE, MIN_PREC, TruncatedSeries
@@ -69,9 +69,12 @@ def _cmd_conductor(args):
 def _cmd_normal_form(args):
     params = ("ring", "series", "prec")
     series = TruncatedSeries.from_literal(build_ring(args.ring), args.series)
+    if series.prec < args.prec:  # a usage error (exit 2), not a verdict
+        raise LiteralError(f"series literal has precision {series.prec}, "
+                           f"below --prec {args.prec}")
     try:
         xi = normal_form_o5c2(Automorphism(series), args.prec)
-    except (NotAnAutomorphismError, RingError) as exc:
+    except RingError as exc:
         return _report(args, params, False, {"error": str(exc)})
     ok = xi is not None
     return _report(args, params, ok, {"conjugator_found": ok},

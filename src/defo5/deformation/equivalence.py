@@ -283,7 +283,7 @@ def conjugator_search(lift1: Automorphism, lift2: Automorphism, prec: int):
     None when there is none, and count is the exact number of conjugators.
     """
     ring = lift1.ring
-    if lift2.ring != ring:
+    if lift2.ring is not ring:
         raise RingError("lifts over different rings")
     _refuse_cardinality(ring)
     T = ring_table(ring)

@@ -30,7 +30,7 @@ class VersalPoint:
     y: Element
 
     def __post_init__(self):
-        if self.y.ring != self.ring:
+        if self.y.ring is not self.ring:
             raise RingError("versal point element lives in the wrong ring")
         if phi5(self.y) != self.ring.zero:
             raise RingError(f"Phi5({self.y}) != 0")

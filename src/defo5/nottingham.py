@@ -60,9 +60,7 @@ class Automorphism:
 
     def __call__(self, other):
         """Group law: (self . other)(t) = self(other(t))."""
-        if isinstance(other, Automorphism):
-            return Automorphism(self.series.compose(other.series))
-        return self.series.compose(other)
+        return Automorphism(self.series.compose(other.series))
 
     def inverse(self):
         return Automorphism(self.series.comp_inverse())

@@ -81,7 +81,7 @@ def require_prec(prec):
 
 def _coerce(ring, c):
     if isinstance(c, Element):
-        if c.ring is not ring and c.ring != ring:
+        if c.ring is not ring:
             raise MismatchError("coefficient from a different ring")
         return c
     if isinstance(c, int):
@@ -147,7 +147,7 @@ class TruncatedSeries:
     def _join(self, other):
         if not isinstance(other, TruncatedSeries):
             other = TruncatedSeries.constant(self.ring, other, self.prec)
-        if other.ring is not self.ring and other.ring != self.ring:
+        if other.ring is not self.ring:
             raise MismatchError("series over different rings")
         return other, min(self.prec, other.prec)
 
@@ -168,7 +168,7 @@ class TruncatedSeries:
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return (self.ring == other.ring and self.prec == other.prec
+        return (self.ring is other.ring and self.prec == other.prec
                 and self._raw == other._raw)
 
     def __hash__(self):
@@ -183,9 +183,6 @@ class TruncatedSeries:
             p = prec
         return self._raw[:p] == other._raw[:p]
 
-    def is_zero(self):
-        return self.t_order() is None
-
     # -- ring operations ---------------------------------------------------------
 
     def __add__(self, other):
@@ -199,10 +196,6 @@ class TruncatedSeries:
         other, _ = self._join(other)
         return TruncatedSeries._of(
             self.ring, _sub_raw(self.ring, self._raw, other._raw))
-
-    def __rsub__(self, other):
-        other, _ = self._join(other)
-        return other - self
 
     def __neg__(self):
         ring = self.ring
@@ -501,19 +494,17 @@ def _mul_raw(ring, a, b, p, c=None, b_mats=None):
 
 
 def _compose_raw(ring, g, f, p):
-    """g(f) to p terms, by Horner; truncated by the t-order v of f when
-    f[0] = 0 (module docstring), at full width otherwise."""
+    """g(f) to p terms, by Horner truncated by the t-order v of f (module
+    docstring): v = p when f = 0 to p terms, so g(f) = g[0], and a nilpotent
+    constant term (v = 0) runs every step at full width."""
     zero = _zero(ring)
     v = _t_order(f[:p], zero)
-    if v is None:  # f = 0 to p terms: g(f) = g[0]
-        return [g[0]] + [zero] * (p - 1)
-    if v == 0:
-        out, ks = [zero] * p, range(len(g) - 1, -1, -1)
-    else:
-        top = min(len(g) - 1, (p - 1) // v)
-        out, ks = [g[top]], range(top - 1, -1, -1)
+    if v is None:
+        v = p
+    top = min(len(g) - 1, (p - 1) // v) if v else len(g) - 1
+    out = [g[top]]
     f_mats = None if ring._kernel is not None else _matrices(ring, f[:p])
-    for k in ks:
+    for k in range(top - 1, -1, -1):
         out = _mul_raw(ring, out, f, p - v * k, g[k], f_mats)
     return out + [zero] * (p - len(out))
 

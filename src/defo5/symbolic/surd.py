@@ -417,7 +417,7 @@ class SurdExpression:
         (``cyclo(5)``) for one value.  Value many witnesses of a large ring
         through one ``Specialization``."""
         tab = ring_table(ring)  # EnumerationBoundError before any work
-        if any(witness[name].ring != ring for name in _WITNESS_NAMES):
+        if any(witness[name].ring is not ring for name in _WITNESS_NAMES):
             raise MismatchError(f"a witness is not in {ring.descriptor}")
         batch = {name: [tab.index(witness[name])] for name in _WITNESS_NAMES}
         return tab.element(int(Specialization(ring, batch)(self)[0]))

@@ -99,6 +99,22 @@ def test_mixed_ring_arithmetic_rejected():
         a + b
 
 
+@pytest.mark.parametrize("desc1,desc2", [
+    ("F5", "Z/25"), ("F5[e]/(e^2)", "cyclo(2)"), ("F25", "F5[e]/(e^2)")])
+def test_elements_of_two_rings_are_unequal(desc1, desc2):
+    """Rings compare by identity: elements with the same coordinates in two
+    rings are unequal, and comparing them raises nothing, but ``+`` does."""
+    a, b = build_ring(desc1).one, build_ring(desc2).one
+    assert a.coords == b.coords
+    assert a != b and not a == b
+    with pytest.raises(MismatchError):
+        a + b
+
+
+def test_rings_define_no_equality():
+    assert "__eq__" not in vars(Ring) and "__hash__" not in vars(Ring)
+
+
 # -- arithmetic -------------------------------------------------------------------
 
 def test_zmod25_arithmetic():
@@ -685,6 +701,12 @@ def test_cyclo_diag_is_the_generic_hnf(m):
 def test_diag_is_the_generic_hnf(desc):
     R = build_ring(desc)
     assert relation_hnf(R) == _diagonal(R.diag)
+
+
+@pytest.mark.parametrize("desc", CATALOG + _TOWERS)
+def test_residue_ring_is_an_interned_field(desc):
+    field = "F25" if desc.startswith("F25") else "F5"
+    assert build_ring(desc).residue_ring is build_ring(field)
 
 
 @pytest.mark.parametrize("desc", CATALOG + _TOWERS)

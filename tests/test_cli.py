@@ -43,11 +43,27 @@ def test_exit_zero_on_pass(capsys):
 
 
 def test_exit_one_on_fail(capsys):
-    # t + t^2 has order 5 but is not conjugate to sigma at conductor 2
+    # t + 2t^2 has order 5 but Hasse conductor 1, so it is not conjugate to
+    # sigma: a verdict
     code, report, _ = run(capsys, "normal-form", "--ring", "F5",
-                          "--series", "t + 2*t^2", "--prec", "6")
+                          "--series", "t + 2*t^2 @prec=6", "--prec", "6")
     assert code == 1
     assert report["verdict"] == "fail"
+    assert report["details"] == {
+        "error": "normal form needs Hasse conductor 2"}
+
+
+@pytest.mark.parametrize("argv,known,prec", [
+    (("--series", "t + 2*t^2", "--prec", "6"), 3, 6),
+    (("--series", "t + 2*t^3"), 4, 8),  # the default --prec is 8
+])
+def test_exit_two_on_series_shorter_than_prec(capsys, argv, known, prec):
+    """A literal that knows fewer coefficients than --prec asks for is a
+    usage error, not a verdict: exit 2 and an error naming both precisions."""
+    code, report, err = run(capsys, "normal-form", *argv)
+    assert code == 2 and report is None
+    assert err == (f"error: series literal has precision {known}, "
+                   f"below --prec {prec}\n")
 
 
 def test_exit_two_on_bad_ring(capsys):
@@ -386,6 +402,13 @@ def test_obstruction_golden_report(capsys):
 
 
 # -- behaviour -----------------------------------------------------------------------
+
+def test_proof_chain_on_one_ring(capsys):
+    code, report, _ = run(capsys, "proof-chain", "--ring", "cyclo(2)")
+    assert code == 0 and report["verdict"] == "pass"
+    assert report["params"] == {"ring": "cyclo(2)"}
+    assert report["witnesses"] == []
+
 
 def test_normal_form_recovers_conjugator(capsys):
     # the series below is xi^-1 . sigma . xi for xi = t + t^2
