@@ -127,10 +127,46 @@ def conjugate(a: Automorphism, x: Automorphism) -> Automorphism:
 
 def normal_form_o5c2(a: Automorphism, prec: int):
     """Over F5: find the lexicographically least conjugator xi (c0 = 0,
-    c1 a unit) with xi o sigma o xi^{-1} = a at precision ``prec``, by
-    depth-first coefficient search.  Returns the conjugator or None.
+    c1 a unit) with xi o sigma o xi^{-1} = a at precision ``prec``.  Returns
+    the conjugator or None.
 
     Precondition (checked): order 5 and Hasse conductor 2 at precision.
+
+    One pass over j = 1..prec-1: at precision min(j + 3, prec), c_j takes
+    the least value (1..4 at j = 1, 0..4 otherwise) for which xi o sigma and
+    a o xi agree, and the search stops with None when none does.  No level
+    is tried twice.
+
+    Theorem.  Whenever a conjugator at precision ``prec`` extends the
+    coefficients fixed so far, every value that passes at level j extends
+    them to one too.  So the pass returns the lexicographically least
+    conjugator, or None when there is none, as a depth-first search over
+    all values would.
+
+    Proof.  The checks force a = t + a3 t^3 + ... with a3 != 0, and sigma =
+    t + s3 t^3 + ... is odd, s3 = -1/2 = 2.  With c0 = 0 the coefficient of
+    t^k in xi o sigma - a o xi involves only c_1..c_{k-2}: c_k cancels, and
+    a_2 = 0.  So the check at level j reads c_j first in its t^(j+2)
+    coefficient: c1 s3 - a3 c1^3 at j = 1, and for j >= 2 a term linear in
+    c_j with factor s3 j - 3 a3 c1^2, which the t^3 equation a3 c1^2 = s3
+    makes 2 (j - 3).
+    - j + 2 >= prec: no checked coefficient reads c_j, every value passes
+      and every one extends.
+    - j = 1: c1^2 = s3/a3 has two roots or none.  t -> -t commutes with
+      sigma, so xi -> xi(-t) maps the conjugators with c1 onto those with
+      -c1 and keeps c0.
+    - j = 5m + 3: the factor is 0, so the check passes for all five values
+      or none.  N = t sigma(t) sigma^2(t) sigma^3(t) sigma^4(t) is
+      sigma-invariant and starts t^5, and z_m = t / sqrt(N^m t^2 + 1)
+      commutes with sigma: z_m o sigma and sigma o z_m both square to
+      t^2 / ((N^m + 1) t^2 + 1), and as in the group law of
+      ``deformation.versal.iterate_parameters`` two series t + ... with
+      equal squares are equal.  z_m = t + 2 t^(5m+3) + ..., so xi -> xi o
+      z_m^k keeps c_1..c_{j-1} and adds 2 k c1 to c_j: it maps the
+      conjugators with one value of c_j onto those with any other.
+    - every other j: the factor is a unit, so only the value of the
+      conjugator being extended passes.
+    A pass that completes has checked the whole equation at ``prec``.
     """
     ring = a.ring
     if ring.descriptor != "F5":
@@ -145,37 +181,18 @@ def normal_form_o5c2(a: Automorphism, prec: int):
         raise RingError("normal form needs Hasse conductor 2")
     sigma = base_sigma(ring, prec).series
     target = a.series.truncate(prec)
-    zero, one = ring.zero, ring.one
-
-    # Solve xi o sigma = a o xi coefficient by coefficient: the degree-k
-    # coefficient of both sides depends only on xi's coefficients c_1..c_k.
-    def both_sides(coeffs, upto):
-        xi = TruncatedSeries(ring, coeffs, prec=upto)
-        lhs = xi.compose(sigma.truncate(upto))
-        rhs = target.truncate(upto).compose(xi)
-        return lhs, rhs
-
-    units = [ring.from_int(v) for v in range(1, 5)]
-    scalars = [ring.from_int(v) for v in range(5)]
-
-    def dfs(coeffs):
-        k = len(coeffs)
-        if k == prec:
-            return list(coeffs)
-        choices = units if k == 1 else scalars
-        for c in choices:
-            cand = coeffs + [c]
-            lhs, rhs = both_sides(cand, k + 1)
-            if lhs.agrees_with(rhs):
-                hit = dfs(cand)
-                if hit is not None:
-                    return hit
-        return None
-
-    hit = dfs([zero])
-    if hit is None:
-        return None
-    xi = Automorphism(TruncatedSeries(ring, hit))
+    coeffs = [0]
+    for j in range(1, prec):
+        upto = min(j + 3, prec)
+        sigma_j, target_j = sigma.truncate(upto), target.truncate(upto)
+        for v in range(1 if j == 1 else 0, 5):
+            xi = TruncatedSeries(ring, coeffs + [v], prec=upto)
+            if xi.compose(sigma_j).agrees_with(target_j.compose(xi)):
+                coeffs.append(v)
+                break
+        else:
+            return None
+    xi = Automorphism(TruncatedSeries(ring, coeffs))
     if __debug__:
         assert conjugate(Automorphism(sigma), xi).series.agrees_with(target)
     return xi

@@ -287,7 +287,7 @@ def test_series_literal_errors_name_a_series_literal(capsys):
     ("proof-chain", "--max-cardinality", "0"),
     ("order", "--prec", "1026"),
     ("conductor", "--prec", "100000"),
-    ("normal-form", "--series", "t + t^3", "--prec", "21"),
+    ("normal-form", "--series", "t + t^3", "--prec", "97"),
     ("normal-form", "--series", "t + t^3", "--prec", "1026"),
     ("versal-check", "--ring", "cyclo(2)", "--prec", "1026"),
     ("iterates", "--ring", "F5", "--prec", "1026"),
