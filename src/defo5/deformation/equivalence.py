@@ -84,13 +84,13 @@ def _refuse_cardinality(ring: Ring):
 
 
 def _fibres(T, vals):
-    """(sol, start, count): for every delta, r in A the x in ``vals`` with
-    delta x = r are sol[start[key]:start[key] + count[key]] in the order of
-    ``vals``, key = delta * |A| + r."""
+    """(sol, keys): for every delta, r in A the x in ``vals`` with
+    delta x = r are sol[i:j] in the order of ``vals``, where [i, j) is the
+    run of key = delta * |A| + r in ``keys``, the keys of every (delta, x)
+    sorted.  ``_level`` finds the runs by binary search."""
     key = (np.arange(T.n)[:, None] * T.n + T.MUL[:, vals]).ravel()
     order = np.argsort(key, kind="stable")
-    count = np.bincount(key, minlength=T.n * T.n)
-    return vals[order % len(vals)], np.cumsum(count) - count, count
+    return vals[order % len(vals)], key[order]
 
 
 class _Search:
@@ -201,9 +201,10 @@ class _Search:
         unit = k == 1
         if unit not in self.fibres:
             self.fibres[unit] = _fibres(self.T, self.vals[unit])
-        sol, start, count = self.fibres[unit]
+        sol, keys = self.fibres[unit]
         key = delta * self.n + add(right, np.take(self.T.NEG, left))
-        return sol, start[key], count[key], Q
+        start = np.searchsorted(keys, key, side="left")
+        return sol, start, np.searchsorted(keys, key, side="right") - start, Q
 
     def _advance(self, p, xi, pw, k, sol, start, count, Q):
         """Rows of level k with their fibres: record them at the last level,

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, JSON report schema, round-trips, and a golden
 report for the obstruction subcommand."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -364,6 +365,30 @@ def test_report_json_round_trip():
                  details={"d": [1, 2]}, witnesses=["w"], elapsed_ms=1.5,
                  version=__version__)
     assert Report.from_json(rep.to_json()) == rep
+
+
+@pytest.mark.parametrize("argv", [
+    ("proof-chain", "--ring", "F5[e]/(e^3)"),
+    ("universality", "--ring", "F5[e]/(e^2)", "--prec", "3"),
+    ("tangent", "--prec-sweep", "8,9"),
+    ("verify-all", "--profile", "quick"),
+])
+def test_report_json_matches_the_asdict_rendering(capsys, monkeypatch,
+                                                  argv):
+    """to_json serializes the fields of the report main emits as they are;
+    a deep copy through dataclasses.asdict renders the same text."""
+    emitted = []
+    to_json = Report.to_json
+
+    def recorded(self, *args, **kwargs):
+        emitted.append((self, to_json(self, *args, **kwargs)))
+        return emitted[-1][1]
+
+    monkeypatch.setattr(Report, "to_json", recorded)
+    assert run(capsys, *argv)[0] == 0
+    (rep, text), = emitted
+    assert text == json.dumps(dataclasses.asdict(rep), indent=2,
+                              sort_keys=True)
 
 
 def test_report_refuses_indeterminate_verdict():
