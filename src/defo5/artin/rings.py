@@ -429,8 +429,8 @@ class _Kernel:
     def __init__(self, ring, table):
         self.els = els = [Element(ring, c) for c in table.coords.tolist()]
         self.res = [ring._residue(x.coords) for x in els]
-        self.ADD = table.ADD.tolist()
-        self.SUB = table.ADD[:, table.NEG].tolist()
+        add = table.ADD[range(table.n)]
+        self.ADD, self.SUB = add.tolist(), add[:, table.NEG].tolist()
         self.MUL = table.MUL.tolist()
         self.NEG = table.NEG.tolist()
         self.INV = table.INV.tolist()

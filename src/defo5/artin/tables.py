@@ -1,4 +1,4 @@
-"""Dense index tables for exhaustive scans over small catalog rings.
+"""Index tables for exhaustive scans over small catalog rings.
 
 Elements are identified with their rank in the deterministic enumeration
 order (mixed radix over the canonical coordinate box, first coordinate most
@@ -9,26 +9,17 @@ from table values must be widened first.  For a ring of at most
 ``rings.KERNEL_BOUND`` elements the same table, copied to Python lists, is
 also the scalar kernel of ``Element`` (see ``rings``).
 
-``ADD`` of a table of at most ``DENSE_ADD_BOUND`` = 625 elements is the
-dense Kronecker sum of the cyclic tables Z/diag[k]: as an abelian group the
-ring is the product of the Z/diag[k], and ranking puts coordinate k above
-all later ones, so folding the coordinates from the last one, the table of
-coordinates k.. is (diag[k] x diag[k] cyclic table) * weight[k]
-broadcast-added to the table of coordinates k+1.., with no carry to resolve.
-Each cyclic table is a sliding window over two periods of 0..diag[k]-1.
-
-Above that (the 3125-element rings) no n x n ``ADD`` is stored.  ``E[a]``
-writes the coordinates of element a as a numeral in the radices
-2 * diag[k] - 1, so the digit sums of E[a] + E[b] are the coordinate sums,
-each at most 2 * diag[k] - 2: the numeral addition never carries.  ``SUMS``
+``ADD`` stores no n x n array.  As an abelian group the ring is the
+product of the Z/diag[k], so addition is coordinate-wise.  ``E[a]`` writes
+the coordinates of element a as a numeral in the radices 2 * diag[k] - 1, so
+the digit sums of E[a] + E[b] are the coordinate sums, each at most
+2 * diag[k] - 2: the numeral addition never carries.  ``SUMS``
 (prod(2 * diag[k] - 1) entries: 35 721 for ``cyclo(5)``) ranks the reduced
 sum of every digit-sum numeral, and ``ADD`` is a ``_CarryFreeAdd`` that
 answers ADD[a, b] = SUMS[E[a] + E[b]] (index arrays broadcast) and
-ADD[row], the only forms the scans use at 3125.  Its three gathers touch
-two arrays of at most 120 KB, so a lookup is no slower than one gather
-from a 19.5 MB dense table.  Up to 625 elements the dense table stays: a
-gather from it is about 1.7x faster on 1 000 lookups, and the conjugator
-search, whose |m|^3 rule admits no larger ring, reads it flat.
+ADD[row], the only forms the scans use.  Its three gathers touch two arrays
+of at most 120 KB, so at 3125 elements a lookup is no slower than one
+gather from a 19.5 MB dense table.
 
 ``MUL`` is built by split columns.  Every modulus ``diag[k]`` is a power of
 5, so the ranks are base-5 numerals in which coordinate k owns a run of
@@ -50,13 +41,12 @@ ring's kernel exists.
 ``ring_table`` is the one table cache, weak-valued: a table lives exactly as
 long as something holds it (a proof-chain scan, a conjugator search, a
 ``Specialization``, a caller's variable), so a scan over many rings keeps
-only the tables it is still using.  A table's memory is its n x n int16
-``MUL`` and, up to 625 elements, ``ADD`` (0.78 MB each at 625); a
-3125-element table holds ``MUL`` (19.5 MB) and under 0.3 MB besides.
+only the tables it is still using.  A table holds its n x n int16 ``MUL``
+(0.78 MB at 625 elements, 19.5 MB at 3125) and under 0.3 MB besides.
 Tables of rings of at most ``KERNEL_BOUND`` elements are the exception and
-stay for the process: their ``ADD`` and ``MUL`` take at most 62 KB, the
-residue fields F5 and F25 are read by the ``inv`` and ``sqrt`` of every
-larger ring, and kernels copy them.  That is decided by the ring's
+stay for the process: their arrays take at most 40 KB, the residue fields
+F5 and F25 are read by the ``inv`` and ``sqrt`` of every larger ring, and
+kernels copy them.  That is decided by the ring's
 ``_indexed`` flag (its cardinality against ``KERNEL_BOUND``), not by whether
 a kernel exists, so running a small ring on its structure constants never
 rebuilds its table.
@@ -67,32 +57,14 @@ from __future__ import annotations
 import weakref
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .rings import EnumerationBoundError, Element, Ring, RingError
 
 TABLE_BOUND = 5 ** 5
-# Tables of at most this many elements store a dense ADD (module docstring)
-DENSE_ADD_BOUND = 5 ** 4
 
 # Table entries per row block of the carry pass, so that its temporaries stay
 # in cache: about half the time of whole-table passes at 3125 elements.
 _BLOCK = 1 << 17
-
-
-def _kronecker_sum(diag):
-    """The addition table of Z/diag[0] x ... x Z/diag[-1] on ranks: with
-    the coordinates from k on folded into a table of order w, coordinate
-    k - 1 contributes its cyclic table times w."""
-    w = 1
-    out = np.zeros((1, 1), dtype=np.int16)
-    for m in reversed(diag):
-        cyclic = sliding_window_view(np.arange(2 * m, dtype=np.int16) % m * w,
-                                     m)[:m]
-        out = (cyclic[:, None, :, None] + out[None, :, None, :]).reshape(
-            m * w, m * w)
-        w *= m
-    return out
 
 
 def _carry_free_sums(coords, diag, weights):
@@ -110,10 +82,9 @@ def _carry_free_sums(coords, diag, weights):
 
 
 class _CarryFreeAdd:
-    """The ``ADD`` of a table above ``DENSE_ADD_BOUND`` elements, read
-    through its ``E`` and ``SUMS``: ``ADD[a, b]`` (index arrays broadcast as
-    for a dense table) and ``ADD[row]``, the sums of ``row`` with every
-    element.  No other index form is supported."""
+    """A table's ``ADD``, read through its ``E`` and ``SUMS``: ``ADD[a, b]``
+    (index arrays broadcast as for a dense table) and ``ADD[row]``, the sums
+    of ``row`` with every element.  No other index form is supported."""
 
     def __init__(self, E, SUMS):
         self.E, self.SUMS = E, SUMS
@@ -183,11 +154,8 @@ class RingTable:
         weights = self._weights = ring._weights
         coords = self.coords = np.indices(ring.diag).reshape(d, -1).T.astype(np.int64)
 
-        if n <= DENSE_ADD_BOUND:
-            self.ADD = _kronecker_sum(ring.diag)
-        else:
-            self.E, self.SUMS = _carry_free_sums(coords, ring.diag, weights)
-            self.ADD = _CarryFreeAdd(self.E, self.SUMS)
+        self.E, self.SUMS = _carry_free_sums(coords, ring.diag, weights)
+        self.ADD = _CarryFreeAdd(self.E, self.SUMS)
         # n2, the least power of 5 with n2^2 >= n, divides n; column
         # j = j1 * n2 + j2 has coordinates ys[:, j1] + ys[:, n1 + j2]
         n2 = 1

@@ -112,7 +112,7 @@ class _Search:
                 f"conjugator search at precision {prec} needs lift1 precision "
                 f">= {prec} and lift2 precision >= {J}")
         MUL, ADD = T.MUL, T.ADD
-        self.MULf, self.ADDf = MUL.ravel(), ADD.ravel()
+        self.MULf = MUL.ravel()
         self.n = np.int64(T.n)  # so that a * n + b widens int16 indices
 
         # POW1[f, i, k] = (lift1^i)_k; C1K[f, k] = c1^k = (lift1^k)_k
@@ -173,7 +173,7 @@ class _Search:
         return np.take(self.MULf, a * self.n + b)
 
     def _add(self, a, b):
-        return np.take(self.ADDf, a * self.n + b)
+        return self.T.ADD[a, b]
 
     def _level(self, p, xi, pw, k):
         """Fibres of level k >= 1 for every row, and Q[j], the part of

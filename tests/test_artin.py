@@ -14,8 +14,8 @@ from defo5.artin.rings import (KERNEL_BOUND, MAX_DIGITS, MAX_DIM,
                                MAX_ZMOD_EXPONENT, DescriptorError, Element,
                                MismatchError, NoSquareRootError,
                                NotAUnitError, Ring, RingError, build_ring)
-from defo5.artin.tables import (DENSE_ADD_BOUND, TABLE_BOUND, RingTable,
-                                _block_dtype, ring_table)
+from defo5.artin.tables import (TABLE_BOUND, RingTable, _block_dtype,
+                                ring_table)
 from defo5.deformation.proofchain import CATALOG
 from defo5.series import TruncatedSeries
 
@@ -287,6 +287,9 @@ def test_ring_table_matches_generic_build(desc):
     T = RingTable(build_ring(desc))
     for name, want in reference_tables(T.ring).items():
         got = getattr(T, name)
+        if name == "ADD":
+            idx = np.arange(T.n)
+            got = got[idx[:, None], idx]
         if isinstance(want, np.ndarray):
             assert got.dtype == want.dtype and got.shape == want.shape, name
             assert got.tobytes() == want.tobytes(), name
@@ -304,14 +307,12 @@ def test_ring_table_matches_generic_build(desc):
     "F5", "Z/25", "Z/125", "Z/625", "Z/25[e]/(e^2)",
     *(d for d in CATALOG if d not in ("F5", "Z/25", "Z/125", "Z/625"))])
 def test_ring_table_matches_per_coordinate_build(desc):
-    """MUL byte for byte; every ADD[a, b], the dense table up to
-    DENSE_ADD_BOUND elements and the carry-free lookup above, and its
+    """MUL byte for byte; every ADD[a, b] of the carry-free lookup, and its
     ADD[row] forms."""
     T = RingTable(build_ring(desc))
     add, mul = per_coordinate_tables(T.ring)
     assert T.MUL.dtype == mul.dtype and T.MUL.shape == mul.shape
     assert T.MUL.tobytes() == mul.tobytes()
-    assert isinstance(T.ADD, np.ndarray) == (T.n <= DENSE_ADD_BOUND)
     idx = np.arange(T.n)
     got = T.ADD[idx[:, None], idx]
     assert got.dtype == add.dtype and got.tobytes() == add.tobytes()
@@ -350,40 +351,43 @@ def test_mul_blocks_dtype_bound_is_strict():
 @pytest.mark.parametrize("desc", ["F5", "cyclo(4)", "Z/5^5"])
 def test_ring_table_index_arrays_share_one_int16_dtype(desc):
     """Every index is below TABLE_BOUND < 2^15, so every index array is
-    int16, the carry-free SUMS above DENSE_ADD_BOUND elements included;
-    only the coordinates and their numerals E are wider."""
+    int16, the carry-free SUMS included; only the coordinates and their
+    numerals E are wider."""
     T = RingTable(build_ring(desc))
     arrays = {name: v for name, v in vars(T).items()
               if isinstance(v, np.ndarray) and name not in ("coords", "E")}
-    dense = T.n <= DENSE_ADD_BOUND
-    assert set(arrays) == {"ADD" if dense else "SUMS", "MUL", "NEG", "SQ",
-                           "INV", "mideal", "units"}
+    assert set(arrays) == {"SUMS", "MUL", "NEG", "SQ", "INV", "mideal",
+                           "units"}
     assert {v.dtype for v in arrays.values()} == {np.dtype(np.int16)}
-    assert dense or T.E.dtype == np.int32
+    assert T.E.dtype == np.int32
     assert T.n <= TABLE_BOUND < 2 ** 15
 
 
-def test_carry_free_table_holds_no_square_array_but_mul():
-    """The cyclo(5) table stores no n x n ADD: besides MUL, its arrays
-    (the E and SUMS that ADD reads among them) take at most 1 MB."""
-    T = RingTable(build_ring("cyclo(5)"))
+@pytest.mark.parametrize("desc", [*CATALOG, "cyclo(5)", "F5[e]/(e^5)",
+                                  "Z/5^5"])
+def test_carry_free_table_holds_no_square_array_but_mul(desc):
+    """No table stores an n x n ADD: besides MUL, its arrays (the E and
+    SUMS that ADD reads among them) take at most 1 MB."""
+    T = RingTable(build_ring(desc))
     arrays = [v for v in vars(T).values() if isinstance(v, np.ndarray)]
     assert [v for v in arrays if v.size >= T.n ** 2] == [T.MUL]
     assert sum(v.nbytes for v in arrays) <= T.MUL.nbytes + 2 ** 20
     assert T.ADD.E is T.E and T.ADD.SUMS is T.SUMS
-    assert len(T.SUMS) == 49 * 9 ** 3  # radices 2 * diag[k] - 1
+    assert len(T.SUMS) == np.prod([2 * m - 1 for m in T.ring.diag])
 
 
-def test_ring_table_build_peak_memory():
-    """Building a 625-element table peaks at under twice its two tables."""
-    R = build_ring("cyclo(4)")
+@pytest.mark.parametrize("desc", ["cyclo(4)", "F25[e]/(e^2)", "Z/625"])
+def test_ring_table_build_peak_memory(desc):
+    """Building a 625-element table peaks at under 2.5 times its one n x n
+    array, MUL."""
+    R = build_ring(desc)
     tracemalloc.start()
     try:
         T = RingTable(R)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * (T.ADD.nbytes + T.MUL.nbytes)
+    assert peak <= 2.5 * T.MUL.nbytes
 
 
 def test_ring_table_element_refuses_indices_outside_the_table():

@@ -13,7 +13,7 @@ import conjugator_oracle as oracle
 from defo5 import cli
 from defo5.artin.rings import (ENUMERATION_BOUND, EnumerationBoundError,
                                RingError, build_ring)
-from defo5.artin.tables import DENSE_ADD_BOUND, TABLE_BOUND, ring_table
+from defo5.artin.tables import TABLE_BOUND, ring_table
 from defo5.deformation import CATALOG, equivalence
 from defo5.deformation.equivalence import conjugator_search, universality_scan
 from defo5.deformation.versal import hom_points, versal_family
@@ -152,11 +152,10 @@ def test_cardinality_rule_admits_625_and_refuses_3125():
 @pytest.mark.parametrize("desc", ["cyclo(5)", "F5[e]/(e^5)", "Z/5^5"])
 def test_every_3125_element_ring_is_refused_before_any_table(desc,
                                                              monkeypatch):
-    """The |m|^3 rule refuses each ring of TABLE_BOUND elements before a
-    table is built, so the flat ADD.ravel() of _Search only ever meets the
-    dense ADD of a table of at most DENSE_ADD_BOUND elements."""
+    """The |m|^3 rule refuses each ring of TABLE_BOUND elements by its
+    size alone, before any table or hom-point scan is built."""
     ring = build_ring(desc)
-    assert ring.cardinality == TABLE_BOUND > DENSE_ADD_BOUND
+    assert ring.cardinality == TABLE_BOUND
     lift = Automorphism(TruncatedSeries(ring, [0, 1], prec=8))
 
     def boom(*args, **kwargs):
